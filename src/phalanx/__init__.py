@@ -46,6 +46,7 @@ from .types import (
     PartialOrderLog,
     PartialSignature,
     PreconditionViolation,
+    ProtocolInvariantError,
     digest_command,
     digest_log,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "PartialOrderLog",
     "PartialSignature",
     "PreconditionViolation",
+    "ProtocolInvariantError",
     "Scenario",
     "ScenarioError",
     "SequencerBroadcast",

@@ -8,6 +8,16 @@ the intervening logs from its mempool (fetching any gap from peers),
 bumps its frontier vector, and appends the collected logs sorted by
 (seq, author).
 
+Every slot of a delivered batch is checked before any of it is used:
+author position, certificate, and log digest. A slot equal to the log the
+node already stores at that (author, seq) skips the digest and certificate
+re-check, and is not handed to ``Mempool.handle_order`` again. This is safe because the mempool's log store only ever holds logs
+that passed those same checks in ``Mempool.handle_order``, or that this
+node aggregated itself from verified vote shares in ``Mempool.handle_vote``.
+A slot that differs in any field (timestamp, certificate signers or
+aggregate, ...) is verified in full, so a tampered copy of a stored log is
+still rejected.
+
 The total-order broadcast is pluggable; the harness sequencer assigns
 consecutive batch indices and every node consumes them in index order.
 """
@@ -21,7 +31,7 @@ from typing import Callable, Optional
 
 from .authenticators import Authenticator
 from .mempool import Mempool
-from .types import PartialOrderLog
+from .types import PartialOrderLog, ProtocolInvariantError
 from .wire import WireError, decode_log, encode_log
 
 OrderBatch = tuple[Optional[PartialOrderLog], ...]
@@ -176,11 +186,16 @@ class Consenter:
         """
         if len(batch) != self.n:
             raise BatchInvalid(f"batch has {len(batch)} slots, expected {self.n}")
+        stored = self.mempool.log_store
+        fresh: set[int] = set()  # slots not already in the log store
         for j, slot in enumerate(batch):
             if slot is None:
                 continue
             if slot.node_id != j:
                 raise BatchInvalid(f"slot {j} authored by {slot.node_id}")
+            known = stored.get((j, slot.seq))
+            if known is slot or known == slot:
+                continue  # verified when it was stored
             if (
                 slot.certificate is None
                 or slot.certificate.event_digest != slot.cur_digest
@@ -188,11 +203,13 @@ class Consenter:
                 or not self.auth.verify_certificate(slot.certificate)
             ):
                 raise BatchInvalid(f"slot {j} fails certificate verification")
+            fresh.add(j)
         missing: list[tuple[int, int]] = []
         for j, slot in enumerate(batch):
             if slot is None or slot.seq <= self.committed_seq[j]:
                 continue
-            self.mempool.handle_order(slot)
+            if j in fresh:
+                self.mempool.handle_order(slot)
             for seq in range(self.committed_seq[j] + 1, slot.seq):
                 if self.mempool.fetch_log(j, seq) is None:
                     missing.append((j, seq))
@@ -214,7 +231,10 @@ class Consenter:
                 continue
             for seq in range(self.committed_seq[j] + 1, slot.seq + 1):
                 log = self.mempool.fetch_log(j, seq)
-                assert log is not None, (j, seq)
+                if log is None:
+                    raise ProtocolInvariantError(
+                        f"log ({j}, {seq}) missing after the gap check passed"
+                    )
                 collected.append(log)
             self.committed_seq[j] = slot.seq
         collected.sort(key=lambda log: (log.seq, log.node_id))

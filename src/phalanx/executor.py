@@ -16,6 +16,16 @@ Commit proceeds by anchor sets:
 
 Members of an accepted set are committed in ascending trusted-timestamp
 order (ties broken by digest), which keeps every replica's output equal.
+
+Selection is a pure function of the ingested logs and the committed set,
+and only :meth:`Executor.ingest_log_set` and :meth:`Executor.commit_anchor_set`
+change either. :meth:`Executor.drain` therefore keeps a *settled* flag: it
+is set when a selection comes back empty and cleared by those two methods,
+and while it is set ``drain`` skips selection, which would return the same
+empty set. For the same reason each :class:`CommandInfo` caches its sorted
+timestamps until its next log arrives, ``reliable_precedes`` remembers each
+answer until either command gains a log, and the alter path ranks an index
+of uncommitted commands instead of every command ever seen.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .consensus import LogSet
-from .types import Command, Digest, PartialOrderLog
+from .types import Command, Digest, PartialOrderLog, ProtocolInvariantError
 
 NORMAL_PATH = "normal"
 ALTER_PATH = "alter"
@@ -39,23 +49,57 @@ class CommandUnavailable(Exception):
         self.digests = digests
 
 
-@dataclass
+@dataclass(slots=True)
 class CommandInfo:
     """Aggregated per-command view: one log slot per node plus their timestamps."""
 
     digest: Digest
     logs: dict[int, PartialOrderLog] = field(default_factory=dict)
+    _sorted: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     @property
     def support(self) -> int:
         return len(self.logs)
 
     def timestamps(self) -> list[int]:
-        out = sorted(log.timestamp for log in self.logs.values())
-        return out
+        """Reported timestamps in ascending order (cached; do not mutate)."""
+        if self._sorted is None:
+            self._sorted = sorted(log.timestamp for log in self.logs.values())
+        return self._sorted
+
+    def trusted_timestamp(self, f: int) -> Optional[int]:
+        """The (f+1)-th smallest reported timestamp, defined at 2f+1 support."""
+        if len(self.logs) < 2 * f + 1:
+            return None
+        return self.timestamps()[f]
 
     def add_log(self, log: PartialOrderLog) -> None:
         self.logs[log.node_id] = log
+        self._sorted = None
+
+    def drop_cache(self) -> None:
+        """Free the sorted timestamps once committed; rebuilt if asked again."""
+        self._sorted = None
+
+
+def record_log(infos: dict[Digest, CommandInfo], log: PartialOrderLog) -> CommandInfo:
+    """File ``log`` under its command's entry, creating it on first sight.
+
+    Delivery upstream is exactly-once, so one author never logs a command
+    at two sequence numbers.
+    """
+    info = infos.get(log.command_digest)
+    if info is None:
+        info = infos[log.command_digest] = CommandInfo(log.command_digest)
+    else:
+        prior = info.logs.get(log.node_id)
+        if prior is not None and prior.seq != log.seq:
+            raise ProtocolInvariantError(
+                f"author {log.node_id} logged {log.command_digest.hex()[:8]} "
+                f"at seq {prior.seq} and {log.seq}"
+            )
+    info.add_log(log)
+    return info
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,38 +142,38 @@ class Executor:
         self.anchor_events: list[AnchorEvent] = []
         self.pending_sets: deque[LogSet] = deque()
         self.blocked_on: set[Digest] = set()
-        # Uncommitted commands whose trusted timestamp is defined (support >= 2f+1).
+        # Commands not committed yet, and the subset whose trusted timestamp
+        # is defined (support >= 2f+1).
+        self._uncommitted: dict[Digest, CommandInfo] = {}
         self._eligible: dict[Digest, CommandInfo] = {}
+        # reliable_precedes memo: first -> second -> ((both supports), answer).
+        # Logs are only added, at a fixed seq per author, so equal supports
+        # mean equal inputs. A row is dropped once its first command commits.
+        self._precedes: dict[Digest, dict[Digest, tuple[tuple[int, int], bool]]] = {}
+        # True while the last selection came back empty and no log was
+        # ingested or set committed since.
+        self._settled = False
 
     # ------------------------------------------------------------------
     # ingestion
 
     def ingest_log_set(self, log_set: LogSet) -> None:
+        self._settled = False
         for log in log_set:
-            info = self.command_infos.get(log.command_digest)
-            if info is None:
-                info = CommandInfo(log.command_digest)
-                self.command_infos[log.command_digest] = info
-            # Exactly-once delivery upstream: one (author, seq) never repeats.
-            assert log.node_id not in info.logs or (
-                info.logs[log.node_id].seq == log.seq
-            ), "duplicate author slot for command"
-            info.add_log(log)
+            info = record_log(self.command_infos, log)
             self.author_queues[log.node_id].append(log)
-            if (
-                info.support >= self.quorum
-                and log.command_digest not in self.committed_digests
-            ):
-                self._eligible[log.command_digest] = info
+            digest = log.command_digest
+            if digest not in self.committed_digests:
+                self._uncommitted[digest] = info
+                if info.support >= self.quorum:
+                    self._eligible[digest] = info
 
     # ------------------------------------------------------------------
     # selection machinery
 
     def trusted_timestamp(self, info: CommandInfo) -> Optional[int]:
         """The (f+1)-th smallest reported timestamp, defined at 2f+1 support."""
-        if info.support < self.quorum:
-            return None
-        return info.timestamps()[self.f]
+        return info.trusted_timestamp(self.f)
 
     def front_vector(self) -> list[Optional[PartialOrderLog]]:
         """Pop committed fronts off every author queue and report the rest."""
@@ -142,11 +186,23 @@ class Executor:
         return fronts
 
     def reliable_precedes(self, first: Digest, second: Digest) -> bool:
-        """True iff at least f+1 nodes logged both commands with `first` earlier."""
+        """True iff at least f+1 nodes logged both commands with `first` earlier.
+
+        The answer changes only when either command gains a log, so it is
+        memoised per pair against both support counts.
+        """
         a = self.command_infos.get(first)
         b = self.command_infos.get(second)
         if a is None or b is None:
             return False
+        stamp = (len(a.logs), len(b.logs))
+        row = self._precedes.get(first)
+        if row is None:
+            row = self._precedes[first] = {}
+        else:
+            hit = row.get(second)
+            if hit is not None and hit[0] == stamp:
+                return hit[1]
         believers = 0
         logs_b = b.logs
         for node_id, log_a in a.logs.items():
@@ -154,8 +210,10 @@ class Executor:
             if log_b is not None and log_a.seq < log_b.seq:
                 believers += 1
                 if believers > self.f:
-                    return True
-        return False
+                    break
+        result = believers > self.f
+        row[second] = (stamp, result)
+        return result
 
     def select_anchor_set(self) -> list[CommandInfo]:
         members, _path, _anchors = self._select()
@@ -176,31 +234,28 @@ class Executor:
         return self._front_set_check(members), ALTER_PATH, anchors
 
     def _alter_path(self) -> list[CommandInfo]:
+        eligible = self._eligible
         anchor: Optional[CommandInfo] = None
         anchor_ts = 0
-        for digest in self._eligible:
-            info = self._eligible[digest]
+        for digest, info in eligible.items():
             ts = self.trusted_timestamp(info)
             if anchor is None or (ts, digest) < (anchor_ts, anchor.digest):
                 anchor, anchor_ts = info, ts
         if anchor is None:
             return []
+        first = anchor.digest
         members = [anchor]
-        chosen = {anchor.digest}
         # Commands not reliably ordered after the anchor join its set. Fully
-        # supported candidates are absorbed first; the first under-supported
-        # addition ends the expansion (the support check below then defers).
-        ranked = sorted(
-            (info for d, info in self.command_infos.items()
-             if d not in self.committed_digests and d not in chosen),
-            key=lambda info: (info.support < self.quorum, info.digest),
-        )
-        for info in ranked:
-            if self.reliable_precedes(anchor.digest, info.digest):
-                continue
-            members.append(info)
-            chosen.add(info.digest)
-            if info.support < self.quorum:
+        # supported candidates are absorbed first, in digest order; the first
+        # under-supported addition ends the expansion (the support check
+        # below then defers).
+        for digest in sorted(d for d in eligible if d != first):
+            if not self.reliable_precedes(first, digest):
+                members.append(eligible[digest])
+        uncommitted = self._uncommitted
+        for digest in sorted(d for d in uncommitted if d not in eligible):
+            if not self.reliable_precedes(first, digest):
+                members.append(uncommitted[digest])
                 break
         return members
 
@@ -229,9 +284,13 @@ class Executor:
                 resolved.append(cmd)
         if missing:
             raise CommandUnavailable(missing)
+        self._settled = False
         committed: list[Digest] = []
         for info, cmd in zip(ordered, resolved):
-            assert info.digest not in self.committed_digests
+            if info.digest in self.committed_digests:
+                raise ProtocolInvariantError(
+                    f"command {info.digest.hex()[:8]} committed twice"
+                )
             tag = path if info.digest in anchors else "-"
             self.committed_order.append(
                 TraceEntry(
@@ -243,8 +302,11 @@ class Executor:
                     path_tag=tag,
                 )
             )
+            info.drop_cache()
             self.committed_digests.add(info.digest)
+            self._uncommitted.pop(info.digest, None)
             self._eligible.pop(info.digest, None)
+            self._precedes.pop(info.digest, None)
             committed.append(info.digest)
         self.anchor_events.append(AnchorEvent(path, anchors, tuple(committed)))
         return resolved
@@ -259,17 +321,20 @@ class Executor:
         """Ingest pending log sets and commit anchor sets until quiescent.
 
         Leaves ``blocked_on`` non-empty when command bodies must be fetched;
-        call :meth:`unblock` once they are stored locally.
+        call :meth:`unblock` once they are stored locally. Selection is
+        skipped while the state is settled (see the module docstring).
         """
         while not self.blocked_on:
-            members, path, anchors = self._select()
-            if members:
-                try:
-                    self.commit_anchor_set(members, path, anchors)
-                except CommandUnavailable as exc:
-                    self.blocked_on = set(exc.digests)
-                    return
-                continue
+            if not self._settled:
+                members, path, anchors = self._select()
+                if members:
+                    try:
+                        self.commit_anchor_set(members, path, anchors)
+                    except CommandUnavailable as exc:
+                        self.blocked_on = set(exc.digests)
+                        return
+                    continue
+                self._settled = True
             if not self.pending_sets:
                 return
             self.ingest_log_set(self.pending_sets.popleft())

@@ -15,7 +15,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .consensus import LogSet
-from .executor import CommandInfo, TraceEntry
+from .executor import CommandInfo, TraceEntry, record_log
 from .types import Command, Digest
 
 
@@ -25,7 +25,6 @@ class TimestampExecutor:
     def __init__(self, n: int, f: int, resolve_command: Callable[[Digest], Optional[Command]]):
         self.n = n
         self.f = f
-        self.quorum = 2 * f + 1
         self._resolve = resolve_command
         self.command_infos: dict[Digest, CommandInfo] = {}
         self.committed_digests: set[Digest] = set()
@@ -42,19 +41,10 @@ class TimestampExecutor:
 
     def ingest_log_set(self, log_set: LogSet) -> None:
         for log in log_set:
-            info = self.command_infos.get(log.command_digest)
-            if info is None:
-                info = CommandInfo(log.command_digest)
-                self.command_infos[log.command_digest] = info
-            assert log.node_id not in info.logs or (
-                info.logs[log.node_id].seq == log.seq
-            ), "duplicate author slot for command"
-            info.add_log(log)
+            record_log(self.command_infos, log)
 
     def trusted_timestamp(self, info: CommandInfo) -> Optional[int]:
-        if info.support < self.quorum:
-            return None
-        return info.timestamps()[self.f]
+        return info.trusted_timestamp(self.f)
 
     def flush_ready(self, bound: Optional[int] = None) -> list[Command]:
         """Commit every quorum-supported command whose trusted timestamp is
@@ -87,6 +77,7 @@ class TimestampExecutor:
                 )
             )
             self.committed_digests.add(digest)
+            info.drop_cache()
             self.low_watermark = ts
             committed.append(cmd)
         return committed

@@ -24,6 +24,13 @@ class PreconditionViolation(ValueError):
     """A structural precondition on a type or operation was violated."""
 
 
+class ProtocolInvariantError(RuntimeError):
+    """A protocol invariant that correct upstream layers guarantee was broken.
+
+    Raised instead of ``assert`` so the checks also hold under ``python -O``.
+    """
+
+
 def digest_command(proposer_id: int, seq: int, payload: bytes) -> Digest:
     """Digest of a command: sha256 over u16 proposer || u64 seq || u32 len || payload."""
     if seq < 1:

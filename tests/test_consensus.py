@@ -1,5 +1,7 @@
 """Order-batch generation and deterministic commit expansion."""
 
+from dataclasses import replace
+
 import pytest
 
 from phalanx import (
@@ -11,6 +13,7 @@ from phalanx import (
     Mempool,
     MissingLogs,
     PartialOrderLog,
+    ProtocolInvariantError,
 )
 
 N, F = 4, 1
@@ -206,3 +209,84 @@ class TestDeliveryPipeline:
         assert not consenter.blocked
         assert [log.seq for log in consenter.log_sets[0]] == [1, 2, 3]
         assert len(consenter.log_sets) == 2  # stalled batch plus the buffered one
+
+
+class TestStoredSlotSkip:
+    """A slot equal to the stored log skips re-verification; any other is checked."""
+
+    @pytest.fixture
+    def stored(self, setup, auth, monkeypatch):
+        pool, consenter = setup
+        log = chain(auth, 1, 1)[0]
+        assert pool.handle_order(log)
+        calls = []
+        verify = auth.verify_certificate
+        monkeypatch.setattr(
+            auth, "verify_certificate", lambda cert: calls.append(cert) or verify(cert)
+        )
+        return pool, consenter, log, calls
+
+    def test_equal_slot_accepted_without_certificate_check(self, stored):
+        _pool, consenter, log, calls = stored
+        assert consenter.on_delivered(0, (None, log, None, None)) == []
+        assert calls == []
+        assert consenter.leader_faults == 0
+        assert consenter.log_sets[0] == (log,)
+
+    def test_equal_copy_accepted_without_certificate_check(self, stored):
+        _pool, consenter, log, calls = stored
+        copy = replace(log)
+        assert copy is not log
+        consenter.on_delivered(0, (None, copy, None, None))
+        assert calls == []
+        assert consenter.committed_seq[1] == 1
+
+    @pytest.mark.parametrize("tamper", ["aggregate", "timestamp", "signers"])
+    def test_tampered_copy_of_stored_log_rejected(self, stored, auth, tamper):
+        pool, consenter, log, calls = stored
+        cert = log.certificate
+        if tamper == "aggregate":
+            flipped = bytes([cert.aggregate[0] ^ 1]) + cert.aggregate[1:]
+            forged = log.with_certificate(replace(cert, aggregate=flipped))
+        elif tamper == "signers":
+            others = frozenset(range(1, QUORUM + 1))
+            forged = log.with_certificate(replace(cert, signer_set=others))
+        else:
+            forged = replace(log, timestamp=log.timestamp + 1)
+        assert pool.fetch_log(1, 1) == log != forged
+        with pytest.raises(BatchInvalid):
+            consenter.commit_order_batch((None, forged, None, None))
+        calls.clear()
+        assert consenter.on_delivered(0, (None, forged, None, None)) == []
+        assert consenter.leader_faults == 1
+        assert consenter.committed_seq == [0, 0, 0, 0]
+        assert len(consenter.log_sets) == 0
+        assert pool.fetch_log(1, 1) is log
+        if tamper != "timestamp":
+            assert len(calls) == 1  # the forged certificate was checked
+
+    def test_unstored_slot_still_verified(self, setup, auth, monkeypatch):
+        pool, consenter = setup
+        log = chain(auth, 2, 1)[0]
+        calls = []
+        verify = auth.verify_certificate
+        monkeypatch.setattr(
+            auth, "verify_certificate", lambda cert: calls.append(cert) or verify(cert)
+        )
+        consenter.commit_order_batch((None, None, log, None))
+        assert calls  # verified before it was stored
+        assert pool.fetch_log(2, 1) == log
+
+
+class TestExpandInvariant:
+    def test_rejected_frontier_slot_raises(self, setup, auth):
+        # A certified slot that breaks the stored chain (possible only with
+        # more than f faults) is refused by the mempool, so expansion cannot
+        # find the frontier log it was promised.
+        pool, consenter = setup
+        first = chain(auth, 2, 1)[0]
+        pool.handle_order(first)
+        fork = certified(auth, 2, 2, b"\x11" * 32)
+        with pytest.raises(ProtocolInvariantError):
+            consenter.commit_order_batch((None, None, fork, None))
+        assert pool.rejects["chain_break"] == 1

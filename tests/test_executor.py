@@ -2,7 +2,7 @@
 
 import pytest
 
-from phalanx import Command, EMPTY_DIGEST, PartialOrderLog
+from phalanx import Command, EMPTY_DIGEST, PartialOrderLog, ProtocolInvariantError
 from phalanx.executor import ALTER_PATH, CommandUnavailable, Executor, NORMAL_PATH
 
 N, F = 4, 1
@@ -88,6 +88,28 @@ class TestIngest:
         assert info.timestamps() == [3, 7, 7]
         assert info.support == 3
 
+    def test_cached_timestamps_follow_later_logs(self):
+        executor = make_executor([CMD_A])
+        logs = [
+            PartialOrderLog.create(i, 1, ts, CMD_A.digest, EMPTY_DIGEST)
+            for i, ts in [(0, 7), (1, 2), (2, 3)]
+        ]
+        executor.ingest_log_set(log_set_of(*logs[:2]))
+        info = executor.command_infos[CMD_A.digest]
+        assert info.timestamps() == [2, 7]
+        assert executor.trusted_timestamp(info) is None
+        executor.ingest_log_set((logs[2],))
+        assert info.timestamps() == [2, 3, 7]
+        assert executor.trusted_timestamp(info) == 3
+
+    def test_duplicate_author_slot_at_other_seq_raises(self):
+        executor = make_executor([CMD_A])
+        first = PartialOrderLog.create(1, 1, 5, CMD_A.digest, EMPTY_DIGEST)
+        again = PartialOrderLog.create(1, 2, 6, CMD_A.digest, first.cur_digest)
+        executor.ingest_log_set((first,))
+        with pytest.raises(ProtocolInvariantError):
+            executor.ingest_log_set((again,))
+
 
 class TestFrontVector:
     def test_committed_fronts_are_popped(self):
@@ -146,6 +168,17 @@ class TestReliablePrecedes:
     def test_unknown_digest_is_false(self):
         executor = make_executor([])
         assert not executor.reliable_precedes(CMD_A.digest, CMD_B.digest)
+
+    def test_answer_follows_later_logs(self):
+        chains = build_chains({
+            0: [(CMD_A, 1), (CMD_B, 2)],
+            1: [(CMD_A, 1), (CMD_B, 2)],
+        })
+        executor = make_executor([CMD_A, CMD_B])
+        executor.ingest_log_set(log_set_of(*chains[0], chains[1][0]))
+        assert not executor.reliable_precedes(CMD_A.digest, CMD_B.digest)
+        executor.ingest_log_set((chains[1][1],))
+        assert executor.reliable_precedes(CMD_A.digest, CMD_B.digest)
 
 
 class TestSelectAnchorSet:
@@ -279,6 +312,13 @@ class TestCommitAnchorSet:
             executor.commit_anchor_set(infos, NORMAL_PATH, ())
         assert executor.committed_order == []  # nothing partially committed
 
+    def test_committing_twice_raises(self):
+        executor = self._ready_executor()
+        infos = [executor.command_infos[CMD_A.digest]]
+        executor.commit_anchor_set(infos, NORMAL_PATH, (CMD_A.digest,))
+        with pytest.raises(ProtocolInvariantError):
+            executor.commit_anchor_set(infos, NORMAL_PATH, (CMD_A.digest,))
+
 
 class TestDrainDeterminism:
     def _stream(self):
@@ -327,4 +367,60 @@ class TestDrainDeterminism:
         assert executor.unblock(CMD_B.digest)
         executor.drain()
         assert len(executor.committed_order) > committed_before
+        assert executor.idle
+
+
+def count_selections(executor, monkeypatch):
+    """Count front_vector calls: one per anchor-set selection."""
+    calls = []
+    front_vector = executor.front_vector
+    monkeypatch.setattr(
+        executor, "front_vector", lambda: calls.append(1) or front_vector()
+    )
+    return calls
+
+
+class TestSettledDrain:
+    def _partial(self):
+        # Two of three quorum logs for A: selection comes back empty.
+        chains = build_chains({i: [(CMD_A, i + 1)] for i in range(3)})
+        return [chains[i][0] for i in range(3)]
+
+    def test_second_drain_without_input_runs_no_selection(self, monkeypatch):
+        executor = make_executor([CMD_A])
+        calls = count_selections(executor, monkeypatch)
+        executor.feed(log_set_of(*self._partial()[:2]))
+        executor.drain()
+        assert executor.committed_order == []
+        selections = len(calls)
+        assert selections > 0
+        executor.drain()
+        executor.drain()
+        assert len(calls) == selections
+
+    def test_new_input_wakes_selection(self, monkeypatch):
+        executor = make_executor([CMD_A])
+        calls = count_selections(executor, monkeypatch)
+        logs = self._partial()
+        executor.feed(log_set_of(*logs[:2]))
+        executor.drain()
+        selections = len(calls)
+        executor.feed((logs[2],))
+        executor.drain()
+        assert len(calls) > selections
+        assert [e.digest for e in executor.committed_order] == [CMD_A.digest]
+
+    def test_unblock_then_drain_commits_deferred_set(self):
+        store = {}
+        executor = Executor(N, F, store.get)
+        executor.feed(log_set_of(*self._partial()))
+        executor.drain()
+        assert executor.blocked_on == {CMD_A.digest}
+        assert executor.committed_order == []
+        executor.drain()  # still blocked: nothing changes
+        assert executor.committed_order == []
+        store[CMD_A.digest] = CMD_A
+        assert executor.unblock(CMD_A.digest)
+        executor.drain()
+        assert [e.digest for e in executor.committed_order] == [CMD_A.digest]
         assert executor.idle

@@ -1,6 +1,14 @@
 """Timestamp-baseline executor: bookkeeping, flush ordering, golden failure."""
 
-from phalanx import Command, EMPTY_DIGEST, PartialOrderLog, TimestampExecutor
+import pytest
+
+from phalanx import (
+    Command,
+    EMPTY_DIGEST,
+    PartialOrderLog,
+    ProtocolInvariantError,
+    TimestampExecutor,
+)
 
 N, F = 4, 1
 
@@ -39,6 +47,14 @@ class TestIngest:
         executor.ingest_log_set(tuple(logs))
         info = executor.command_infos[CMD_X.digest]
         assert executor.trusted_timestamp(info) == 3
+
+    def test_duplicate_author_slot_at_other_seq_raises(self):
+        executor = make_ts_executor([CMD_X])
+        first = PartialOrderLog.create(2, 1, 5, CMD_X.digest, EMPTY_DIGEST)
+        again = PartialOrderLog.create(2, 2, 6, CMD_X.digest, first.cur_digest)
+        executor.ingest_log_set((first,))
+        with pytest.raises(ProtocolInvariantError):
+            executor.ingest_log_set((again,))
 
 
 class TestFlush:
