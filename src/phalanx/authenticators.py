@@ -5,7 +5,10 @@ Two interchangeable implementations of the same 2f+1 threshold semantics:
 * :class:`HmacAuthenticator`: deterministic keyed-MAC scheme for
   reproducible simulation. Each node holds an HMAC key derived from a
   cluster seed; a certificate records the explicit signer set plus a
-  binding hash over the shares.
+  binding hash over the shares. Each key's SHA-256 inner-pad and
+  outer-pad states (RFC 2104) are hashed once at construction, so a MAC
+  costs two state copies and two short updates; the bytes equal
+  ``hmac.new(key, msg, hashlib.sha256).digest()``.
 * :class:`Ed25519Authenticator`: real asymmetric signatures (one keypair
   per node); the certificate aggregates the individual signatures.
 
@@ -21,6 +24,9 @@ from abc import ABC, abstractmethod
 from typing import Iterable
 
 from .types import Certificate, Digest, PartialSignature
+
+
+_SHA256_BLOCK = 64
 
 
 class AggregationError(ValueError):
@@ -83,13 +89,23 @@ class HmacAuthenticator(Authenticator):
 
     def __init__(self, n: int, f: int, cluster_seed: bytes = b"phalanx-sim"):
         super().__init__(n, f)
-        self._keys = [
-            hashlib.sha256(cluster_seed + b"|node|" + struct.pack(">H", i)).digest()
-            for i in range(n)
-        ]
+        self._pads = []
+        for i in range(n):
+            # 32-byte keys, below SHA-256's 64-byte block: zero-pad, no pre-hash.
+            key = hashlib.sha256(cluster_seed + b"|node|" + struct.pack(">H", i)).digest()
+            block = key.ljust(_SHA256_BLOCK, b"\0")
+            self._pads.append((
+                hashlib.sha256(bytes(b ^ 0x36 for b in block)),
+                hashlib.sha256(bytes(b ^ 0x5C for b in block)),
+            ))
 
     def _mac(self, signer: int, event_digest: Digest) -> bytes:
-        return hmac.new(self._keys[signer], event_digest, hashlib.sha256).digest()
+        inner, outer = self._pads[signer]
+        inner = inner.copy()
+        inner.update(event_digest)
+        outer = outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def partial_sign(self, signer: int, event_digest: Digest) -> PartialSignature:
         return PartialSignature(signer, event_digest, self._mac(signer, event_digest))

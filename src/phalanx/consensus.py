@@ -181,8 +181,9 @@ class Consenter:
     def commit_order_batch(self, batch: OrderBatch) -> LogSet:
         """Verify, gap-check, and expand one batch into a sorted log set.
 
-        Raises BatchInvalid on certificate failure and MissingLogs when the
-        mempool lacks part of a committed range.
+        Raises BatchInvalid on certificate failure or when the mempool refuses
+        a fresh frontier slot, and MissingLogs when the mempool lacks part of
+        a committed range.
         """
         if len(batch) != self.n:
             raise BatchInvalid(f"batch has {len(batch)} slots, expected {self.n}")
@@ -208,8 +209,10 @@ class Consenter:
         for j, slot in enumerate(batch):
             if slot is None or slot.seq <= self.committed_seq[j]:
                 continue
-            if j in fresh:
-                self.mempool.handle_order(slot)
+            if j in fresh and not self.mempool.handle_order(slot):
+                # A certified slot that forks the stored chain: possible only
+                # beyond f faults, and expansion could not find it.
+                raise BatchInvalid(f"slot {j} forks the stored chain")
             for seq in range(self.committed_seq[j] + 1, slot.seq):
                 if self.mempool.fetch_log(j, seq) is None:
                     missing.append((j, seq))

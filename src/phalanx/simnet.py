@@ -10,7 +10,11 @@ Nodes tick every ``delta_o`` simulated milliseconds (phase-shifted per
 node): a tick starts at most one new pre-order, re-broadcasts a starved
 one, and, on the leader, snapshots an order-batch. Byzantine behaviors
 permute or reverse a node's inbound queue, skew its reported log
-timestamps, or silence it entirely.
+timestamps, or silence it entirely. The shuffle is draw-for-draw
+``random.Random.shuffle``: :func:`_shuffle` makes the same ``getrandbits``
+calls in the same order, so it yields the same permutation and leaves the
+generator in the same state, without ``random.py``'s per-element
+``_randbelow`` call.
 """
 
 from __future__ import annotations
@@ -48,6 +52,20 @@ _EV_PROPOSE = 2
 _EV_REPLY = 3
 _EV_CMD = 4
 _EV_BATCH = 5
+
+
+def _shuffle(items: list, getrandbits) -> None:
+    """Fisher-Yates in place, drawing exactly as ``random.Random.shuffle``.
+
+    For each i from len-1 down to 1, draw ``(i+1).bit_length()`` bits,
+    redraw while the result exceeds i, then swap.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 @dataclass
@@ -225,7 +243,7 @@ class _Node:
             return
         if self.behavior.shuffle:
             items = list(queue)
-            self._shuffle_rng.shuffle(items)
+            _shuffle(items, self._shuffle_rng.getrandbits)
             queue.clear()
             queue.extend(items)
         elif self.behavior.reverse:

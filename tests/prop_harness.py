@@ -11,13 +11,16 @@ protocol's structural guarantees:
      the final log tables, independently of the executor's own check);
   e. pairs ordered unanimously by every declaring node commit in that
      order; and no proposed command is left uncommitted at quiescence.
+
+A ``ProtocolInvariantError`` raised during the run is reported as a
+failure, not propagated.
 """
 
 from __future__ import annotations
 
 import random
 
-from phalanx import NodeBehavior, Scenario, Simulation
+from phalanx import NodeBehavior, ProtocolInvariantError, Scenario, Simulation
 from phalanx.scenario import ANCHOR
 
 
@@ -86,7 +89,10 @@ def reliable_precedes_brute(tables, f: int, first: bytes, second: bytes) -> bool
 def check_invariants(scenario: Scenario) -> list[str]:
     """Run the scenario and return a list of violated invariants (empty = clean)."""
     sim = Simulation(scenario)
-    result = sim.run()
+    try:
+        result = sim.run()
+    except ProtocolInvariantError as exc:
+        return [f"protocol invariant broken: {exc}"]
     failures: list[str] = []
     f = scenario.f
 

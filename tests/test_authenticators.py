@@ -1,6 +1,9 @@
 """Quorum-certificate semantics for both authenticator schemes."""
 
 import dataclasses
+import hashlib
+import hmac
+import struct
 
 import pytest
 
@@ -47,6 +50,27 @@ class TestPartialSignatures:
     def test_out_of_range_signer_fails(self, auth):
         ps = auth.partial_sign(2, EVENT)
         assert not auth.verify_partial(dataclasses.replace(ps, signer=99))
+
+
+class TestHmacPads:
+    SEED = b"phalanx:1"
+
+    @pytest.mark.parametrize("size", [0, 32, 100])
+    def test_mac_equals_stdlib_hmac(self, size):
+        auth = HmacAuthenticator(16, 5, self.SEED)
+        msg = bytes(i % 251 for i in range(size))
+        for i in range(16):
+            key = hashlib.sha256(self.SEED + b"|node|" + struct.pack(">H", i)).digest()
+            assert auth._mac(i, msg) == hmac.new(key, msg, hashlib.sha256).digest()
+
+    def test_flipped_share_bit_fails(self):
+        auth = HmacAuthenticator(16, 5, self.SEED)
+        ps = auth.partial_sign(9, EVENT)
+        for bit in (0, 7, 8 * len(ps.sig) - 1):
+            sig = bytearray(ps.sig)
+            sig[bit // 8] ^= 1 << (bit % 8)
+            assert not auth.verify_partial(dataclasses.replace(ps, sig=bytes(sig)))
+        assert auth.verify_partial(ps)
 
 
 class TestAggregation:

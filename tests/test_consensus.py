@@ -281,12 +281,33 @@ class TestStoredSlotSkip:
 class TestExpandInvariant:
     def test_rejected_frontier_slot_raises(self, setup, auth):
         # A certified slot that breaks the stored chain (possible only with
-        # more than f faults) is refused by the mempool, so expansion cannot
-        # find the frontier log it was promised.
+        # more than f faults) is refused by the mempool, so the batch is
+        # invalid: expansion could not find the frontier log it was promised.
         pool, consenter = setup
         first = chain(auth, 2, 1)[0]
         pool.handle_order(first)
         fork = certified(auth, 2, 2, b"\x11" * 32)
-        with pytest.raises(ProtocolInvariantError):
+        with pytest.raises(BatchInvalid):
             consenter.commit_order_batch((None, None, fork, None))
         assert pool.rejects["chain_break"] == 1
+        assert consenter.committed_seq == [0, 0, 0, 0]
+        assert not consenter.log_sets
+
+    def test_rejected_frontier_slot_counts_leader_fault(self, setup, auth):
+        pool, consenter = setup
+        pool.handle_order(chain(auth, 2, 1)[0])
+        fork = certified(auth, 2, 2, b"\x11" * 32)
+        assert consenter.on_delivered(0, (None, None, fork, None)) == []
+        assert consenter.leader_faults == 1
+        assert not consenter.log_sets
+        # The pipeline moves on past the skipped batch.
+        good = chain(auth, 1, 1)[0]
+        pool.handle_order(good)
+        assert consenter.on_delivered(1, (None, good, None, None)) == []
+        assert consenter.log_sets.popleft() == (good,)
+
+    def test_expand_raises_on_missing_promised_log(self, setup, auth):
+        _pool, consenter = setup
+        unstored = chain(auth, 1, 1)[0]
+        with pytest.raises(ProtocolInvariantError):
+            consenter._expand((None, unstored, None, None))

@@ -1,11 +1,19 @@
-"""Full-trace determinism pins for four reference scenarios.
+"""Full-trace determinism pins for the reference scenarios.
 
 Each scenario's reference-node ``trace_sha256`` is pinned exactly, so a
 change that claims to leave ordering untouched (a speed-up, a refactor)
-must reproduce every committed byte. The scenarios are the benchmark
+must reproduce every committed byte. Four scenarios are the benchmark
 workload templates, copied here so the suite does not depend on the
-benchmark package.
+benchmark package; a fifth covers the ``reverse`` and ``silent``
+behaviours.
+
+``trace_sha256`` does not cover certificates, so a wrong but
+self-consistent MAC would pass it. The reference node's encoded batch
+trace carries every certificate's signer set and aggregate, and is pinned
+too.
 """
+
+import hashlib
 
 import pytest
 
@@ -50,6 +58,32 @@ strategy = anchor
 seed = 9
 """
 
+REVERSE_SILENT7 = """\
+n = 7
+f = 2
+proposers = 2
+commands_per_proposer = 30
+delta_o = 50
+latency = lan
+propose_interval = 10
+strategy = anchor
+byzantine = 5:reverse, 6:silent
+seed = 5
+"""
+
+LAN_SMOKE = """\
+n = 4
+f = 1
+proposers = 1
+commands_per_proposer = 200
+batch_size = 4
+delta_o = 50
+latency = lan
+propose_interval = 50
+seed = 1
+strategy = anchor
+"""
+
 PINS = {
     "burst4": (
         BURST4,
@@ -69,6 +103,21 @@ PINS = {
         ALTER16,
         "efaaad1b6774bd2f97b88b7dadd91452728b0d869bdc11a6d3a699a6eafade3d",
     ),
+    "reverse_silent7": (
+        REVERSE_SILENT7,
+        "b53773a8d09cc1e944a82003ba0529a14c173da07798bac273d719f3fda7382d",
+    ),
+}
+
+BATCH_PINS = {
+    "lan_smoke": (
+        LAN_SMOKE,
+        "bb2608fe929a2720a3d632862cf6116e95fab9e062a6ca3617e1c02874330f98",
+    ),
+    "sweep16_timestamp": (
+        SWEEP16.format(strategy="timestamp"),
+        "ee409215ec87fe0d45e22420f8df070308ab38b25e4d456674c37d56b1e80226",
+    ),
 }
 
 
@@ -79,3 +128,12 @@ def test_trace_sha256_pinned(name):
     assert not result.non_quiescent
     assert result.consistency
     assert result.trace_sha256() == expected
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_PINS))
+def test_batch_trace_pinned(name):
+    text, expected = BATCH_PINS[name]
+    result = run(parse_scenario_text(text), record_batches=True)
+    assert result.batch_trace
+    joined = "\n".join(result.batch_trace)
+    assert hashlib.sha256(joined.encode()).hexdigest() == expected

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from phalanx import Scenario, run
+from phalanx import ProtocolInvariantError, Scenario, Simulation, run
 from phalanx.scenario import TIMESTAMP
 
 from prop_harness import check_invariants, random_scenario
@@ -41,3 +41,13 @@ def test_unanimous_preservation_under_pure_skew():
     result = run(scenario)
     assert result.reordered_ratio == 0.0
     assert result.uncommitted == 0
+
+
+def test_invariant_error_reported_as_failure(monkeypatch):
+    def broken_run(self):
+        raise ProtocolInvariantError("log (1, 2) missing after the gap check passed")
+
+    monkeypatch.setattr(Simulation, "run", broken_run)
+    failures = check_invariants(Scenario(n=4, f=1, commands_per_proposer=2))
+    assert len(failures) == 1
+    assert "log (1, 2) missing" in failures[0]

@@ -1,6 +1,11 @@
 """End-to-end simulation properties: FIFO links, determinism, fault handling."""
 
-from phalanx import NodeBehavior, Scenario, Simulation, run
+import random
+
+import pytest
+
+from phalanx import Command, NodeBehavior, Scenario, Simulation, run
+from phalanx.simnet import _shuffle
 
 
 def small(**kw):
@@ -83,6 +88,28 @@ class TestLinkFifoClamp:
         sim = Simulation(small())
         sim.now = 42
         assert sim._deliver_time(1, 1) == 42
+
+
+class TestShuffleDraws:
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 31, 32, 33, 64, 65, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 7, "phalanx:1:byz:3"])
+    def test_matches_random_shuffle(self, length, seed):
+        expected, reference = list(range(length)), random.Random(seed)
+        reference.shuffle(expected)
+        items, rng = list(range(length)), random.Random(seed)
+        _shuffle(items, rng.getrandbits)
+        assert items == expected
+        assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("queued", [0, 1, 2])
+    def test_tick_draws_only_for_two_or_more(self, queued):
+        sim = Simulation(small(byzantine={3: NodeBehavior(shuffle=True)}))
+        node = sim.nodes[3]
+        for seq in range(1, queued + 1):
+            node.on_command(Command.create(0, seq, b"c%d" % seq))
+        before = node._shuffle_rng.getstate()
+        node.on_tick(50)
+        assert (node._shuffle_rng.getstate() != before) == (queued >= 2)
 
 
 class TestDeterminism:
