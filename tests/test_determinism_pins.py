@@ -5,7 +5,8 @@ change that claims to leave ordering untouched (a speed-up, a refactor)
 must reproduce every committed byte. Four scenarios are the benchmark
 workload templates, copied here so the suite does not depend on the
 benchmark package; a fifth covers the ``reverse`` and ``silent``
-behaviours.
+behaviours, and two more the ``follow`` control, whose every honest node
+must commit the designated (lowest-id Byzantine) node's certified chain.
 
 ``trace_sha256`` does not cover certificates, so a wrong but
 self-consistent MAC would pass it. The reference node's encoded batch
@@ -17,7 +18,7 @@ import hashlib
 
 import pytest
 
-from phalanx import parse_scenario_text, run
+from phalanx import Simulation, parse_scenario_text, run
 
 BURST4 = """\
 n = 4
@@ -71,6 +72,31 @@ byzantine = 5:reverse, 6:silent
 seed = 5
 """
 
+FOLLOW_REVERSE4 = """\
+n = 4
+f = 1
+proposers = 1
+commands_per_proposer = 50
+latency = lan
+propose_interval = 0
+strategy = follow
+byzantine = 3:reverse
+seed = 105
+"""
+
+FOLLOW7 = """\
+n = 7
+f = 2
+proposers = 2
+commands_per_proposer = 30
+delta_o = 50
+latency = 10..80
+propose_interval = 50
+strategy = follow
+byzantine = 5:reverse, 6:skew:-40
+seed = 103
+"""
+
 LAN_SMOKE = """\
 n = 4
 f = 1
@@ -107,6 +133,14 @@ PINS = {
         REVERSE_SILENT7,
         "b53773a8d09cc1e944a82003ba0529a14c173da07798bac273d719f3fda7382d",
     ),
+    "follow_reverse4": (
+        FOLLOW_REVERSE4,
+        "0451a30b5c1aff23b47a11000875b2ced0216e48fccaf97cae88c929abda207e",
+    ),
+    "follow7": (
+        FOLLOW7,
+        "d53da746d124bace0c1c894438a3673127d1c7a73d48d5a76fac4da3d6d899c5",
+    ),
 }
 
 BATCH_PINS = {
@@ -137,3 +171,18 @@ def test_batch_trace_pinned(name):
     assert result.batch_trace
     joined = "\n".join(result.batch_trace)
     assert hashlib.sha256(joined.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", ["follow_reverse4", "follow7"])
+def test_follow_traces_are_the_designated_chain(name):
+    scenario = parse_scenario_text(PINS[name][0])
+    sim = Simulation(scenario)
+    result = sim.run()
+    designated = min(scenario.byzantine)
+    own = sim.nodes[designated].mempool
+    chain = []
+    while (log := own.fetch_log(designated, len(chain) + 1)) is not None:
+        chain.append(log.command_digest)
+    assert chain
+    for node_id in scenario.honest_ids():
+        assert [entry.digest for entry in result.traces[node_id]] == chain
