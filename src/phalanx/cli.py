@@ -22,18 +22,18 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from .golden import run_all as run_golden_scenarios
 from .metrics import first_divergence
 from .scenario import (
-    ANCHOR,
-    NodeBehavior,
+    STRATEGIES,
     Scenario,
     ScenarioError,
+    SweepSpec,
     load_scenario,
-    parse_scenario_text,
+    load_sweep,
 )
 from .simnet import ExperimentResult, run
 
@@ -100,71 +100,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A base scenario swept over Byzantine node counts."""
-
-    base: Scenario
-    byz_range: tuple[int, int]
-    behavior: NodeBehavior
-    strategies: tuple[str, ...]
-    reps: int
-    base_seed: int
-
-    def points(self) -> list[Scenario]:
-        out = []
-        for count in range(self.byz_range[0], self.byz_range[1] + 1):
-            byzantine = {
-                self.base.n - 1 - slot: self.behavior for slot in range(count)
-            }
-            for strategy in self.strategies:
-                for rep in range(self.reps):
-                    out.append(self.base.with_overrides(
-                        byzantine=byzantine,
-                        strategy=strategy,
-                        seed=self.base_seed + rep,
-                    ))
-        return out
-
-
-def load_sweep(path) -> SweepSpec:
-    sweep_keys = {"sweep_byzantine", "sweep_behavior", "strategies", "reps", "base_seed"}
-    scenario_lines = []
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioError(f"cannot read sweep file: {exc}") from exc
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key = line.partition("=")[0].strip().lower()
-        if key in sweep_keys:
-            values[key] = line.partition("=")[2].strip()
-        else:
-            scenario_lines.append(raw)
-    base = parse_scenario_text("\n".join(scenario_lines))
-    if "sweep_byzantine" not in values:
-        raise ScenarioError("sweep file needs 'sweep_byzantine = lo..hi'")
-    lo, _, hi = values["sweep_byzantine"].partition("..")
-    try:
-        byz_range = (int(lo), int(hi))
-    except ValueError as exc:
-        raise ScenarioError("bad sweep_byzantine range") from exc
-    if byz_range[0] < 0 or byz_range[1] > base.f * 3 or byz_range[1] < byz_range[0]:
-        raise ScenarioError(f"bad sweep range {byz_range} for n={base.n}")
-    behavior = NodeBehavior.parse(values.get("sweep_behavior", "shuffle"))
-    strategies = tuple(
-        s.strip().lower()
-        for s in values.get("strategies", "anchor,timestamp").split(",")
-        if s.strip()
-    )
-    reps = int(values.get("reps", "1"))
-    base_seed = int(values.get("base_seed", str(base.seed)))
-    return SweepSpec(base, byz_range, behavior, strategies, reps, base_seed)
-
-
 def run_sweep_point(scenario: Scenario) -> dict:
     """Worker entry: one sweep point reduced to its CSV row fields."""
     result = run(scenario)
@@ -213,8 +148,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = load_sweep(args.sweep)
         if args.reps is not None:
-            spec = SweepSpec(spec.base, spec.byz_range, spec.behavior,
-                             spec.strategies, args.reps, spec.base_seed)
+            spec = replace(spec, reps=args.reps)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -277,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override seed")
     p_run.add_argument("--strategy", default=None,
-                       choices=[ANCHOR, "timestamp", "follow"],
+                       choices=STRATEGIES,
                        help="override ordering strategy")
     p_run.add_argument("--dump-batches", action="store_true",
                        help="also write the delivered batch stream as hex lines")

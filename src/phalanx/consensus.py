@@ -18,14 +18,13 @@ A slot that differs in any field (timestamp, certificate signers or
 aggregate, ...) is verified in full, so a tampered copy of a stored log is
 still rejected.
 
-The total-order broadcast is pluggable; the harness sequencer assigns
+A harness sequencer stands in for the total-order broadcast: it assigns
 consecutive batch indices and every node consumes them in index order.
 """
 
 from __future__ import annotations
 
 import struct
-from abc import ABC, abstractmethod
 from collections import deque
 from typing import Callable, Optional
 
@@ -83,14 +82,7 @@ def decode_order_batch(buf: bytes) -> OrderBatch:
     return tuple(slots)
 
 
-class TotalOrderBroadcast(ABC):
-    """Delivers submitted batches to every honest node in one common order."""
-
-    @abstractmethod
-    def submit(self, batch: OrderBatch) -> None: ...
-
-
-class SequencerBroadcast(TotalOrderBroadcast):
+class SequencerBroadcast:
     """Harness stand-in for a BFT engine: the designated sequencer assigns
     consecutive indices and a transport callback carries (index, batch) out."""
 

@@ -130,6 +130,8 @@ class AnchorEvent:
 class Executor:
     """Anchor-based total ordering over the consensus log-set stream."""
 
+    uses_consensus = True
+
     def __init__(self, n: int, f: int, resolve_command: Callable[[Digest], Optional[Command]]):
         self.n = n
         self.f = f
@@ -344,6 +346,9 @@ class Executor:
         self.blocked_on.discard(digest)
         return not self.blocked_on
 
+    def flush(self) -> None:
+        """Nothing is held back for the end of a run: sets commit as they form."""
+
     # ------------------------------------------------------------------
     # inspection
 
@@ -356,6 +361,3 @@ class Executor:
             return 0.0
         alters = sum(1 for ev in self.anchor_events if ev.path == ALTER_PATH)
         return alters / len(self.anchor_events)
-
-    def trace_lines(self) -> list[str]:
-        return [entry.line() for entry in self.committed_order]

@@ -10,7 +10,8 @@ without the network simulator:
   timestamp baseline invert a same-proposer pair that the anchor executor
   commits in proposal order.
 
-Every replica replays the same batch stream; the expected committed
+Every replica is the simulator's :class:`~phalanx.replica.Replica`, fed
+the same batch stream as the simulator feeds it; the expected committed
 sequences are asserted on all of them.
 """
 
@@ -19,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .authenticators import HmacAuthenticator
-from .consensus import Consenter
-from .executor import ALTER_PATH, Executor, NORMAL_PATH
-from .mempool import Mempool
-from .tsorder import TimestampExecutor
-from .types import Command, Digest, EMPTY_DIGEST, PartialOrderLog
+from .consensus import OrderBatch
+from .executor import ALTER_PATH, NORMAL_PATH
+from .replica import Replica
+from .scenario import ANCHOR, TIMESTAMP
+from .types import Command, Digest, EMPTY_DIGEST, PartialOrderLog, ProtocolInvariantError
 
 
 @dataclass
@@ -56,28 +57,27 @@ def _chain(auth: HmacAuthenticator, node_id: int,
     return logs
 
 
-class _Replica:
-    def __init__(self, node_id: int, auth: HmacAuthenticator, strategy: str,
-                 commands: list[Command], logs: list[PartialOrderLog]):
-        self.mempool = Mempool(node_id, auth)
-        for cmd in commands:
-            self.mempool.store_command(cmd)
-        for log in logs:
-            accepted = self.mempool.handle_order(log)
-            assert accepted, f"harness log rejected: {log}"
-        self.consenter = Consenter(node_id, auth, self.mempool)
-        if strategy == "timestamp":
-            self.executor = TimestampExecutor(auth.n, auth.f, self.mempool.fetch_command)
-        else:
-            self.executor = Executor(auth.n, auth.f, self.mempool.fetch_command)
+def _replica(node_id: int, auth: HmacAuthenticator, strategy: str,
+             commands: list[Command], logs: list[PartialOrderLog]) -> Replica:
+    """A replica whose mempool already holds every command body and log."""
+    replica = Replica(node_id, auth, strategy)
+    for cmd in commands:
+        replica.mempool.store_command(cmd)
+    for log in logs:
+        if not replica.mempool.handle_order(log):
+            raise ProtocolInvariantError(f"harness log rejected: {log}")
+    return replica
 
-    def deliver(self, batch) -> None:
-        log_set = self.consenter.commit_order_batch(batch)
-        self.executor.feed(log_set)
-        self.executor.drain()
 
-    def committed_digests(self) -> list[Digest]:
-        return [entry.digest for entry in self.executor.committed_order]
+def _deliver(replica: Replica, index: int, batch: OrderBatch) -> None:
+    """Deliver batch ``index`` as the simulator does, then pump the strategy."""
+    if replica.consenter.on_delivered(index, batch) or replica.consenter.leader_faults:
+        raise ProtocolInvariantError(f"harness batch {index} did not commit")
+    replica.pump()
+
+
+def _committed(replica: Replica) -> list[Digest]:
+    return [entry.digest for entry in replica.executor.committed_order]
 
 
 def _check(details: list[str], ok: bool, label: str) -> bool:
@@ -109,20 +109,20 @@ def run_anchor_handoff() -> GoldenOutcome:
         (chains[0][2], chains[1][2], chains[2][2], chains[3][1]),
     ]
 
-    replicas = [_Replica(i, auth, "anchor", commands, all_logs) for i in range(n)]
+    replicas = [_replica(i, auth, ANCHOR, commands, all_logs) for i in range(n)]
     details: list[str] = []
     passed = True
 
     first = replicas[0]
-    first.deliver(batches[0])
-    passed &= _check(details, first.committed_digests() == [],
+    _deliver(first, 0, batches[0])
+    passed &= _check(details, _committed(first) == [],
                      "no anchor after the first batch")
-    first.deliver(batches[1])
-    passed &= _check(details, first.committed_digests() == [red.digest, yellow.digest],
+    _deliver(first, 1, batches[1])
+    passed &= _check(details, _committed(first) == [red.digest, yellow.digest],
                      "second batch commits red then yellow")
-    first.deliver(batches[2])
+    _deliver(first, 2, batches[2])
     expected = [red.digest, yellow.digest, green.digest]
-    passed &= _check(details, first.committed_digests() == expected,
+    passed &= _check(details, _committed(first) == expected,
                      "third batch commits green")
     paths = [event.path for event in first.executor.anchor_events]
     passed &= _check(details, paths == [NORMAL_PATH, ALTER_PATH, NORMAL_PATH],
@@ -130,16 +130,16 @@ def run_anchor_handoff() -> GoldenOutcome:
     tags = [entry.path_tag for entry in first.executor.committed_order]
     passed &= _check(details, tags == [NORMAL_PATH, ALTER_PATH, NORMAL_PATH],
                      "trace tags normal/alter/normal")
-    passed &= _check(details, white.digest not in first.committed_digests(),
+    passed &= _check(details, white.digest not in _committed(first),
                      "under-supported command stays uncommitted")
 
     for replica in replicas[1:]:
-        for batch in batches:
-            replica.deliver(batch)
+        for index, batch in enumerate(batches):
+            _deliver(replica, index, batch)
         passed &= _check(
             details,
-            replica.committed_digests() == expected,
-            f"replica {replica.mempool.node_id} commits the identical order",
+            _committed(replica) == expected,
+            f"replica {replica.node_id} commits the identical order",
         )
     return GoldenOutcome("anchor-handoff", passed, details)
 
@@ -166,13 +166,14 @@ def run_median_inversion() -> GoldenOutcome:
     anchor_traces = []
     ts_traces = []
     for node_id in range(n):
-        anchor = _Replica(node_id, auth, "anchor", commands, all_logs)
-        anchor.deliver(batch)
-        anchor_traces.append(anchor.committed_digests())
-        baseline = _Replica(node_id, auth, "timestamp", commands, all_logs)
-        baseline.deliver(batch)
-        baseline.executor.flush_ready()
-        ts_traces.append(baseline.committed_digests())
+        anchor = _replica(node_id, auth, ANCHOR, commands, all_logs)
+        _deliver(anchor, 0, batch)
+        anchor.executor.flush()
+        anchor_traces.append(_committed(anchor))
+        baseline = _replica(node_id, auth, TIMESTAMP, commands, all_logs)
+        _deliver(baseline, 0, batch)
+        baseline.executor.flush()
+        ts_traces.append(_committed(baseline))
         if node_id == 0:
             trusted = {
                 entry.digest: entry.trusted_timestamp

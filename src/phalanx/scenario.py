@@ -18,11 +18,16 @@ Example scenario file::
 
 ``strategy = follow`` is the manipulation control: every node adopts the
 first Byzantine node's declared partial order as the total order.
+
+A sweep file adds ``sweep_byzantine = lo..hi``, ``sweep_behavior``,
+``strategies``, ``reps`` and ``base_seed``; both share one line tokenizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
+from typing import Iterable, Iterator
 
 ANCHOR = "anchor"
 TIMESTAMP = "timestamp"
@@ -223,8 +228,10 @@ def _parse_byzantine(value: str) -> dict[int, NodeBehavior]:
     return out
 
 
-def parse_scenario_text(text: str) -> Scenario:
-    values: dict[str, object] = {}
+_Line = tuple[int, str, str]  # (line number, lower-case key, value)
+
+
+def _lines(text: str) -> Iterator[_Line]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -232,21 +239,31 @@ def parse_scenario_text(text: str) -> Scenario:
         key, eq, value = line.partition("=")
         if not eq:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip().lower()
-        value = value.strip()
+        yield lineno, key.strip().lower(), value.strip()
+
+
+def _int(lineno: int, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: {key} must be an integer") from exc
+
+
+_PARSERS = {
+    "latency": _parse_latency,
+    "strategy": str.lower,
+    "byzantine": _parse_byzantine,
+    "auth_scheme": str.lower,
+}
+
+
+def _scenario(lines: Iterable[_Line]) -> Scenario:
+    values: dict[str, object] = {}
+    for lineno, key, value in lines:
         if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError as exc:
-                raise ScenarioError(f"line {lineno}: {key} must be an integer") from exc
-        elif key == "latency":
-            values["latency"] = _parse_latency(value)
-        elif key == "strategy":
-            values["strategy"] = value.lower()
-        elif key == "byzantine":
-            values["byzantine"] = _parse_byzantine(value)
-        elif key == "auth_scheme":
-            values["auth_scheme"] = value.lower()
+            values[key] = _int(lineno, key, value)
+        elif key in _PARSERS:
+            values[key] = _PARSERS[key](value)
         else:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
     try:
@@ -255,9 +272,80 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
 
-def load_scenario(path) -> Scenario:
+def parse_scenario_text(text: str) -> Scenario:
+    return _scenario(_lines(text))
+
+
+def _read(path, what: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_scenario_text(handle.read())
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+        raise ScenarioError(f"cannot read {what} file: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario_text(_read(path, "scenario"))
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """A base scenario swept over Byzantine node counts; every point is checked."""
+
+    base: Scenario
+    byz_range: tuple[int, int]
+    behavior: NodeBehavior
+    strategies: tuple[str, ...]
+    reps: int
+    base_seed: int
+
+    def __post_init__(self):
+        lo, hi = self.byz_range
+        if lo < 0 or hi < lo or hi >= self.base.n:
+            raise ScenarioError(f"bad sweep range {self.byz_range} for n={self.base.n}")
+        if self.reps < 1:
+            raise ScenarioError(f"reps must be >= 1, got {self.reps}")
+        if not self.strategies:
+            raise ScenarioError("strategies names no strategy")
+        self.points()
+
+    def points(self) -> list[Scenario]:
+        out = []
+        for count in range(self.byz_range[0], self.byz_range[1] + 1):
+            byzantine = {
+                self.base.n - 1 - slot: self.behavior for slot in range(count)
+            }
+            for strategy in self.strategies:
+                for rep in range(self.reps):
+                    out.append(self.base.with_overrides(
+                        byzantine=byzantine,
+                        strategy=strategy,
+                        seed=self.base_seed + rep,
+                    ))
+        return out
+
+
+_SWEEP_KEYS = {"sweep_byzantine", "sweep_behavior", "strategies", "reps", "base_seed"}
+
+
+def load_sweep(path) -> SweepSpec:
+    lines = list(_lines(_read(path, "sweep")))
+    base = _scenario(line for line in lines if line[1] not in _SWEEP_KEYS)
+    sweep = {line[1]: line for line in lines if line[1] in _SWEEP_KEYS}
+    if "sweep_byzantine" not in sweep:
+        raise ScenarioError("sweep file needs 'sweep_byzantine = lo..hi'")
+    lineno, _, value = sweep["sweep_byzantine"]
+    lo, _, hi = value.partition("..")
+    try:
+        byz_range = (int(lo), int(hi))
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: bad sweep_byzantine range") from exc
+    text = {key: line[2] for key, line in sweep.items()}
+    strategies = text.get("strategies", "anchor,timestamp").split(",")
+    return SweepSpec(
+        base=base,
+        byz_range=byz_range,
+        behavior=NodeBehavior.parse(text.get("sweep_behavior", "shuffle")),
+        strategies=tuple(s.strip().lower() for s in strategies if s.strip()),
+        reps=_int(*sweep["reps"]) if "reps" in sweep else 1,
+        base_seed=_int(*sweep["base_seed"]) if "base_seed" in sweep else base.seed,
+    )

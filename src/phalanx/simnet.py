@@ -6,6 +6,10 @@ overtaken, even when the sampled latencies would invert it. Every source
 of randomness derives from the scenario seed, so a scenario reruns to a
 byte-identical result.
 
+Each node is a :class:`~phalanx.replica.Replica` wired to the event loop,
+so this module never branches on the ordering strategy: node 0 leads when
+the strategy uses consensus, and every strategy is flushed at the end.
+
 Nodes tick every ``delta_o`` simulated milliseconds (phase-shifted per
 node): a tick starts at most one new pre-order, re-broadcasts a starved
 one, and, on the leader, snapshots an order-batch. Byzantine behaviors
@@ -26,12 +30,11 @@ import random
 from dataclasses import dataclass, field
 
 from .authenticators import make_authenticator
-from .consensus import Consenter, OrderBatch, SequencerBroadcast
-from .executor import Executor, TraceEntry
-from .mempool import Mempool
+from .consensus import OrderBatch, SequencerBroadcast
+from .executor import TraceEntry
 from .metrics import reordered_ratio, traces_consistent
-from .scenario import ANCHOR, FOLLOW, TIMESTAMP, Scenario
-from .tsorder import TimestampExecutor
+from .replica import Replica
+from .scenario import Scenario
 from .types import Command
 from .wire import (
     FetchCommandMessage,
@@ -125,7 +128,6 @@ class _Proposer:
     def __init__(self, proposer_id: int, scenario: Scenario):
         self.proposer_id = proposer_id
         self.scenario = scenario
-        self.commands: list[Command] = []
         self._replies: dict[bytes, set[int]] = {}
         self.accepted = 0
 
@@ -134,9 +136,7 @@ class _Proposer:
             b"req:%d:%d:%d" % (self.proposer_id, seq, i)
             for i in range(self.scenario.batch_size)
         )
-        cmd = Command.create(self.proposer_id, seq, requests)
-        self.commands.append(cmd)
-        return cmd
+        return Command.create(self.proposer_id, seq, requests)
 
     def on_reply(self, digest: bytes, node_id: int, f: int) -> None:
         seen = self._replies.setdefault(digest, set())
@@ -146,26 +146,20 @@ class _Proposer:
                 self.accepted += 1
 
 
-class _Node:
-    """One replica: mempool + consensus + executor glued to the event loop."""
+class _Node(Replica):
+    """A replica on the simulated network: event handlers, peer fetches and
+    Byzantine behavior around the :class:`Replica` pipeline."""
 
     def __init__(self, node_id: int, scenario: Scenario, sim: "Simulation"):
-        self.node_id = node_id
+        super().__init__(
+            node_id, sim.auth, scenario.strategy,
+            designated=min(scenario.byzantine, default=0),
+            record_batches=sim.record_batches and node_id == sim.reference_node,
+        )
         self.scenario = scenario
         self.sim = sim
         self.behavior = scenario.behavior(node_id)
-        self.auth = sim.auth
-        self.mempool = Mempool(node_id, self.auth)
-        self.consenter = Consenter(
-            node_id, self.auth, self.mempool,
-            record_batches=sim.record_batches and node_id == sim.reference_node,
-        )
-        resolve = self.mempool.fetch_command
-        if scenario.strategy == TIMESTAMP:
-            self.executor = TimestampExecutor(scenario.n, scenario.f, resolve)
-        else:
-            self.executor = Executor(scenario.n, scenario.f, resolve)
-        self.is_leader = node_id == 0
+        self.is_leader = node_id == 0 and self.executor.uses_consensus
         self._shuffle_rng = random.Random(f"phalanx:{scenario.seed}:byz:{node_id}")
         self._log_promises: dict[tuple[int, int], list[int]] = {}
         self._cmd_promises: dict[bytes, list[int]] = {}
@@ -193,7 +187,7 @@ class _Node:
             resend = self.mempool.resend_pre_order(stamp, self.scenario.resend_ms)
             if resend is not None:
                 self.sim.broadcast(self.node_id, resend, include_self=True)
-        if self.is_leader and self.scenario.strategy != FOLLOW:
+        if self.is_leader:
             batch = self.consenter.make_order_batch()
             if batch is not None:
                 self.sim.sequencer.submit(batch)
@@ -257,40 +251,22 @@ class _Node:
             log = self.mempool.fetch_log(author, seq)
             for requester in waiting:
                 self.sim.send(self.node_id, requester, FetchLogResponse(log))
-        if self.scenario.strategy == FOLLOW:
-            return
-        missing = self.consenter.on_log_stored(author, seq)
-        if missing:
-            self._request_logs(missing)
-        self._pump_executor()
+        self._resume(self.consenter.on_log_stored(author, seq))
 
     def on_batch(self, index: int, batch: OrderBatch) -> None:
-        if self.scenario.strategy == FOLLOW:
-            return
-        missing = self.consenter.on_delivered(index, batch)
-        if missing:
-            self._request_logs(missing)
-        self._pump_executor()
+        self._resume(self.consenter.on_delivered(index, batch))
 
-    def _request_logs(self, missing: list[tuple[int, int]]) -> None:
+    def _resume(self, missing: list[tuple[int, int]]) -> None:
+        """Fetch the logs the consenter still lacks, then pump the strategy."""
         for author, seq in missing:
             self.sim.broadcast(
                 self.node_id, FetchLogMessage(author, seq), include_self=False
             )
-
-    def _pump_executor(self) -> None:
-        consenter = self.consenter
-        executor = self.executor
-        moved = False
-        while consenter.log_sets:
-            executor.feed(consenter.log_sets.popleft())
-            moved = True
-        if moved:
-            executor.drain()
+        if self.pump():
             self._after_drain()
 
     def _after_drain(self) -> None:
-        blocked = getattr(self.executor, "blocked_on", None)
+        blocked = self.executor.blocked_on
         if blocked:
             for digest in sorted(blocked):
                 if digest not in self._requested_cmds:
@@ -298,7 +274,7 @@ class _Node:
                     self.sim.broadcast(
                         self.node_id, FetchCommandMessage(digest), include_self=False
                     )
-        elif self.sim.client_replies and self.scenario.strategy == ANCHOR:
+        elif self.sim.client_replies:
             order = self.executor.committed_order
             while self._replied_upto < len(order):
                 entry = order[self._replied_upto]
@@ -306,11 +282,10 @@ class _Node:
                 self.sim.send_reply(self.node_id, entry.proposer_id, entry.digest)
 
     def _maybe_unblock_executor(self, digest: bytes) -> None:
-        blocked = getattr(self.executor, "blocked_on", None)
-        if blocked and digest in blocked:
-            if self.executor.unblock(digest):
-                self.executor.drain()
-                self._after_drain()
+        executor = self.executor
+        if digest in executor.blocked_on and executor.unblock(digest):
+            executor.drain()
+            self._after_drain()
 
     def _answer_cmd_promises(self, cmd: Command) -> None:
         waiting = self._cmd_promises.pop(cmd.digest, None)
@@ -326,8 +301,6 @@ class _Node:
         mp = self.mempool
         if mp.inbound or mp.pending is not None:
             return False
-        if self.scenario.strategy == FOLLOW:
-            return True
         if self.consenter.pending_batches:
             return False
         if not self.executor.idle:
@@ -471,19 +444,11 @@ class Simulation:
 
     def _collect(self, non_quiescent: bool) -> ExperimentResult:
         scenario = self.scenario
-        if scenario.strategy == TIMESTAMP:
-            for node in self.nodes:
-                node.executor.drain()
-                node.executor.flush_ready()
-        if scenario.strategy == FOLLOW:
-            designated = min(scenario.byzantine)
-            trace = self._follow_trace(designated)
-            traces = {i: trace for i in scenario.honest_ids()} or {designated: trace}
-        else:
-            traces = {
-                i: list(self.nodes[i].executor.committed_order)
-                for i in scenario.honest_ids()
-            }
+        for node in self.nodes:
+            node.executor.flush()
+        # With no honest node, the reference node's trace stands in.
+        reporting = scenario.honest_ids() or [self.reference_node]
+        traces = {i: list(self.nodes[i].executor.committed_order) for i in reporting}
         honest_traces = [traces[i] for i in sorted(traces)]
         reference = traces.get(self.reference_node, [])
         total = scenario.proposers * scenario.commands_per_proposer
@@ -493,17 +458,12 @@ class Simulation:
             if node.node_id in scenario.honest_ids()
         )
         ref_node = self.nodes[self.reference_node]
-        alter_ratio = (
-            ref_node.executor.alter_path_ratio()
-            if scenario.strategy != FOLLOW
-            else 0.0
-        )
         return ExperimentResult(
             scenario=scenario,
             traces=traces,
             reference_node=self.reference_node,
             reordered_ratio=reordered_ratio(reference),
-            alter_path_ratio=alter_ratio,
+            alter_path_ratio=ref_node.executor.alter_path_ratio(),
             consistency=traces_consistent(honest_traces),
             uncommitted=total - len(reference),
             committed=len(reference),
@@ -515,29 +475,6 @@ class Simulation:
             events_processed=self.events_processed,
             batch_trace=list(ref_node.consenter.batch_trace),
         )
-
-    def _follow_trace(self, designated: int) -> list[TraceEntry]:
-        mempool = self.nodes[designated].mempool
-        entries: list[TraceEntry] = []
-        seq = 1
-        while True:
-            log = mempool.fetch_log(designated, seq)
-            if log is None:
-                break
-            cmd = mempool.fetch_command(log.command_digest)
-            if cmd is not None:
-                entries.append(
-                    TraceEntry(
-                        index=len(entries),
-                        proposer_id=cmd.proposer_id,
-                        proposer_seq=cmd.seq,
-                        digest=cmd.digest,
-                        trusted_timestamp=log.timestamp,
-                        path_tag="-",
-                    )
-                )
-            seq += 1
-        return entries
 
 
 def run(scenario: Scenario, record_batches: bool = False,

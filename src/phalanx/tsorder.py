@@ -1,12 +1,14 @@
-"""Timestamp-baseline ordering strategy over the same certified-log stream.
+"""The two comparison strategies over the same certified-log stream.
 
-Commands are committed purely by ascending trusted timestamp (the
-(f+1)-th smallest of at least 2f+1 reported log timestamps), ties broken
-by digest. Buffering is approximated by an epoch flush: the harness calls
-:meth:`flush_ready` at quiescence boundaries, when no pending command can
-still acquire a smaller trusted timestamp. Consuming the identical stream
-on every node keeps the baseline's output consistent; its weakness to
-timestamp manipulation is the point of the comparison.
+:class:`TimestampExecutor` is the timestamp baseline (after Pompē): commit
+purely by ascending trusted timestamp (the (f+1)-th smallest of at least
+2f+1 reported log timestamps), ties broken by digest, in one epoch flush
+at the end of the run, when no pending command can still acquire a
+smaller trusted timestamp. Its weakness to timestamp manipulation is the
+point of the comparison.
+
+:class:`FollowExecutor` is the unprotected control: every node adopts one
+designated node's declared order as the total order.
 """
 
 from __future__ import annotations
@@ -16,11 +18,16 @@ from typing import Callable, Optional
 
 from .consensus import LogSet
 from .executor import CommandInfo, TraceEntry, record_log
+from .mempool import Mempool
 from .types import Command, Digest
 
 
 class TimestampExecutor:
     """Trusted-timestamp total ordering (no anchor machinery)."""
+
+    uses_consensus = True
+    # A command whose body is absent is skipped, never waited for.
+    blocked_on: frozenset[Digest] = frozenset()
 
     def __init__(self, n: int, f: int, resolve_command: Callable[[Digest], Optional[Command]]):
         self.n = n
@@ -29,7 +36,6 @@ class TimestampExecutor:
         self.command_infos: dict[Digest, CommandInfo] = {}
         self.committed_digests: set[Digest] = set()
         self.committed_order: list[TraceEntry] = []
-        self.low_watermark: Optional[int] = None
         self.pending_sets: deque[LogSet] = deque()
 
     def feed(self, log_set: LogSet) -> None:
@@ -46,9 +52,13 @@ class TimestampExecutor:
     def trusted_timestamp(self, info: CommandInfo) -> Optional[int]:
         return info.trusted_timestamp(self.f)
 
-    def flush_ready(self, bound: Optional[int] = None) -> list[Command]:
-        """Commit every quorum-supported command whose trusted timestamp is
-        at most ``bound`` (no bound: epoch flush of everything ready)."""
+    def flush(self) -> None:
+        """End of run: ingest what is queued, then commit everything ready."""
+        self.drain()
+        self.flush_ready()
+
+    def flush_ready(self) -> list[Command]:
+        """Commit every quorum-supported command, by trusted timestamp."""
         ready: list[tuple[int, Digest, CommandInfo]] = []
         for digest, info in self.command_infos.items():
             if digest in self.committed_digests:
@@ -56,31 +66,23 @@ class TimestampExecutor:
             ts = self.trusted_timestamp(info)
             if ts is None:
                 continue
-            if bound is not None and ts > bound:
-                continue
             ready.append((ts, digest, info))
         ready.sort(key=lambda item: (item[0], item[1]))
         committed: list[Command] = []
+        order = self.committed_order
         for ts, digest, info in ready:
             cmd = self._resolve(digest)
             if cmd is None:
                 # Bodies arrive from proposers or peer fetch before quiescence.
                 continue
-            self.committed_order.append(
-                TraceEntry(
-                    index=len(self.committed_order),
-                    proposer_id=cmd.proposer_id,
-                    proposer_seq=cmd.seq,
-                    digest=digest,
-                    trusted_timestamp=ts,
-                    path_tag="-",
-                )
-            )
+            order.append(TraceEntry(len(order), cmd.proposer_id, cmd.seq, digest, ts, "-"))
             self.committed_digests.add(digest)
             info.drop_cache()
-            self.low_watermark = ts
             committed.append(cmd)
         return committed
+
+    def unblock(self, digest: Digest) -> bool:
+        return True
 
     @property
     def idle(self) -> bool:
@@ -89,5 +91,41 @@ class TimestampExecutor:
     def alter_path_ratio(self) -> float:
         return 0.0
 
-    def trace_lines(self) -> list[str]:
-        return [entry.line() for entry in self.committed_order]
+
+class FollowExecutor:
+    """Commits the designated node's certified chain, in chain order.
+
+    It needs no log sets: at the end of the run it reads the chain from this
+    node's own log store, skipping a log whose command body never arrived.
+    """
+
+    uses_consensus = False
+    blocked_on: frozenset[Digest] = frozenset()
+    idle = True
+
+    def __init__(self, designated: int, mempool: Mempool):
+        self.designated = designated
+        self.mempool = mempool
+        self._next_seq = 1
+        self.committed_order: list[TraceEntry] = []
+
+    def feed(self, log_set: LogSet) -> None:
+        pass
+
+    def drain(self) -> None:
+        pass
+
+    def flush(self) -> None:
+        mempool, order = self.mempool, self.committed_order
+        while (log := mempool.fetch_log(self.designated, self._next_seq)) is not None:
+            self._next_seq += 1
+            cmd = mempool.fetch_command(log.command_digest)
+            if cmd is not None:
+                order.append(TraceEntry(len(order), cmd.proposer_id, cmd.seq,
+                                        cmd.digest, log.timestamp, "-"))
+
+    def unblock(self, digest: Digest) -> bool:
+        return True
+
+    def alter_path_ratio(self) -> float:
+        return 0.0

@@ -28,6 +28,9 @@ base_seed = 50
 """
 
 
+SWEEP_HEAD = "n = 4\nf = 1\nsweep_byzantine = 0..1\n"
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.txt"
@@ -107,6 +110,23 @@ class TestSweep:
         sweep_file = tmp_path / "sweep.txt"
         sweep_file.write_text("n = 4\nf = 1\n")  # missing sweep_byzantine
         assert main(["sweep", str(sweep_file), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (SWEEP_HEAD + "reps = x\n", "line 4: reps must be an integer"),
+        (SWEEP_HEAD + "base_seed = x\n", "line 4: base_seed must be an integer"),
+        (SWEEP_HEAD + "strategies = anchor, bogus\n", "unknown strategy 'bogus'"),
+        (SWEEP_HEAD + "strategies = follow\n", "follow strategy needs"),
+        (SWEEP_HEAD + "reps = -1\n", "reps must be >= 1"),
+        (SWEEP_HEAD + "reps = 1\n# tail\nbogus = 3\n", "line 6: unknown key 'bogus'"),
+    ], ids=["reps-not-int", "base-seed-not-int", "unknown-strategy",
+            "follow-without-byzantine", "negative-reps", "unknown-key-line"])
+    def test_bad_sweep_field_is_a_config_error(self, tmp_path, capsys, text, message):
+        sweep_file = tmp_path / "sweep.txt"
+        sweep_file.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", str(sweep_file), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_workers_match_serial(self, tmp_path):
         sweep_file = tmp_path / "sweep.txt"

@@ -69,7 +69,7 @@ class TestFlush:
         committed = executor.flush_ready()
         # trusted X = sorted(9,8,7)[1] = 8; trusted Y = sorted(10,2,1)[1] = 2
         assert [c.digest for c in committed] == [CMD_Y.digest, CMD_X.digest]
-        assert executor.low_watermark == 8
+        assert [e.trusted_timestamp for e in executor.committed_order] == [2, 8]
 
     def test_equal_trusted_tie_breaks_by_digest(self):
         low, high = sorted([CMD_X, CMD_Y], key=lambda c: c.digest)
@@ -89,18 +89,6 @@ class TestFlush:
         assert len(executor.flush_ready()) == 1
         assert executor.flush_ready() == []
 
-    def test_bound_limits_commits(self):
-        executor = make_ts_executor([CMD_X, CMD_Y])
-        logs = make_logs({
-            0: [(CMD_X, 1), (CMD_Y, 50)],
-            1: [(CMD_X, 2), (CMD_Y, 60)],
-            2: [(CMD_X, 3), (CMD_Y, 70)],
-        })
-        executor.ingest_log_set(tuple(logs))
-        committed = executor.flush_ready(bound=10)
-        assert [c.digest for c in committed] == [CMD_X.digest]
-        assert executor.flush_ready(bound=100) != []
-
 
 class TestStreamConsistency:
     def test_identical_streams_identical_output(self):
@@ -115,8 +103,7 @@ class TestStreamConsistency:
         for _ in range(2):
             executor = make_ts_executor([CMD_X, CMD_Y])
             executor.feed(log_set)
-            executor.drain()
-            executor.flush_ready()
+            executor.flush()
             outputs.append([e.digest for e in executor.committed_order])
         assert outputs[0] == outputs[1]
         assert executor.committed_order == sorted(
