@@ -11,7 +11,8 @@ Set ``PHALANX_LOG=debug`` (or info/warning) for protocol-level logging.
 
 Exit codes: 0 success, 1 runtime failure (non-quiescent run, divergent
 traces, failed golden), 2 unusable input (config parse, IO), 3 consistency
-violation among honest nodes (a protocol bug, never expected).
+violation among honest nodes (a protocol bug, never expected), 4 a run
+within f faults that went quiescent with commands left uncommitted.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .golden import run_all as run_golden_scenarios
-from .metrics import first_divergence
+from .metrics import first_divergence, traces_prefix_consistent
 from .scenario import (
     STRATEGIES,
     Scenario,
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_CONSISTENCY = 3
+EXIT_UNCOMMITTED = 4
 
 CSV_COLUMNS = [
     "byzantine", "strategy", "rep", "seed",
@@ -91,12 +93,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run(scenario, record_batches=args.dump_batches)
     _write_outputs(result, Path(args.out))
     print(json.dumps(result.to_json_dict(), sort_keys=True, indent=2))
-    if len(scenario.byzantine) <= scenario.f and not result.consistency:
+    within_f = len(scenario.byzantine) <= scenario.f
+    # A run cut short may leave honest nodes at different prefixes of one
+    # order; only a quiescent run must end with identical traces.
+    if within_f and not (
+        result.consistency
+        or (result.non_quiescent
+            and traces_prefix_consistent(list(result.traces.values())))
+    ):
         print("consistency violation among honest nodes", file=sys.stderr)
         return EXIT_CONSISTENCY
     if result.non_quiescent:
         print("run hit the duration guard before quiescence", file=sys.stderr)
         return EXIT_RUNTIME
+    if within_f and result.uncommitted:
+        print(
+            f"run went quiescent with {result.uncommitted} of "
+            f"{result.total_proposed} commands uncommitted",
+            file=sys.stderr,
+        )
+        return EXIT_UNCOMMITTED
     return EXIT_OK
 
 

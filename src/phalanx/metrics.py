@@ -69,6 +69,14 @@ def traces_consistent(traces: list[list[TraceEntry]]) -> bool:
     return all([entry.digest for entry in trace] == reference for trace in traces[1:])
 
 
+def traces_prefix_consistent(traces: list[list[TraceEntry]]) -> bool:
+    """True iff every trace's digest sequence is a prefix of the longest one's."""
+    longest = [entry.digest for entry in max(traces, key=len, default=[])]
+    return all(
+        [entry.digest for entry in trace] == longest[: len(trace)] for trace in traces
+    )
+
+
 def first_divergence(a: list[bytes], b: list[bytes]) -> int | None:
     """Index of the first differing position, or None when identical."""
     for idx, (x, y) in enumerate(zip(a, b)):

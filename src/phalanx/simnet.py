@@ -13,12 +13,12 @@ the strategy uses consensus, and every strategy is flushed at the end.
 Nodes tick every ``delta_o`` simulated milliseconds (phase-shifted per
 node): a tick starts at most one new pre-order, re-broadcasts a starved
 one, and, on the leader, snapshots an order-batch. Byzantine behaviors
-permute or reverse a node's inbound queue, skew its reported log
-timestamps, or silence it entirely. The shuffle is draw-for-draw
-``random.Random.shuffle``: :func:`_shuffle` makes the same ``getrandbits``
-calls in the same order, so it yields the same permutation and leaves the
-generator in the same state, without ``random.py``'s per-element
-``_randbelow`` call.
+reorder a node's inbound queue, skew its reported log timestamps, or
+silence it entirely. A ``shuffle`` node makes one uniform draw over its
+queue on each tick that pre-orders with two or more commands queued, and
+pre-orders the drawn command; the rest keep their arrival order. A
+``reverse`` node rotates its queue once per tick, so it serves
+newest-first only while each pre-order completes within one tick.
 """
 
 from __future__ import annotations
@@ -55,20 +55,6 @@ _EV_PROPOSE = 2
 _EV_REPLY = 3
 _EV_CMD = 4
 _EV_BATCH = 5
-
-
-def _shuffle(items: list, getrandbits) -> None:
-    """Fisher-Yates in place, drawing exactly as ``random.Random.shuffle``.
-
-    For each i from len-1 down to 1, draw ``(i+1).bit_length()`` bits,
-    redraw while the result exceeds i, then swap.
-    """
-    for i in range(len(items) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        items[i], items[j] = items[j], items[i]
 
 
 @dataclass
@@ -232,14 +218,19 @@ class _Node(Replica):
     # -- internals -------------------------------------------------------
 
     def _apply_queue_behavior(self) -> None:
-        queue = self.mempool.inbound
+        mempool = self.mempool
+        queue = mempool.inbound
         if len(queue) < 2:
             return
         if self.behavior.shuffle:
-            items = list(queue)
-            _shuffle(items, self._shuffle_rng.getrandbits)
-            queue.clear()
-            queue.extend(items)
+            # Pre-order a uniformly drawn queued command. Only a tick that
+            # pre-orders draws, so there is one draw per pre-order, not per tick.
+            if mempool.pending is None:
+                j = self._shuffle_rng.randrange(len(queue))
+                if j:
+                    cmd = queue[j]
+                    del queue[j]
+                    queue.appendleft(cmd)
         elif self.behavior.reverse:
             # Serve the local FIFO from the back: the newest command is
             # pre-ordered first, inverting the declared partial order.
@@ -275,11 +266,15 @@ class _Node(Replica):
                         self.node_id, FetchCommandMessage(digest), include_self=False
                     )
         elif self.sim.client_replies:
-            order = self.executor.committed_order
-            while self._replied_upto < len(order):
-                entry = order[self._replied_upto]
-                self._replied_upto += 1
-                self.sim.send_reply(self.node_id, entry.proposer_id, entry.digest)
+            self._send_replies(self.sim.send_reply)
+
+    def _send_replies(self, send) -> None:
+        """Reply to the proposer of each command committed since the last call."""
+        order = self.executor.committed_order
+        while self._replied_upto < len(order):
+            entry = order[self._replied_upto]
+            self._replied_upto += 1
+            send(self.node_id, entry.proposer_id, entry.digest)
 
     def _maybe_unblock_executor(self, digest: bytes) -> None:
         executor = self.executor
@@ -323,6 +318,14 @@ class Simulation:
             cluster_seed=b"phalanx:%d" % scenario.seed,
         )
         self.rng = random.Random(f"phalanx:{scenario.seed}:latency")
+        # Latency draws are rng.randint(lo, hi) inlined: CPython draws
+        # width.bit_length() bits and redraws while the result is >= width,
+        # so the latencies and the generator state match randint's exactly.
+        self._latency_bits = self.rng.getrandbits
+        lo, hi = scenario.latency
+        self._latency_lo = lo
+        self._latency_width = hi - lo + 1
+        self._latency_k = self._latency_width.bit_length()
         honest = scenario.honest_ids()
         self.reference_node = honest[0] if honest else 0
         self.nodes = [_Node(i, scenario, self) for i in range(scenario.n)]
@@ -346,12 +349,13 @@ class Simulation:
         heapq.heappush(self._heap, (time, src, self._seqno, kind, a, b))
 
     def _deliver_time(self, src: int, dst: int) -> int:
-        if src == dst:
-            latency = 0
-        else:
-            lo, hi = self.scenario.latency
-            latency = self.rng.randint(lo, hi)
-        when = self.now + latency
+        when = self.now
+        if src != dst:
+            getrandbits, k, width = self._latency_bits, self._latency_k, self._latency_width
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            when += self._latency_lo + r
         link = (src, dst)
         last = self._link_last.get(link, 0)
         if when < last:
@@ -372,6 +376,9 @@ class Simulation:
         dst_rank = self._proposer_rank + proposer_id
         when = self._deliver_time(node_id, dst_rank)
         self._push(when, node_id, _EV_REPLY, proposer_id, (digest, node_id))
+
+    def _deliver_reply(self, node_id: int, proposer_id: int, digest: bytes) -> None:
+        self.proposers[proposer_id].on_reply(digest, node_id, self.scenario.f)
 
     def _transport_batch(self, index: int, batch: OrderBatch) -> None:
         leader = 0
@@ -431,7 +438,7 @@ class Simulation:
             else:  # _EV_REPLY
                 self._nontick_pending -= 1
                 digest, node_id = b
-                self.proposers[a].on_reply(digest, node_id, scenario.f)
+                self._deliver_reply(node_id, a, digest)
 
         return self._collect(non_quiescent)
 
@@ -446,6 +453,10 @@ class Simulation:
         scenario = self.scenario
         for node in self.nodes:
             node.executor.flush()
+            # The timestamp and follow strategies commit only in this flush,
+            # after the event loop, so their replies are delivered here, at once.
+            if self.client_replies:
+                node._send_replies(self._deliver_reply)
         # With no honest node, the reference node's trace stands in.
         reporting = scenario.honest_ids() or [self.reference_node]
         traces = {i: list(self.nodes[i].executor.committed_order) for i in reporting}

@@ -1,6 +1,8 @@
 """CLI subcommands: run, sweep, diff-traces, golden."""
 
 import json
+from dataclasses import replace
+
 import pytest
 
 from phalanx.cli import main
@@ -29,6 +31,29 @@ base_seed = 50
 
 
 SWEEP_HEAD = "n = 4\nf = 1\nsweep_byzantine = 0..1\n"
+
+# Cut short by max_sim_ms while the honest nodes hold 1, 1 and 0 commands.
+CUT_SHORT = """
+n = 4
+f = 1
+proposers = 1
+commands_per_proposer = 20
+latency = 1..300
+max_sim_ms = 900
+byzantine = 1:shuffle
+seed = 1
+strategy = anchor
+"""
+
+SILENT_SEQUENCER = """
+n = 4
+f = 1
+proposers = 1
+commands_per_proposer = 30
+byzantine = 0:silent
+seed = 1
+strategy = anchor
+"""
 
 
 @pytest.fixture
@@ -77,6 +102,45 @@ class TestRun:
         main(["run", str(scenario_file), "--out", str(out_a)])
         main(["run", str(scenario_file), "--out", str(out_b)])
         assert (out_a / "result.json").read_bytes() == (out_b / "result.json").read_bytes()
+
+    def test_cut_short_run_with_agreeing_prefixes_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "cut.txt"
+        path.write_text(CUT_SHORT)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "duration guard" in capsys.readouterr().err
+        payload = json.loads((out / "result.json").read_text())
+        assert payload["non_quiescent"] and not payload["consistency"]
+
+    def test_cut_short_run_with_divergent_traces_exits_3(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # Node 0's only commit is swapped for another digest, so the honest
+        # traces are no longer prefixes of one order.
+        import phalanx.cli as cli
+
+        real_run = cli.run
+
+        def diverging(scenario, **kwargs):
+            result = real_run(scenario, **kwargs)
+            trace = result.traces[0]
+            trace[0] = replace(trace[0], digest=b"\x00" * 32)
+            result.consistency = False
+            return result
+
+        monkeypatch.setattr(cli, "run", diverging)
+        path = tmp_path / "cut.txt"
+        path.write_text(CUT_SHORT)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "consistency violation" in capsys.readouterr().err
+
+    def test_quiescent_run_with_uncommitted_commands_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "silent.txt"
+        path.write_text(SILENT_SEQUENCER)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 4
+        assert "30 of 30 commands uncommitted" in capsys.readouterr().err
+        payload = json.loads((out / "result.json").read_text())
+        assert not payload["non_quiescent"] and payload["consistency"]
 
 
 class TestSweep:

@@ -113,15 +113,15 @@ strategy = anchor
 PINS = {
     "burst4": (
         BURST4,
-        "1db31de0efe696bbec47a0066a06a55ec4e7534870878319e83ee941549a2515",
+        "6ba06b77d14462e282c326e092f6af903f7807c8f3243c74118c1538ca2928f6",
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "d7f0419d632a192ad2346c728b46f0c179150e5fbba960df2a75f6d523ce14db",
+        "f7e2213397e9101d3441e34a57869f1384471b249a85d19c626613d1c298415e",
     ),
     "sweep16_anchor": (
         SWEEP16.format(strategy="anchor"),
-        "de2d86c49bac05f65b383fa33cc449cdfab42c2833fbf891b1ba14ed2e496943",
+        "854acc90a9fcdd00c7953b1a5df9cdcf005c7aeedba9fc48c096b71dec0f1bee",
     ),
     # This run carries the known alter-path reorder defect (ROADMAP item 1):
     # the fix for it changes this trace by design, and must re-pin it.
@@ -150,7 +150,7 @@ BATCH_PINS = {
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "ee409215ec87fe0d45e22420f8df070308ab38b25e4d456674c37d56b1e80226",
+        "ab7c01969159119b385bdf024c69bdbcc7579c253d99cc25d971b57c21a05dd0",
     ),
 }
 

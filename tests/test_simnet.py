@@ -5,7 +5,6 @@ import random
 import pytest
 
 from phalanx import Command, NodeBehavior, Scenario, Simulation, run
-from phalanx.simnet import _shuffle
 
 
 def small(**kw):
@@ -51,19 +50,22 @@ class TestHonestRuns:
         assert result.consistency
 
 
+def fixed_latencies(sim, values):
+    """Make the simulation's latency draws return ``values`` in turn.
+
+    Only for a scenario with ``latency = (0, hi)`` and every value <= hi:
+    each draw is then the raw bits returned.
+    """
+    draws = iter(values)
+    sim._latency_bits = lambda k: next(draws)
+
+
 class TestLinkFifoClamp:
     def test_earlier_send_never_overtaken(self):
         # Latency draws of 10 then 3 on one link must still deliver in send
         # order: the second delivery time is clamped up to the first.
-        class FixedRng:
-            def __init__(self, values):
-                self._values = iter(values)
-
-            def randint(self, lo, hi):
-                return next(self._values)
-
-        sim = Simulation(small())
-        sim.rng = FixedRng([10, 3])
+        sim = Simulation(small(latency=(0, 15)))
+        fixed_latencies(sim, [10, 3])
         sim.now = 100
         first = sim._deliver_time(0, 1)
         second = sim._deliver_time(0, 1)
@@ -71,15 +73,8 @@ class TestLinkFifoClamp:
         assert second == 110  # clamped, not 103
 
     def test_independent_links_unclamped(self):
-        class FixedRng:
-            def __init__(self, values):
-                self._values = iter(values)
-
-            def randint(self, lo, hi):
-                return next(self._values)
-
-        sim = Simulation(small())
-        sim.rng = FixedRng([10, 3])
+        sim = Simulation(small(latency=(0, 15)))
+        fixed_latencies(sim, [10, 3])
         sim.now = 100
         assert sim._deliver_time(0, 1) == 110
         assert sim._deliver_time(0, 2) == 103
@@ -90,26 +85,107 @@ class TestLinkFifoClamp:
         assert sim._deliver_time(1, 1) == 42
 
 
+class TestLatencyDraw:
+    @pytest.mark.parametrize("latency", [(1, 5), (1, 1200), (10, 80), (7, 7)],
+                             ids=["lan", "1-1200", "10-80", "lo-eq-hi"])
+    @pytest.mark.parametrize("seed", [0, 1, 9, 401])
+    def test_matches_randint(self, latency, seed):
+        # Every latency, and the generator state after the last, equal
+        # random.Random.randint's on the simulation's latency seed.
+        sim = Simulation(small(latency=latency, seed=seed))
+        drawn = []
+        for _ in range(300):
+            sim._link_last.clear()
+            drawn.append(sim._deliver_time(0, 1))
+        reference = random.Random(f"phalanx:{seed}:latency")
+        assert drawn == [reference.randint(*latency) for _ in range(300)]
+        assert sim.rng.getstate() == reference.getstate()
+
+
+def shuffler(commands: int):
+    """A shuffling node with ``commands`` queued, in arrival order."""
+    node = Simulation(small(byzantine={3: NodeBehavior(shuffle=True)})).nodes[3]
+    cmds = [Command.create(0, seq, b"c%d" % seq) for seq in range(1, commands + 1)]
+    for cmd in cmds:
+        node.on_command(cmd)
+    return node, [cmd.digest for cmd in cmds]
+
+
+def pre_order(node, now: int = 50) -> bytes:
+    """Tick ``node`` into a pre-order; certify it at once; return its digest."""
+    mempool = node.mempool
+    node.on_tick(now)
+    log = mempool.pending
+    mempool.latest[node.node_id] = log
+    mempool.pending = None
+    return log.command_digest
+
+
 class TestShuffleDraws:
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 31, 32, 33, 64, 65, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 7, "phalanx:1:byz:3"])
     def test_matches_random_shuffle(self, length, seed):
-        expected, reference = list(range(length)), random.Random(seed)
-        reference.shuffle(expected)
-        items, rng = list(range(length)), random.Random(seed)
-        _shuffle(items, rng.getrandbits)
-        assert items == expected
-        assert rng.getstate() == reference.getstate()
+        # Draining a queue of `length` commands makes exactly the draws of
+        # random.Random.shuffle on `length` items: the pre-order that finds
+        # m >= 2 commands queued draws randrange(m) and takes the command at
+        # that index among those still queued, in arrival order.
+        node, digests = shuffler(length)
+        node._shuffle_rng = random.Random(seed)
+        reference = random.Random(seed)
+        expected = []
+        for m in range(length, 0, -1):
+            expected.append(digests.pop(reference.randrange(m) if m >= 2 else 0))
+        assert [pre_order(node) for _ in range(length)] == expected
+        shuffled = random.Random(seed)
+        shuffled.shuffle(list(range(length)))
+        assert node._shuffle_rng.getstate() == reference.getstate() == shuffled.getstate()
 
-    @pytest.mark.parametrize("queued", [0, 1, 2])
+    @pytest.mark.parametrize("queued", [0, 1, 2, 5])
     def test_tick_draws_only_for_two_or_more(self, queued):
-        sim = Simulation(small(byzantine={3: NodeBehavior(shuffle=True)}))
-        node = sim.nodes[3]
-        for seq in range(1, queued + 1):
-            node.on_command(Command.create(0, seq, b"c%d" % seq))
-        before = node._shuffle_rng.getstate()
+        # A pre-order tick makes one randrange(queued) draw with two or more
+        # queued, and none with fewer.
+        node, _ = shuffler(queued)
+        reference = random.Random()
+        reference.setstate(node._shuffle_rng.getstate())
+        if queued >= 2:
+            reference.randrange(queued)
         node.on_tick(50)
-        assert (node._shuffle_rng.getstate() != before) == (queued >= 2)
+        assert (node.mempool.pending is not None) == (queued >= 1)
+        assert node._shuffle_rng.getstate() == reference.getstate()
+
+    def test_no_draw_while_awaiting_votes(self):
+        node, _ = shuffler(4)
+        node.on_tick(50)
+        pending, state = node.mempool.pending, node._shuffle_rng.getstate()
+        for now in (100, 150, 2100):  # the last one re-sends the pending log
+            node.on_tick(now)
+        assert node.mempool.pending is pending
+        assert len(node.mempool.inbound) == 3
+        assert node._shuffle_rng.getstate() == state
+
+    def test_front_draw_is_uniform(self):
+        # 5,000 seeded draws from one 5-command queue: each command is
+        # pre-ordered first 1,000 times in expectation (sd about 28).
+        node, digests = shuffler(5)
+        commands = list(node.mempool.inbound)
+        firsts = dict.fromkeys(digests, 0)
+        for seed in range(5000):
+            node._shuffle_rng = random.Random(seed)
+            node.mempool.inbound.clear()
+            node.mempool.inbound.extend(commands)
+            firsts[pre_order(node)] += 1
+        assert all(abs(count - 1000) <= 120 for count in firsts.values()), firsts
+
+    def test_undrawn_keep_arrival_order(self):
+        moved = 0
+        for seed in range(20):
+            node, digests = shuffler(8)
+            node._shuffle_rng = random.Random(seed)
+            drawn = pre_order(node)
+            moved += drawn != digests[0]
+            digests.remove(drawn)
+            assert [cmd.digest for cmd in node.mempool.inbound] == digests
+        assert moved > 10
 
 
 class TestDeterminism:
@@ -194,6 +270,16 @@ class TestTimestampStrategy:
 class TestClientReplies:
     def test_every_command_reaches_quorum_acceptance(self):
         result = run(small(commands_per_proposer=10), client_replies=True)
+        assert result.accepted_commands == 10
+
+    @pytest.mark.parametrize("strategy, byzantine", [
+        ("timestamp", {}), ("follow", {3: NodeBehavior(reverse=True)}),
+    ], ids=["timestamp", "follow"])
+    def test_commits_made_at_the_final_flush_are_replied(self, strategy, byzantine):
+        # Both strategies commit only in the end-of-run flush.
+        result = run(small(commands_per_proposer=10, strategy=strategy,
+                           byzantine=byzantine), client_replies=True)
+        assert result.committed == 10
         assert result.accepted_commands == 10
 
     def test_replies_survive_a_silent_node(self):
