@@ -27,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .golden import run_all as run_golden_scenarios
-from .metrics import first_divergence, traces_prefix_consistent
+from .metrics import first_divergence
 from .scenario import (
     STRATEGIES,
     Scenario,
@@ -97,9 +97,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # A run cut short may leave honest nodes at different prefixes of one
     # order; only a quiescent run must end with identical traces.
     if within_f and not (
-        result.consistency
-        or (result.non_quiescent
-            and traces_prefix_consistent(list(result.traces.values())))
+        result.consistency or (result.non_quiescent and result.prefix_consistent)
     ):
         print("consistency violation among honest nodes", file=sys.stderr)
         return EXIT_CONSISTENCY

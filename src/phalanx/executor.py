@@ -9,23 +9,59 @@ Commit proceeds by anchor sets:
 * normal path: if at least f+1 queue fronts point at the same command,
   every such command anchors the next set;
 * alter path: otherwise the uncommitted command with the lowest trusted
-  timestamp anchors, together with every command that is not reliably
-  ordered after it;
+  timestamp anchors, together with every eligible (2f+1-supported)
+  command that is not reliably ordered after it and the lowest-digest
+  under-supported command that is not either; the set is then closed
+  under reliable order, by adding every uncommitted command that reliably
+  precedes a member until nothing changes;
 * a final support check drops members below f+1 logs and defers the whole
   set while any member sits between f+1 and 2f+1 logs.
 
 Members of an accepted set are committed in ascending trusted-timestamp
 order (ties broken by digest), which keeps every replica's output equal.
 
-Selection is a pure function of the ingested logs and the committed set,
-and only :meth:`Executor.ingest_log_set` and :meth:`Executor.commit_anchor_set`
-change either. :meth:`Executor.drain` therefore keeps a *settled* flag: it
-is set when a selection comes back empty and cleared by those two methods,
-and while it is set ``drain`` skips selection, which would return the same
-empty set. For the same reason each :class:`CommandInfo` caches its sorted
-timestamps until its next log arrives, ``reliable_precedes`` remembers each
-answer until either command gains a log, and the alter path ranks an index
-of uncommitted commands instead of every command ever seen.
+**Reliable-order index.** ``a`` reliably precedes ``b`` when at least f+1
+authors logged both with ``a`` earlier. The executor answers this for
+open (uncommitted) commands from bit masks. Every open command gets a
+bit; each author keeps the mask of open commands it has logged so far;
+each open command keeps f+1 masks, where ``levels[k]`` holds the open
+commands that at least k+1 authors logged before it. Each author's logs
+arrive in seq order, so when author j logs c, j's mask is exactly the
+open commands j logged before c, and f+1 AND/OR operations move each of
+them up one level. ``levels[f]`` is then c's set of reliable
+predecessors. A commit clears the command's bit from the author masks and
+drops its levels; stale bits of committed commands left in other levels
+are masked off with the set of open bits. No successor map is kept.
+
+The alter path's closure ORs the top levels of the set's members until
+no new open bit appears. That is not the strongly-connected-component
+detection of batch-based protocols such as Themis: it reads the
+predecessor masks of one chosen set's members only, and searches no
+component of the whole reliable-order graph.
+
+**Re-selection.** Selection is a pure function of the ingested logs and
+the committed set, so :meth:`Executor.drain` keeps a *settled* flag: set
+when a selection comes back empty, cleared by a commit, and cleared at
+ingest only by a log that can turn that empty result into a set:
+
+* a log that brings the last of the members that deferred it (those
+  between f+1 and 2f+1 logs) to 2f+1 support;
+* on the alter path only:
+
+  - a log that orders a direct member (the anchor's eligible members and
+    its under-supported pick) after the anchor, unless the pick is
+    another member and still defers the set;
+  - a log that becomes a new queue front, after which f+1 fronts agree
+    on its command;
+  - a new command that could become the under-supported pick;
+  - a log for an eligible command whose (trusted timestamp, digest) now
+    beats the anchor's, or any eligible command when there is no anchor.
+
+Without a commit, levels, supports, eligibility and queue fronts only
+grow and trusted timestamps only fall. So until one of these logs
+arrives, the last set can only gain members and keeps a deferring one: a
+member leaves only when the anchor, the pick or a direct member's place
+changes, and a normal-path set never loses a candidate.
 """
 
 from __future__ import annotations
@@ -82,15 +118,28 @@ class CommandInfo:
         self._sorted = None
 
 
-def record_log(infos: dict[Digest, CommandInfo], log: PartialOrderLog) -> CommandInfo:
-    """File ``log`` under its command's entry, creating it on first sight.
+@dataclass(slots=True)
+class IndexedInfo(CommandInfo):
+    """A command with its reliable-order index entry (see the module docstring).
+
+    ``bit`` is the command's bit and ``levels[k]`` the open commands that at
+    least k+1 authors logged before it; both are cleared when it commits.
+    """
+
+    bit: int = field(default=0, repr=False, compare=False)
+    levels: Optional[list[int]] = field(default=None, repr=False, compare=False)
+
+
+def record_log(infos: dict[Digest, CommandInfo], log: PartialOrderLog,
+               kind: type[CommandInfo] = CommandInfo) -> CommandInfo:
+    """File ``log`` under its command's entry, creating a ``kind`` on first sight.
 
     Delivery upstream is exactly-once, so one author never logs a command
     at two sequence numbers.
     """
     info = infos.get(log.command_digest)
     if info is None:
-        info = infos[log.command_digest] = CommandInfo(log.command_digest)
+        info = infos[log.command_digest] = kind(log.command_digest)
     else:
         prior = info.logs.get(log.node_id)
         if prior is not None and prior.seq != log.seq:
@@ -138,7 +187,7 @@ class Executor:
         self.quorum = 2 * f + 1
         self._resolve = resolve_command
         self.committed_digests: set[Digest] = set()
-        self.command_infos: dict[Digest, CommandInfo] = {}
+        self.command_infos: dict[Digest, IndexedInfo] = {}
         self.author_queues: list[deque[PartialOrderLog]] = [deque() for _ in range(n)]
         self.committed_order: list[TraceEntry] = []
         self.anchor_events: list[AnchorEvent] = []
@@ -146,34 +195,100 @@ class Executor:
         self.blocked_on: set[Digest] = set()
         # Commands not committed yet, and the subset whose trusted timestamp
         # is defined (support >= 2f+1).
-        self._uncommitted: dict[Digest, CommandInfo] = {}
-        self._eligible: dict[Digest, CommandInfo] = {}
-        # reliable_precedes memo: first -> second -> ((both supports), answer).
-        # Logs are only added, at a fixed seq per author, so equal supports
-        # mean equal inputs. A row is dropped once its first command commits.
-        self._precedes: dict[Digest, dict[Digest, tuple[tuple[int, int], bool]]] = {}
-        # True while the last selection came back empty and no log was
-        # ingested or set committed since.
+        self._open: dict[Digest, IndexedInfo] = {}
+        self._eligible: dict[Digest, IndexedInfo] = {}
+        # Reliable-order index (module docstring): bit position -> open
+        # command, the mask of open bits, and each author's logged mask.
+        self._by_index: dict[int, IndexedInfo] = {}
+        self._next_index = 0
+        self._open_bits = 0
+        self._author_bits = [0] * n
+        # True while the last selection came back empty and no log that can
+        # change it was ingested since. What that selection depended on: the
+        # members that deferred it, and on the alter path the queue fronts
+        # (counted per command), the direct members, the anchor and the pick.
         self._settled = False
+        self._deferring = 0
+        self._front_counts: dict[Digest, int] = {}
+        self._direct_bits = 0
+        self._watch_alter = False
+        self._anchor_key: Optional[tuple[int, Digest]] = None
+        self._anchor_bit = 0
+        self._pick: Optional[IndexedInfo] = None
 
     # ------------------------------------------------------------------
     # ingestion
 
     def ingest_log_set(self, log_set: LogSet) -> None:
-        self._settled = False
+        wake = not self._settled
+        top = self.f
+        committed = self.committed_digests
+        author_bits = self._author_bits
         for log in log_set:
-            info = record_log(self.command_infos, log)
-            self.author_queues[log.node_id].append(log)
+            info = record_log(self.command_infos, log, IndexedInfo)
             digest = log.command_digest
-            if digest not in self.committed_digests:
-                self._uncommitted[digest] = info
-                if info.support >= self.quorum:
-                    self._eligible[digest] = info
+            if digest in committed:
+                continue  # a queue entry for it would only be popped
+            author = log.node_id
+            queue = self.author_queues[author]
+            new_front = not queue
+            queue.append(log)
+            levels = info.levels
+            new = levels is None
+            if new:
+                bit = info.bit = 1 << self._next_index
+                self._by_index[self._next_index] = info
+                self._next_index += 1
+                self._open_bits |= bit
+                self._open[digest] = info
+                levels = info.levels = [0] * (top + 1)
+            else:
+                bit = info.bit
+            before = author_bits[author]
+            if before:
+                carry = before  # this author's predecessors, one level up
+                for k in range(top + 1):
+                    level = levels[k]
+                    levels[k] = level | carry
+                    carry = level & before
+                    if not carry:
+                        break
+            author_bits[author] = before | bit
+            if info.support >= self.quorum:
+                self._eligible[digest] = info
+            if not wake:
+                wake = self._wakes(info, new, new_front)
+        if wake:
+            self._settled = False
+
+    def _wakes(self, info: IndexedInfo, new: bool, new_front: bool) -> bool:
+        """Whether a log just filed for open ``info`` can change the last empty selection."""
+        if info.bit & self._deferring and info.support == self.quorum:
+            self._deferring ^= info.bit
+            if not self._deferring:
+                return True
+        if not self._watch_alter:
+            return False
+        if new_front:
+            counts = self._front_counts
+            fronts = counts[info.digest] = counts.get(info.digest, 0) + 1
+            if fronts > self.f:
+                return True
+        top = info.levels[self.f]
+        pick = self._pick
+        if (info.bit & self._direct_bits and top & self._anchor_bit
+                and (pick is None or pick is info or not pick.bit & self._deferring)):
+            return True
+        key = self._anchor_key
+        if info.support >= self.quorum:
+            return key is None or (self.trusted_timestamp(info), info.digest) < key
+        return (new and key is not None and not top & self._anchor_bit
+                and (pick is None or info.digest < pick.digest))
 
     # ------------------------------------------------------------------
     # selection machinery
 
-    def trusted_timestamp(self, info: CommandInfo) -> Optional[int]:
+    def trusted_timestamp(self, info: IndexedInfo) -> Optional[int]:
         """The (f+1)-th smallest reported timestamp, defined at 2f+1 support."""
         return info.trusted_timestamp(self.f)
 
@@ -188,90 +303,97 @@ class Executor:
         return fronts
 
     def reliable_precedes(self, first: Digest, second: Digest) -> bool:
-        """True iff at least f+1 nodes logged both commands with `first` earlier.
+        """True iff at least f+1 nodes logged both open commands with `first` earlier.
 
-        The answer changes only when either command gains a log, so it is
-        memoised per pair against both support counts.
+        Read from the index, which holds open commands only: a command that
+        has committed, or was never logged, precedes and follows nothing.
         """
-        a = self.command_infos.get(first)
-        b = self.command_infos.get(second)
+        a = self._open.get(first)
+        b = self._open.get(second)
         if a is None or b is None:
             return False
-        stamp = (len(a.logs), len(b.logs))
-        row = self._precedes.get(first)
-        if row is None:
-            row = self._precedes[first] = {}
-        else:
-            hit = row.get(second)
-            if hit is not None and hit[0] == stamp:
-                return hit[1]
-        believers = 0
-        logs_b = b.logs
-        for node_id, log_a in a.logs.items():
-            log_b = logs_b.get(node_id)
-            if log_b is not None and log_a.seq < log_b.seq:
-                believers += 1
-                if believers > self.f:
-                    break
-        result = believers > self.f
-        row[second] = (stamp, result)
-        return result
+        return bool(b.levels[self.f] & a.bit)
 
-    def select_anchor_set(self) -> list[CommandInfo]:
-        members, _path, _anchors = self._select()
-        return members
-
-    def _select(self) -> tuple[list[CommandInfo], str, tuple[Digest, ...]]:
+    def _select(self) -> tuple[list[IndexedInfo], str, tuple[Digest, ...]]:
         fronts = self.front_vector()
         counts: dict[Digest, int] = {}
         for front in fronts:
             if front is not None:
                 counts[front.command_digest] = counts.get(front.command_digest, 0) + 1
+        self._front_counts = counts
         agreed = sorted(d for d, c in counts.items() if c >= self.f + 1)
         if agreed:
             candidates = [self.command_infos[d] for d in agreed]
+            self._watch_alter = False
             return self._front_set_check(candidates), NORMAL_PATH, tuple(agreed)
         members = self._alter_path()
         anchors = (members[0].digest,) if members else ()
         return self._front_set_check(members), ALTER_PATH, anchors
 
-    def _alter_path(self) -> list[CommandInfo]:
-        eligible = self._eligible
-        anchor: Optional[CommandInfo] = None
-        anchor_ts = 0
-        for digest, info in eligible.items():
-            ts = self.trusted_timestamp(info)
-            if anchor is None or (ts, digest) < (anchor_ts, anchor.digest):
-                anchor, anchor_ts = info, ts
+    def _alter_path(self) -> list[IndexedInfo]:
+        self._watch_alter = True
+        self._direct_bits = 0
+        self._pick = None
+        anchor: Optional[IndexedInfo] = None
+        key: Optional[tuple[int, Digest]] = None
+        for digest, info in self._eligible.items():
+            candidate = (self.trusted_timestamp(info), digest)
+            if key is None or candidate < key:
+                anchor, key = info, candidate
+        self._anchor_key = key
         if anchor is None:
             return []
-        first = anchor.digest
+        top = self.f
+        after = self._anchor_bit = anchor.bit
         members = [anchor]
-        # Commands not reliably ordered after the anchor join its set. Fully
-        # supported candidates are absorbed first, in digest order; the first
-        # under-supported addition ends the expansion (the support check
+        member_bits = after
+        preds = anchor.levels[top]
+        # Eligible commands not reliably ordered after the anchor join it.
+        for info in self._eligible.values():
+            if info is not anchor and not info.levels[top] & after:
+                members.append(info)
+                member_bits |= info.bit
+                preds |= info.levels[top]
+        # So does the lowest-digest under-supported one (the support check
         # below then defers).
-        for digest in sorted(d for d in eligible if d != first):
-            if not self.reliable_precedes(first, digest):
-                members.append(eligible[digest])
-        uncommitted = self._uncommitted
-        for digest in sorted(d for d in uncommitted if d not in eligible):
-            if not self.reliable_precedes(first, digest):
-                members.append(uncommitted[digest])
-                break
+        pick: Optional[IndexedInfo] = None
+        for digest, info in self._open.items():
+            if (info.support < self.quorum and not info.levels[top] & after
+                    and (pick is None or digest < pick.digest)):
+                pick = info
+        self._pick = pick
+        if pick is not None:
+            members.append(pick)
+            member_bits |= pick.bit
+            preds |= pick.levels[top]
+        self._direct_bits = member_bits
+        # Close the set under reliable order.
+        open_bits = self._open_bits
+        fresh = preds & open_bits & ~member_bits
+        while fresh:
+            member_bits |= fresh
+            while fresh:
+                low = fresh & -fresh
+                info = self._by_index[low.bit_length() - 1]
+                members.append(info)
+                preds |= info.levels[top]
+                fresh ^= low
+            fresh = preds & open_bits & ~member_bits
         return members
 
-    def _front_set_check(self, members: list[CommandInfo]) -> list[CommandInfo]:
+    def _front_set_check(self, members: list[IndexedInfo]) -> list[IndexedInfo]:
         kept = [info for info in members if info.support >= self.f + 1]
+        deferring = 0
         for info in kept:
             if info.support < self.quorum:
-                return []
-        return kept
+                deferring |= info.bit
+        self._deferring = deferring
+        return [] if deferring else kept
 
     # ------------------------------------------------------------------
     # commitment
 
-    def commit_anchor_set(self, members: list[CommandInfo], path: str,
+    def commit_anchor_set(self, members: list[IndexedInfo], path: str,
                           anchors: tuple[Digest, ...]) -> list[Command]:
         ordered = sorted(
             members, key=lambda info: (self.trusted_timestamp(info), info.digest)
@@ -306,12 +428,23 @@ class Executor:
             )
             info.drop_cache()
             self.committed_digests.add(info.digest)
-            self._uncommitted.pop(info.digest, None)
-            self._eligible.pop(info.digest, None)
-            self._precedes.pop(info.digest, None)
+            self._release(info)
             committed.append(info.digest)
         self.anchor_events.append(AnchorEvent(path, anchors, tuple(committed)))
         return resolved
+
+    def _release(self, info: IndexedInfo) -> None:
+        """Drop a committed command's index entry and clear its bit."""
+        del self._open[info.digest]
+        self._eligible.pop(info.digest, None)
+        bit = info.bit
+        del self._by_index[bit.bit_length() - 1]
+        # Every author that logged it did so while it was open, so holds its bit.
+        self._open_bits ^= bit
+        for author in info.logs:
+            self._author_bits[author] ^= bit
+        info.bit = 0
+        info.levels = None
 
     # ------------------------------------------------------------------
     # pipeline driver

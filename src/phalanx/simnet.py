@@ -17,8 +17,8 @@ reorder a node's inbound queue, skew its reported log timestamps, or
 silence it entirely. A ``shuffle`` node makes one uniform draw over its
 queue on each tick that pre-orders with two or more commands queued, and
 pre-orders the drawn command; the rest keep their arrival order. A
-``reverse`` node rotates its queue once per tick, so it serves
-newest-first only while each pre-order completes within one tick.
+``reverse`` node moves its newest queued command to the front on each
+tick that pre-orders, so it always pre-orders newest-first.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .authenticators import make_authenticator
 from .consensus import OrderBatch, SequencerBroadcast
 from .executor import TraceEntry
-from .metrics import reordered_ratio, traces_consistent
+from .metrics import reordered_ratio, traces_consistent, traces_prefix_consistent
 from .replica import Replica
 from .scenario import Scenario
 from .types import Command
@@ -67,6 +67,9 @@ class ExperimentResult:
     reordered_ratio: float
     alter_path_ratio: float
     consistency: bool
+    # Honest traces are prefixes of one order: equal once the run quiesces,
+    # and also true for a run cut short before every node caught up.
+    prefix_consistent: bool
     uncommitted: int
     committed: int
     total_proposed: int
@@ -93,6 +96,7 @@ class ExperimentResult:
             "reordered_ratio": self.reordered_ratio,
             "alter_path_ratio": self.alter_path_ratio,
             "consistency": self.consistency,
+            "prefix_consistent": self.prefix_consistent,
             "uncommitted": self.uncommitted,
             "committed": self.committed,
             "total_proposed": self.total_proposed,
@@ -231,9 +235,10 @@ class _Node(Replica):
                     cmd = queue[j]
                     del queue[j]
                     queue.appendleft(cmd)
-        elif self.behavior.reverse:
+        elif self.behavior.reverse and mempool.pending is None:
             # Serve the local FIFO from the back: the newest command is
-            # pre-ordered first, inverting the declared partial order.
+            # pre-ordered first, inverting the declared partial order. Only a
+            # tick that pre-orders rotates, so every pre-order takes the newest.
             queue.rotate(1)
 
     def _log_stored(self, author: int, seq: int) -> None:
@@ -476,6 +481,7 @@ class Simulation:
             reordered_ratio=reordered_ratio(reference),
             alter_path_ratio=ref_node.executor.alter_path_ratio(),
             consistency=traces_consistent(honest_traces),
+            prefix_consistent=traces_prefix_consistent(honest_traces),
             uncommitted=total - len(reference),
             committed=len(reference),
             total_proposed=total,

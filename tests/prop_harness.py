@@ -57,6 +57,40 @@ def random_scenario(rng: random.Random, strategy: str = ANCHOR) -> Scenario:
     )
 
 
+def wide_scenario(rng: random.Random, strategy: str = ANCHOR) -> Scenario:
+    """Wider ordering dimensions than :func:`random_scenario`.
+
+    Up to 16 nodes, 4 racing proposers, 5 ms proposal spacing and
+    1..1200 ms links: the regime where alter-path anchor sets form.
+    Byzantine roles still avoid node 0, which hosts the sequencer stand-in.
+    """
+    n = rng.choice([4, 7, 10, 16])
+    f = (n - 1) // 3
+    byzantine = {}
+    for node_id in rng.sample(range(1, n), rng.randint(0, f)):
+        kind = rng.choice(["shuffle", "reverse", "silent", "skew"])
+        if kind == "shuffle":
+            byzantine[node_id] = NodeBehavior(shuffle=True)
+        elif kind == "reverse":
+            byzantine[node_id] = NodeBehavior(reverse=True)
+        elif kind == "silent":
+            byzantine[node_id] = NodeBehavior(silent=True)
+        else:
+            byzantine[node_id] = NodeBehavior(skew=rng.choice([-200, 150]))
+    return Scenario(
+        n=n,
+        f=f,
+        proposers=rng.choice([1, 2, 4]),
+        commands_per_proposer=rng.randint(8, 20),
+        delta_o=rng.choice([20, 50]),
+        latency=rng.choice([(1, 5), (40, 150), (1, 1200)]),
+        propose_interval=rng.choice([0, 5, 20]),
+        seed=rng.getrandbits(48),
+        strategy=strategy,
+        byzantine=byzantine,
+    )
+
+
 def collect_log_tables(sim: Simulation) -> dict[int, dict[bytes, int]]:
     """Union of certified logs across all stores: author -> digest -> seq.
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from phalanx.cli import main
+from phalanx.metrics import traces_prefix_consistent
 
 SCENARIO = """
 n = 4
@@ -111,6 +112,7 @@ class TestRun:
         assert "duration guard" in capsys.readouterr().err
         payload = json.loads((out / "result.json").read_text())
         assert payload["non_quiescent"] and not payload["consistency"]
+        assert payload["prefix_consistent"]
 
     def test_cut_short_run_with_divergent_traces_exits_3(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -125,6 +127,7 @@ class TestRun:
             trace = result.traces[0]
             trace[0] = replace(trace[0], digest=b"\x00" * 32)
             result.consistency = False
+            result.prefix_consistent = traces_prefix_consistent(list(result.traces.values()))
             return result
 
         monkeypatch.setattr(cli, "run", diverging)

@@ -123,11 +123,10 @@ PINS = {
         SWEEP16.format(strategy="anchor"),
         "854acc90a9fcdd00c7953b1a5df9cdcf005c7aeedba9fc48c096b71dec0f1bee",
     ),
-    # This run carries the known alter-path reorder defect (ROADMAP item 1):
-    # the fix for it changes this trace by design, and must re-pin it.
+    # Alter-path sets closed under reliable order: reordered_ratio 0.
     "alter16": (
         ALTER16,
-        "efaaad1b6774bd2f97b88b7dadd91452728b0d869bdc11a6d3a699a6eafade3d",
+        "09d7b54ded7135b76d14e3d04778f988796b35d2c9c13c5c1e7754a59b8d75dd",
     ),
     "reverse_silent7": (
         REVERSE_SILENT7,
@@ -139,7 +138,7 @@ PINS = {
     ),
     "follow7": (
         FOLLOW7,
-        "d53da746d124bace0c1c894438a3673127d1c7a73d48d5a76fac4da3d6d899c5",
+        "06c606399d9e30c3bfd8a92c6fb5d8a7023b4f8108eb42e352fc462cc5d03689",
     ),
 }
 

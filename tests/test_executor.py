@@ -190,7 +190,9 @@ class TestSelectAnchorSet:
         })
         executor = make_executor([CMD_A])
         executor.ingest_log_set(log_set_of(*[c[0] for c in chains.values()]))
-        members = executor.select_anchor_set()
+        members, path, anchors = executor._select()
+        assert path == NORMAL_PATH
+        assert anchors == (CMD_A.digest,)
         assert [m.digest for m in members] == [CMD_A.digest]
 
     def test_insufficient_support_returns_empty(self):
@@ -198,14 +200,14 @@ class TestSelectAnchorSet:
         chains = build_chains({0: [(CMD_A, 1)]})
         executor = make_executor([CMD_A])
         executor.ingest_log_set(log_set_of(*chains[0]))
-        assert executor.select_anchor_set() == []
+        assert executor._select()[0] == []
 
     def test_quorum_agreement_below_full_support_waits(self):
         # f+1 fronts agree but support is still 2 < 2f+1: defer, do not drop.
         chains = build_chains({0: [(CMD_A, 1)], 1: [(CMD_A, 2)]})
         executor = make_executor([CMD_A])
         executor.ingest_log_set(log_set_of(chains[0][0], chains[1][0]))
-        assert executor.select_anchor_set() == []
+        assert executor._select()[0] == []
 
     def test_alter_path_picks_lowest_trusted_timestamp(self):
         # All four fronts disagree, so no normal-path anchor exists. B is the
@@ -241,7 +243,7 @@ class TestSelectAnchorSet:
         executor.ingest_log_set(
             log_set_of(*[log for c in chains.values() for log in c])
         )
-        assert executor.select_anchor_set() == []
+        assert executor._select()[0] == []
 
     def test_alter_path_tie_breaks_by_digest(self):
         low, high = sorted([CMD_C, CMD_D], key=lambda c: c.digest)
@@ -311,6 +313,19 @@ class TestCommitAnchorSet:
         with pytest.raises(CommandUnavailable):
             executor.commit_anchor_set(infos, NORMAL_PATH, ())
         assert executor.committed_order == []  # nothing partially committed
+
+    def test_commit_releases_index_state(self):
+        executor = self._ready_executor()
+        a = executor.command_infos[CMD_A.digest]
+        b = executor.command_infos[CMD_B.digest]
+        bit = a.bit
+        assert b.levels[F] & bit  # A reliably precedes B
+        executor.commit_anchor_set([a], NORMAL_PATH, (CMD_A.digest,))
+        assert a.levels is None and a.bit == 0
+        assert not executor._open_bits & bit
+        assert not any(mask & bit for mask in executor._author_bits)
+        assert not executor.reliable_precedes(CMD_A.digest, CMD_B.digest)
+        assert b.levels is not None
 
     def test_committing_twice_raises(self):
         executor = self._ready_executor()

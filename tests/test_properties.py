@@ -7,7 +7,7 @@ import pytest
 from phalanx import ProtocolInvariantError, Scenario, Simulation, run
 from phalanx.scenario import TIMESTAMP
 
-from prop_harness import check_invariants, random_scenario
+from prop_harness import check_invariants, random_scenario, wide_scenario
 
 BATCH = 40  # the acceptance suite runs the full 200-scenario battery
 
@@ -18,6 +18,33 @@ def test_random_scenario_invariants(index):
     scenario = random_scenario(rng)
     failures = check_invariants(scenario)
     assert not failures, f"{scenario.to_dict()}: {failures}"
+
+
+@pytest.mark.parametrize("index", range(BATCH))
+def test_wide_scenario_invariants(index):
+    scenario = wide_scenario(random.Random(7000 + index))
+    failures = check_invariants(scenario)
+    assert not failures, f"{scenario.to_dict()}: {failures}"
+
+
+def test_alter_sets_respect_reliable_order_small():
+    # No faults, four racing proposers: alter-path sets used to commit a
+    # command ahead of a reliable predecessor left outside the set.
+    scenario = Scenario(
+        n=4, f=1, proposers=4, commands_per_proposer=17, delta_o=50,
+        latency=(40, 150), propose_interval=0, seed=4079721836611,
+    )
+    result = run(scenario)
+    assert result.reordered_ratio == 0.0
+    assert check_invariants(scenario) == []
+
+
+def test_alter16_invariants():
+    scenario = Scenario(
+        n=16, f=5, proposers=4, commands_per_proposer=20, delta_o=20,
+        latency=(1, 1200), propose_interval=5, seed=9,
+    )
+    assert check_invariants(scenario) == []
 
 
 @pytest.mark.parametrize("index", range(8))

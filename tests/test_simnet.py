@@ -374,7 +374,8 @@ class TestResultShape:
         payload = json.loads(result.to_json())
         for key in (
             "schema_version", "scenario", "reordered_ratio", "alter_path_ratio",
-            "consistency", "uncommitted", "non_quiescent", "trace_sha256",
+            "consistency", "prefix_consistent", "uncommitted", "non_quiescent",
+            "trace_sha256",
         ):
             assert key in payload
         assert payload["scenario"]["n"] == 4
