@@ -63,8 +63,17 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _output_ok(step) -> bool:
+    """Run one output step; on an IO error print it and return False."""
+    try:
+        step()
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _write_outputs(result: ExperimentResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "result.json").write_text(result.to_json(), encoding="utf-8")
     for node_id in sorted(result.traces):
         lines = "\n".join(entry.line() for entry in result.traces[node_id])
@@ -90,8 +99,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out_dir = Path(args.out)
+    # Create the output directory first, so a bad path fails before the run.
+    if not _output_ok(lambda: out_dir.mkdir(parents=True, exist_ok=True)):
+        return EXIT_CONFIG
     result = run(scenario, record_batches=args.dump_batches)
-    _write_outputs(result, Path(args.out))
+    if not _output_ok(lambda: _write_outputs(result, out_dir)):
+        return EXIT_CONFIG
     print(json.dumps(result.to_json_dict(), sort_keys=True, indent=2))
     within_f = len(scenario.byzantine) <= scenario.f
     # A run cut short may leave honest nodes at different prefixes of one
@@ -145,7 +159,6 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[dict]:
 
 
 def write_sweep_csv(rows: list[dict], out_csv: Path) -> None:
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
     with open(out_csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
@@ -166,8 +179,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out_csv = Path(args.out)
+    if not _output_ok(lambda: out_csv.parent.mkdir(parents=True, exist_ok=True)):
+        return EXIT_CONFIG
     rows = sweep_rows(spec, workers=args.workers)
-    write_sweep_csv(rows, Path(args.out))
+    if not _output_ok(lambda: write_sweep_csv(rows, out_csv)):
+        return EXIT_CONFIG
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

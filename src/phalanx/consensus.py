@@ -8,15 +8,12 @@ the intervening logs from its mempool (fetching any gap from peers),
 bumps its frontier vector, and appends the collected logs sorted by
 (seq, author).
 
-Every slot of a delivered batch is checked before any of it is used:
-author position, certificate, and log digest. A slot equal to the log the
-node already stores at that (author, seq) skips the digest and certificate
-re-check, and is not handed to ``Mempool.handle_order`` again. This is safe because the mempool's log store only ever holds logs
-that passed those same checks in ``Mempool.handle_order``, or that this
-node aggregated itself from verified vote shares in ``Mempool.handle_vote``.
-A slot that differs in any field (timestamp, certificate signers or
-aggregate, ...) is verified in full, so a tampered copy of a stored log is
-still rejected.
+Every slot of a delivered batch is checked before any of it is used: its
+author position, then ``Mempool.is_certified``. A slot equal to the log the
+node already stores at that (author, seq) skips that check (see
+``Mempool.is_certified`` for why), and a fresh slot that advances an
+author's frontier is stored with ``Mempool.store_certified``, so it is
+verified once.
 
 A harness sequencer stands in for the total-order broadcast: it assigns
 consecutive batch indices and every node consumes them in index order.
@@ -28,10 +25,9 @@ import struct
 from collections import deque
 from typing import Callable, Optional
 
-from .authenticators import Authenticator
 from .mempool import Mempool
 from .types import PartialOrderLog, ProtocolInvariantError
-from .wire import WireError, decode_log, encode_log
+from .wire import encode_log
 
 OrderBatch = tuple[Optional[PartialOrderLog], ...]
 LogSet = tuple[PartialOrderLog, ...]
@@ -59,29 +55,6 @@ def encode_order_batch(batch: OrderBatch) -> bytes:
     return b"".join(out)
 
 
-def decode_order_batch(buf: bytes) -> OrderBatch:
-    try:
-        (n,) = struct.unpack_from(">H", buf, 0)
-    except struct.error as exc:
-        raise WireError("truncated batch header") from exc
-    offset = 2
-    slots: list[Optional[PartialOrderLog]] = []
-    for _ in range(n):
-        try:
-            flag = buf[offset]
-        except IndexError as exc:
-            raise WireError("truncated batch slot") from exc
-        offset += 1
-        if flag == 0:
-            slots.append(None)
-        elif flag == 1:
-            log, offset = decode_log(buf, offset)
-            slots.append(log)
-        else:
-            raise WireError(f"bad batch slot flag {flag}")
-    return tuple(slots)
-
-
 class SequencerBroadcast:
     """Harness stand-in for a BFT engine: the designated sequencer assigns
     consecutive indices and a transport callback carries (index, batch) out."""
@@ -99,17 +72,10 @@ class SequencerBroadcast:
 class Consenter:
     """Per-node consensus state: frontier vector and the outbound log-set queue."""
 
-    def __init__(
-        self,
-        node_id: int,
-        authenticator: Authenticator,
-        mempool: Mempool,
-        record_batches: bool = False,
-    ):
+    def __init__(self, node_id: int, mempool: Mempool, record_batches: bool = False):
         self.node_id = node_id
-        self.auth = authenticator
         self.mempool = mempool
-        self.n = authenticator.n
+        self.n = mempool.n
         self.committed_seq = [0] * self.n
         self.log_sets: deque[LogSet] = deque()
         self.leader_faults = 0
@@ -189,19 +155,14 @@ class Consenter:
             known = stored.get((j, slot.seq))
             if known is slot or known == slot:
                 continue  # verified when it was stored
-            if (
-                slot.certificate is None
-                or slot.certificate.event_digest != slot.cur_digest
-                or not slot.verify_digest()
-                or not self.auth.verify_certificate(slot.certificate)
-            ):
+            if not self.mempool.is_certified(slot):
                 raise BatchInvalid(f"slot {j} fails certificate verification")
             fresh.add(j)
         missing: list[tuple[int, int]] = []
         for j, slot in enumerate(batch):
             if slot is None or slot.seq <= self.committed_seq[j]:
                 continue
-            if j in fresh and not self.mempool.handle_order(slot):
+            if j in fresh and not self.mempool.store_certified(slot):
                 # A certified slot that forks the stored chain: possible only
                 # beyond f faults, and expansion could not find it.
                 raise BatchInvalid(f"slot {j} forks the stored chain")

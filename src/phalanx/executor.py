@@ -169,13 +169,6 @@ class TraceEntry:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class AnchorEvent:
-    path: str
-    anchors: tuple[Digest, ...]
-    committed: tuple[Digest, ...]
-
-
 class Executor:
     """Anchor-based total ordering over the consensus log-set stream."""
 
@@ -190,7 +183,9 @@ class Executor:
         self.command_infos: dict[Digest, IndexedInfo] = {}
         self.author_queues: list[deque[PartialOrderLog]] = [deque() for _ in range(n)]
         self.committed_order: list[TraceEntry] = []
-        self.anchor_events: list[AnchorEvent] = []
+        # Anchor sets committed, and how many of them took the alter path.
+        self.anchor_sets = 0
+        self.alter_sets = 0
         self.pending_sets: deque[LogSet] = deque()
         self.blocked_on: set[Digest] = set()
         # Commands not committed yet, and the subset whose trusted timestamp
@@ -409,7 +404,6 @@ class Executor:
         if missing:
             raise CommandUnavailable(missing)
         self._settled = False
-        committed: list[Digest] = []
         for info, cmd in zip(ordered, resolved):
             if info.digest in self.committed_digests:
                 raise ProtocolInvariantError(
@@ -429,8 +423,9 @@ class Executor:
             info.drop_cache()
             self.committed_digests.add(info.digest)
             self._release(info)
-            committed.append(info.digest)
-        self.anchor_events.append(AnchorEvent(path, anchors, tuple(committed)))
+        self.anchor_sets += 1
+        if path == ALTER_PATH:
+            self.alter_sets += 1
         return resolved
 
     def _release(self, info: IndexedInfo) -> None:
@@ -490,7 +485,6 @@ class Executor:
         return not self.pending_sets and not self.blocked_on
 
     def alter_path_ratio(self) -> float:
-        if not self.anchor_events:
+        if not self.anchor_sets:
             return 0.0
-        alters = sum(1 for ev in self.anchor_events if ev.path == ALTER_PATH)
-        return alters / len(self.anchor_events)
+        return self.alter_sets / self.anchor_sets

@@ -70,9 +70,17 @@ class Mempool:
         self.inbound.append(cmd)
         return True
 
-    def store_command(self, cmd: Command) -> None:
-        """Store a command body without queueing it for ordering (fetch path)."""
+    def store_command(self, cmd: Command) -> bool:
+        """Store a command body without queueing it for ordering (fetch path).
+
+        A body that does not hash to its digest is dropped and returns False:
+        it would otherwise commit under the real command's digest.
+        """
+        if not cmd.verify_digest():
+            self.rejects[REJECT_BAD_DIGEST] += 1
+            return False
         self.command_store.setdefault(cmd.digest, cmd)
+        return True
 
     # ------------------------------------------------------------------
     # step 1: pre-order
@@ -159,14 +167,34 @@ class Mempool:
 
     def handle_order(self, log: PartialOrderLog) -> bool:
         """Validate and store a certified log; returns True if accepted."""
-        if (
-            log.certificate is None
-            or log.certificate.event_digest != log.cur_digest
-            or not log.verify_digest()
-            or not self.auth.verify_certificate(log.certificate)
-        ):
+        if not self.is_certified(log):
             self.rejects[INVALID_CERT] += 1
             return False
+        return self.store_certified(log)
+
+    def is_certified(self, log: PartialOrderLog) -> bool:
+        """The one certified-log check: a certificate is present, covers this
+        log's digest, the digest matches the log's fields, and the certificate
+        verifies.
+
+        The log store only ever holds logs that passed this check, or that
+        this node aggregated itself from verified vote shares in
+        :meth:`handle_vote`. So a log equal to the stored one at its (author,
+        seq) need not be checked again; a copy that differs in any field
+        (timestamp, certificate signers or aggregate, ...) must be, so a
+        tampered copy of a stored log is still rejected.
+        """
+        cert = log.certificate
+        return (
+            cert is not None
+            and cert.event_digest == log.cur_digest
+            and log.verify_digest()
+            and self.auth.verify_certificate(cert)
+        )
+
+    def store_certified(self, log: PartialOrderLog) -> bool:
+        """Store a log that passed :meth:`is_certified`, without verifying it
+        again; returns False if it forks the stored hash chain."""
         existing = self.log_store.get((log.node_id, log.seq))
         if existing is not None:
             if existing.cur_digest != log.cur_digest:

@@ -30,7 +30,7 @@ class Replica:
                  designated: int = 0, record_batches: bool = False):
         self.node_id = node_id
         self.mempool = Mempool(node_id, auth)
-        self.consenter = Consenter(node_id, auth, self.mempool, record_batches)
+        self.consenter = Consenter(node_id, self.mempool, record_batches)
         self.executor: Executor | TimestampExecutor | FollowExecutor
         if strategy == FOLLOW:
             self.executor = FollowExecutor(designated, self.mempool)

@@ -162,29 +162,6 @@ class Scenario:
             "auth_scheme": self.auth_scheme,
         }
 
-    def to_text(self) -> str:
-        lines = [
-            f"n = {self.n}",
-            f"f = {self.f}",
-            f"proposers = {self.proposers}",
-            f"commands_per_proposer = {self.commands_per_proposer}",
-            f"batch_size = {self.batch_size}",
-            f"delta_o = {self.delta_o}",
-            f"latency = {self.latency[0]}..{self.latency[1]}",
-            f"propose_interval = {self.propose_interval}",
-            f"seed = {self.seed}",
-            f"strategy = {self.strategy}",
-            f"max_sim_ms = {self.max_sim_ms}",
-            f"resend_ms = {self.resend_ms}",
-            f"auth_scheme = {self.auth_scheme}",
-        ]
-        if self.byzantine:
-            entry = ", ".join(
-                f"{node}:{self.byzantine[node].tag()}" for node in sorted(self.byzantine)
-            )
-            lines.append(f"byzantine = {entry}")
-        return "\n".join(lines) + "\n"
-
 
 _INT_KEYS = {
     "n", "f", "proposers", "commands_per_proposer", "batch_size",

@@ -213,9 +213,9 @@ class _Node(Replica):
             else:
                 self._cmd_promises.setdefault(msg.digest, []).append(sender)
         elif isinstance(msg, FetchCommandResponse):
-            self.mempool.store_command(msg.command)
-            self._answer_cmd_promises(msg.command)
-            self._maybe_unblock_executor(msg.command.digest)
+            if self.mempool.store_command(msg.command):
+                self._answer_cmd_promises(msg.command)
+                self._maybe_unblock_executor(msg.command.digest)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unhandled message {type(msg).__name__}")
 

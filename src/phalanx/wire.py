@@ -12,25 +12,17 @@ followed by the payload in the canonical big-endian encoding:
     7 FETCH_CMD_RESP  command body answering a FETCH_CMD
 
 The simulator passes message objects by reference; the byte form is the
-stable external interface (round-tripped in tests, used for trace dumps).
+stable external interface, written to batch dumps and counted by
+perfbench's wire-byte metrics. Nothing decodes it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
-from .types import (
-    Certificate,
-    Command,
-    Digest,
-    DIGEST_SIZE,
-    PartialOrderLog,
-    PartialSignature,
-    digest_command,
-    digest_log,
-)
+from .types import Certificate, Command, Digest, PartialOrderLog, PartialSignature
 
 PRE_ORDER = 1
 VOTE = 2
@@ -90,24 +82,11 @@ Message = Union[
 
 
 class WireError(ValueError):
-    """Malformed or truncated wire bytes."""
+    """A value the wire encoding has no form for."""
 
 
 def encode_command(cmd: Command) -> bytes:
     return struct.pack(">HQI", cmd.proposer_id, cmd.seq, len(cmd.payload)) + cmd.payload
-
-
-def decode_command(buf: bytes, offset: int = 0) -> tuple[Command, int]:
-    try:
-        proposer_id, seq, plen = struct.unpack_from(">HQI", buf, offset)
-    except struct.error as exc:
-        raise WireError("truncated command header") from exc
-    offset += 14
-    payload = bytes(buf[offset:offset + plen])
-    if len(payload) != plen:
-        raise WireError("truncated command payload")
-    offset += plen
-    return Command(proposer_id, seq, payload, digest_command(proposer_id, seq, payload)), offset
 
 
 def encode_certificate(cert: Certificate) -> bytes:
@@ -121,27 +100,6 @@ def encode_certificate(cert: Certificate) -> bytes:
     )
 
 
-def decode_certificate(buf: bytes, offset: int = 0) -> tuple[Certificate, int]:
-    event_digest = bytes(buf[offset:offset + DIGEST_SIZE])
-    if len(event_digest) != DIGEST_SIZE:
-        raise WireError("truncated certificate digest")
-    offset += DIGEST_SIZE
-    try:
-        (count,) = struct.unpack_from(">H", buf, offset)
-        offset += 2
-        signers = struct.unpack_from(f">{count}H", buf, offset)
-        offset += 2 * count
-        (alen,) = struct.unpack_from(">I", buf, offset)
-        offset += 4
-    except struct.error as exc:
-        raise WireError("truncated certificate") from exc
-    aggregate = bytes(buf[offset:offset + alen])
-    if len(aggregate) != alen:
-        raise WireError("truncated certificate aggregate")
-    offset += alen
-    return Certificate(event_digest, frozenset(signers), aggregate), offset
-
-
 def encode_partial(ps: PartialSignature) -> bytes:
     return (
         struct.pack(">H", ps.signer)
@@ -149,28 +107,6 @@ def encode_partial(ps: PartialSignature) -> bytes:
         + struct.pack(">I", len(ps.sig))
         + ps.sig
     )
-
-
-def decode_partial(buf: bytes, offset: int = 0) -> tuple[PartialSignature, int]:
-    try:
-        (signer,) = struct.unpack_from(">H", buf, offset)
-    except struct.error as exc:
-        raise WireError("truncated partial signature") from exc
-    offset += 2
-    event_digest = bytes(buf[offset:offset + DIGEST_SIZE])
-    if len(event_digest) != DIGEST_SIZE:
-        raise WireError("truncated partial digest")
-    offset += DIGEST_SIZE
-    try:
-        (slen,) = struct.unpack_from(">I", buf, offset)
-    except struct.error as exc:
-        raise WireError("truncated partial length") from exc
-    offset += 4
-    sig = bytes(buf[offset:offset + slen])
-    if len(sig) != slen:
-        raise WireError("truncated partial bytes")
-    offset += slen
-    return PartialSignature(signer, event_digest, sig), offset
 
 
 def encode_log(log: PartialOrderLog) -> bytes:
@@ -182,32 +118,6 @@ def encode_log(log: PartialOrderLog) -> bytes:
     if log.certificate is None:
         return head + b"\x00"
     return head + b"\x01" + encode_certificate(log.certificate)
-
-
-def decode_log(buf: bytes, offset: int = 0) -> tuple[PartialOrderLog, int]:
-    try:
-        node_id, seq, timestamp = struct.unpack_from(">HQQ", buf, offset)
-    except struct.error as exc:
-        raise WireError("truncated log header") from exc
-    offset += 18
-    command_digest = bytes(buf[offset:offset + DIGEST_SIZE])
-    offset += DIGEST_SIZE
-    prev_digest = bytes(buf[offset:offset + DIGEST_SIZE])
-    offset += DIGEST_SIZE
-    if len(command_digest) != DIGEST_SIZE or len(prev_digest) != DIGEST_SIZE:
-        raise WireError("truncated log digests")
-    try:
-        flag = buf[offset]
-    except IndexError as exc:
-        raise WireError("truncated certificate flag") from exc
-    offset += 1
-    cert: Optional[Certificate] = None
-    if flag == 1:
-        cert, offset = decode_certificate(buf, offset)
-    elif flag != 0:
-        raise WireError(f"bad certificate flag {flag}")
-    cur = digest_log(node_id, seq, timestamp, command_digest, prev_digest)
-    return PartialOrderLog(node_id, seq, timestamp, command_digest, prev_digest, cur, cert), offset
 
 
 def encode_message(msg: Message) -> bytes:
@@ -226,39 +136,3 @@ def encode_message(msg: Message) -> bytes:
     if isinstance(msg, FetchCommandResponse):
         return bytes([FETCH_CMD_RESP]) + encode_command(msg.command)
     raise WireError(f"unknown message type {type(msg).__name__}")
-
-
-def decode_message(buf: bytes) -> Message:
-    if not buf:
-        raise WireError("empty message")
-    kind, rest = buf[0], 1
-    if kind == PRE_ORDER:
-        log, _ = decode_log(buf, rest)
-        return PreOrderMessage(log)
-    if kind == VOTE:
-        digest = bytes(buf[rest:rest + DIGEST_SIZE])
-        if len(digest) != DIGEST_SIZE:
-            raise WireError("truncated vote digest")
-        partial, _ = decode_partial(buf, rest + DIGEST_SIZE)
-        return VoteMessage(digest, partial)
-    if kind == ORDER:
-        log, _ = decode_log(buf, rest)
-        return OrderMessage(log)
-    if kind == FETCH_LOG:
-        try:
-            author, seq = struct.unpack_from(">HQ", buf, rest)
-        except struct.error as exc:
-            raise WireError("truncated fetch request") from exc
-        return FetchLogMessage(author, seq)
-    if kind == FETCH_RESP:
-        log, _ = decode_log(buf, rest)
-        return FetchLogResponse(log)
-    if kind == FETCH_CMD:
-        digest = bytes(buf[rest:rest + DIGEST_SIZE])
-        if len(digest) != DIGEST_SIZE:
-            raise WireError("truncated fetch-command digest")
-        return FetchCommandMessage(digest)
-    if kind == FETCH_CMD_RESP:
-        cmd, _ = decode_command(buf, rest)
-        return FetchCommandResponse(cmd)
-    raise WireError(f"unknown message kind {kind}")

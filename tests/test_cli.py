@@ -145,6 +145,14 @@ class TestRun:
         payload = json.loads((out / "result.json").read_text())
         assert not payload["non_quiescent"] and payload["consistency"]
 
+    def test_unwritable_out_exits_2_before_simulating(self, scenario_file, tmp_path,
+                                                      capsys, monkeypatch):
+        blocker = tmp_path / "plain"
+        blocker.write_text("a regular file")
+        monkeypatch.setattr("phalanx.cli.run", lambda *a, **k: pytest.fail("simulated"))
+        assert main(["run", str(scenario_file), "--out", str(blocker / "out")]) == 2
+        assert "output error:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_csv_shape_and_determinism(self, tmp_path):
@@ -177,6 +185,18 @@ class TestSweep:
         sweep_file = tmp_path / "sweep.txt"
         sweep_file.write_text("n = 4\nf = 1\n")  # missing sweep_byzantine
         assert main(["sweep", str(sweep_file), "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_unwritable_out_exits_2_before_simulating(self, tmp_path, capsys,
+                                                      monkeypatch):
+        sweep_file = tmp_path / "sweep.txt"
+        sweep_file.write_text(SWEEP)
+        blocker = tmp_path / "plain"
+        blocker.write_text("a regular file")
+        monkeypatch.setattr("phalanx.cli.sweep_rows",
+                            lambda *a, **k: pytest.fail("simulated"))
+        out = blocker / "sub" / "x.csv"
+        assert main(["sweep", str(sweep_file), "--out", str(out)]) == 2
+        assert "output error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         (SWEEP_HEAD + "reps = x\n", "line 4: reps must be an integer"),

@@ -44,7 +44,7 @@ def chain(auth, node_id, length):
 @pytest.fixture
 def setup(auth):
     pool = Mempool(0, auth)
-    consenter = Consenter(0, auth, pool)
+    consenter = Consenter(0, pool)
     return pool, consenter
 
 
@@ -154,7 +154,7 @@ class TestDeliveryPipeline:
         ]
         streams = []
         for pool in pools:
-            consenter = Consenter(pool.node_id, auth, pool)
+            consenter = Consenter(pool.node_id, pool)
             for index, batch in enumerate(batches):
                 assert consenter.on_delivered(index, batch) == []
             streams.append(list(consenter.log_sets))
@@ -162,7 +162,7 @@ class TestDeliveryPipeline:
 
     def test_out_of_order_delivery_buffers(self, auth):
         pools, logs = self._full_stores(auth)
-        consenter = Consenter(0, auth, pools[0])
+        consenter = Consenter(0, pools[0])
         batches = {
             0: (None, logs[0], None, None),
             1: (None, logs[1], None, None),
@@ -174,7 +174,7 @@ class TestDeliveryPipeline:
 
     def test_exactly_once_across_log_sets(self, auth):
         pools, logs = self._full_stores(auth)
-        consenter = Consenter(0, auth, pools[0])
+        consenter = Consenter(0, pools[0])
         batches = [
             (None, logs[1], None, None),
             (None, logs[2], logs[4], None),
@@ -197,7 +197,7 @@ class TestDeliveryPipeline:
         pool = Mempool(0, auth)
         logs = chain(auth, 2, 3)
         pool.handle_order(logs[0])
-        consenter = Consenter(0, auth, pool)
+        consenter = Consenter(0, pool)
         missing = consenter.on_delivered(0, (None, None, logs[2], None))
         assert missing == [(2, 2)]
         assert consenter.blocked

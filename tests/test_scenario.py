@@ -29,8 +29,14 @@ class TestParsing:
         assert scenario.strategy == "timestamp"
         assert scenario.byzantine[5] == NodeBehavior(shuffle=True, skew=-30)
         assert scenario.byzantine[6] == NodeBehavior(silent=True)
-        reparsed = parse_scenario_text(scenario.to_text())
-        assert reparsed == scenario
+        # result.json's scenario block reproduces the scenario.
+        fields = scenario.to_dict()
+        fields["latency"] = "{}..{}".format(*fields["latency"])
+        fields["byzantine"] = ", ".join(
+            f"{node}:{tag}" for node, tag in fields["byzantine"].items()
+        )
+        text = "".join(f"{key} = {value}\n" for key, value in fields.items())
+        assert parse_scenario_text(text) == scenario
 
     def test_latency_profiles(self):
         assert parse_scenario_text("latency = lan\n").latency == (1, 5)

@@ -351,6 +351,43 @@ class TestPeerRetrieval:
         assert not target.executor.blocked_on
         assert [e.digest for e in target.executor.committed_order] == [secret.digest]
 
+    def test_forged_command_body_is_dropped(self, monkeypatch):
+        from dataclasses import replace
+
+        from phalanx import Command
+        from phalanx.mempool import REJECT_BAD_DIGEST
+        from phalanx.wire import FetchCommandMessage, FetchCommandResponse
+
+        sim = Simulation(small(commands_per_proposer=0))
+        secret = Command.create(0, 1, b"late body")
+        logs = {
+            author: self._chain(sim, author, [secret])[0] for author in (0, 1, 3)
+        }
+        target = sim.nodes[2]
+        for log in logs.values():
+            assert target.mempool.handle_order(log)
+        target.on_batch(0, (logs[0], logs[1], None, logs[3]))
+        assert target.executor.blocked_on == {secret.digest}
+        # Node 1 asks node 2 for the body too, so node 2 owes it the answer.
+        target.on_message(FetchCommandMessage(secret.digest), 1)
+        sent = []
+        monkeypatch.setattr(sim, "send", lambda src, dst, msg: sent.append((dst, msg)))
+
+        # A body that keeps the real digest but not the fields it hashes.
+        forged = replace(secret, proposer_id=3, seq=7, payload=b"forged")
+        target.on_message(FetchCommandResponse(forged), 3)
+        assert target.mempool.fetch_command(secret.digest) is None
+        assert target.mempool.rejects[REJECT_BAD_DIGEST] == 1
+        assert sent == []
+        assert target.executor.blocked_on == {secret.digest}
+        assert target.executor.committed_order == []
+
+        target.on_message(FetchCommandResponse(secret), 3)
+        assert sent == [(1, FetchCommandResponse(secret))]
+        assert [(e.proposer_id, e.proposer_seq) for e in target.executor.committed_order] == [
+            (0, 1)
+        ]
+
 
 class TestAuthenticatorSchemes:
     def test_ed25519_scheme_end_to_end(self):
@@ -380,10 +417,21 @@ class TestResultShape:
             assert key in payload
         assert payload["scenario"]["n"] == 4
 
-    def test_batch_trace_recording(self):
-        result = run(small(commands_per_proposer=5), record_batches=True)
-        assert result.batch_trace
-        assert all(isinstance(line, str) for line in result.batch_trace)
-        from phalanx.consensus import decode_order_batch
-        decoded = decode_order_batch(bytes.fromhex(result.batch_trace[0]))
-        assert len(decoded) == 4
+    def test_batch_trace_recording(self, monkeypatch):
+        from phalanx.consensus import encode_order_batch
+
+        sim = Simulation(small(commands_per_proposer=5), record_batches=True)
+        consenter = sim.nodes[sim.reference_node].consenter
+        delivered = {}
+        original = consenter.on_delivered
+
+        def on_delivered(index, batch):
+            delivered[index] = batch
+            return original(index, batch)
+
+        monkeypatch.setattr(consenter, "on_delivered", on_delivered)
+        result = sim.run()
+        assert result.leader_faults == 0
+        assert result.batch_trace == [
+            encode_order_batch(delivered[index]).hex() for index in sorted(delivered)
+        ]
