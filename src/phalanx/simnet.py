@@ -10,13 +10,47 @@ Each node is a :class:`~phalanx.replica.Replica` wired to the event loop,
 so this module never branches on the ordering strategy: node 0 leads when
 the strategy uses consensus, and every strategy is flushed at the end.
 
-Nodes tick every ``delta_o`` simulated milliseconds (phase-shifted per
-node): a tick starts at most one new pre-order, re-broadcasts a starved
-one, and, on the leader, snapshots an order-batch. Byzantine behaviors
-reorder a node's inbound queue, skew its reported log timestamps, or
-silence it entirely. A ``shuffle`` node makes one uniform draw over its
-queue on each tick that pre-orders with two or more commands queued, and
-pre-orders the drawn command; the rest keep their arrival order. A
+Each node ticks on its own grid, ``phase + k * delta_o`` for k >= 1 with
+``phase = node_id * delta_o // n``: a tick starts at most one new
+pre-order, re-broadcasts a starved one, and, on the leader, snapshots an
+order-batch. A tick is scheduled only when it can act:
+
+* after a tick that acted, the node ticks again ``delta_o`` later;
+* after a tick that did nothing, a node with a pre-order pending sleeps
+  until the first grid tick at or after ``pending_since + resend_ms -
+  skew``, when the pending log is due a re-broadcast; any other node
+  sleeps with no timer;
+* a sleeping node wakes at its next grid tick after the current event when
+  a command is queued while no pre-order is pending, when a vote completes
+  its certificate while commands are queued, or, on the leader, when a
+  stored log advances its latest-log vector;
+* a silent node never ticks.
+
+This skips only ticks that would have done nothing, so a run processes the
+same events in the same order as a loop that ticks every node on every grid
+point. Events are ordered by time, then by source id (proposers rank after
+the nodes), then by push sequence number. An event from node ``a``
+delivered at time ``t`` on ``a``'s grid comes before ``a``'s tick at ``t``
+exactly when it was sent before ``a``'s tick at ``t - delta_o`` would have
+run: sent before ``t - delta_o``, or at ``t - delta_o`` by an event handled
+before that tick (one whose source id is below ``a``, unless links have no
+latency), or by that tick itself. Everything else from ``a`` at ``t``, a
+self-delivery sent at ``t`` included, comes after it, and nothing comes
+before a node's first tick. That class is folded into the second field of
+the heap key: ``4 * src`` before, ``+ 1`` the tick, ``+ 2`` after, which is
+also where an event that meets no tick of its source goes.
+
+A run ends where that every-grid-point loop would have ended: at the first
+event after which nothing is pending and every node is idle; at the next
+grid tick of any node when that holds after a client reply or before the
+first event; otherwise, cut short, at the last grid tick of any node at or
+before ``max_sim_ms``.
+
+Byzantine behaviors reorder a node's inbound queue, skew its reported log
+timestamps, or silence it entirely. A ``shuffle`` node makes one uniform
+draw over its queue on each tick that pre-orders with two or more commands
+queued, and pre-orders the drawn command; the rest keep their arrival
+order. A
 ``reverse`` node moves its newest queued command to the front on each
 tick that pre-orders, so it always pre-orders newest-first.
 """
@@ -47,6 +81,12 @@ from .wire import (
 )
 
 RESULT_SCHEMA_VERSION = 1
+
+# A time no run reaches: the next tick of a node asleep with no timer, and
+# the first tick of a proposer, which has none.
+_NO_TICK = 1 << 62
+# The next tick of a silent node: no wake finds an earlier time to move it to.
+_SILENT = -1
 
 # Event kinds (dispatch tags inside the loop).
 _EV_TICK = 0
@@ -159,28 +199,33 @@ class _Node(Replica):
     # -- event handlers -------------------------------------------------
 
     def on_command(self, cmd: Command) -> None:
-        self.mempool.enqueue_command(cmd)
+        mempool = self.mempool
+        # With an earlier command still queued, the node woke for that one.
+        if (mempool.enqueue_command(cmd) and mempool.pending is None
+                and len(mempool.inbound) == 1):
+            self.sim.wake(self.node_id)
         self._answer_cmd_promises(cmd)
         self._maybe_unblock_executor(cmd.digest)
 
-    def on_tick(self, now: int) -> None:
+    def on_tick(self, now: int) -> bool:
+        """Pre-order, re-broadcast or snapshot a batch; False if it did none."""
         if self.behavior.silent:
-            return
+            return False
         self._apply_queue_behavior()
         stamp = now + self.behavior.skew
         if stamp < 0:
             stamp = 0
         msg = self.mempool.try_pre_order(stamp)
+        if msg is None:
+            msg = self.mempool.resend_pre_order(stamp, self.scenario.resend_ms)
         if msg is not None:
             self.sim.broadcast(self.node_id, msg, include_self=True)
-        else:
-            resend = self.mempool.resend_pre_order(stamp, self.scenario.resend_ms)
-            if resend is not None:
-                self.sim.broadcast(self.node_id, resend, include_self=True)
         if self.is_leader:
             batch = self.consenter.make_order_batch()
             if batch is not None:
                 self.sim.sequencer.submit(batch)
+                return True
+        return msg is not None
 
     def on_message(self, msg, sender: int) -> None:
         if isinstance(msg, PreOrderMessage):
@@ -193,6 +238,8 @@ class _Node(Replica):
             order = self.mempool.handle_vote(msg, sender)
             if order is not None:
                 self.sim.broadcast(self.node_id, order, include_self=False)
+                if self.mempool.inbound:
+                    self.sim.wake(self.node_id)
                 self._log_stored(order.log.node_id, order.log.seq)
         elif isinstance(msg, OrderMessage):
             if self.mempool.handle_order(msg.log):
@@ -242,6 +289,10 @@ class _Node(Replica):
             queue.rotate(1)
 
     def _log_stored(self, author: int, seq: int) -> None:
+        if self.is_leader:
+            # The leader's own batches hold only logs it stores, so only the
+            # handlers that call this can advance its latest-log vector.
+            self.sim.wake(self.node_id)
         waiting = self._log_promises.pop((author, seq), None)
         if waiting:
             log = self.mempool.fetch_log(author, seq)
@@ -337,24 +388,42 @@ class Simulation:
         self.proposers = [_Proposer(p, scenario) for p in range(scenario.proposers)]
         self.sequencer = SequencerBroadcast(self._transport_batch)
         self.now = 0
+        # The node whose tick is running (-1 outside ticks), and the largest
+        # heap key (second field) processed at the current time. A node's tick
+        # at that time has run, or had nothing to do, once the largest passes
+        # its key: the heap pops in key order, but an event sent with no
+        # latency can carry a smaller key than the one that sent it.
+        self._ticking = -1
+        self._high_key = -1
         self._heap: list = []
         self._seqno = 0
-        self._nontick_pending = 0
+        # Tick entries in the heap, superseded ones included: every other
+        # entry is an event still pending.
+        self._tick_entries = 0
         self._link_last: dict[tuple[int, int], int] = {}
         self.events_processed = 0
         # Proposers occupy ranks n..n+p-1 in link keys and tie-breaks.
         self._proposer_rank = scenario.n
+        delta = scenario.delta_o
+        self._delta = delta
+        # First grid tick per rank, and each node's next queued tick.
+        self._first_tick = [
+            (i * delta) // scenario.n + delta for i in range(scenario.n)
+        ] + [_NO_TICK] * scenario.proposers
+        self._tick_at = [
+            _SILENT if node.behavior.silent else _NO_TICK for node in self.nodes
+        ]
 
     # -- scheduling -------------------------------------------------------
 
-    def _push(self, time: int, src: int, kind: int, a, b) -> None:
-        self._seqno += 1
-        if kind != _EV_TICK:
-            self._nontick_pending += 1
-        heapq.heappush(self._heap, (time, src, self._seqno, kind, a, b))
+    def _post(self, src: int, dst: int, kind: int, a, b) -> None:
+        """Queue an event from rank ``src`` over the link to rank ``dst``.
 
-    def _deliver_time(self, src: int, dst: int) -> int:
-        when = self.now
+        It is delivered after the sampled latency (none on a self-link), but
+        never before an event sent earlier on the same link.
+        """
+        now = self.now
+        when = now
         if src != dst:
             getrandbits, k, width = self._latency_bits, self._latency_k, self._latency_width
             r = getrandbits(k)
@@ -362,14 +431,65 @@ class Simulation:
                 r = getrandbits(k)
             when += self._latency_lo + r
         link = (src, dst)
-        last = self._link_last.get(link, 0)
+        link_last = self._link_last
+        last = link_last.get(link, 0)
         if when < last:
             when = last
-        self._link_last[link] = when
+        link_last[link] = when
+        # The event comes after src's tick at ``when``, if there is one,
+        # unless it was sent before src's previous grid tick would have run:
+        # only a delay of delta_o or more allows that.
+        key = src * 4 + 2
+        delta = self._delta
+        if when - now >= delta:
+            off = when - self._first_tick[src]
+            if off > 0 and not off % delta and (
+                    now < when - delta or self._ticking == src
+                    or self._high_key < key - 1):
+                key -= 2
+        self._seqno += 1
+        heapq.heappush(self._heap, (when, key, self._seqno, kind, a, b))
+
+    def _next_grid_tick(self, node_id: int) -> int:
+        """The node's first grid tick after the current event."""
+        now = self.now
+        first = self._first_tick[node_id]
+        when = first if now < first else now + (first - now) % self._delta
+        if when == now and self._high_key >= node_id * 4 + 1:
+            when += self._delta
         return when
 
+    def wake(self, node_id: int) -> None:
+        """Tick ``node_id`` at its next grid tick unless one as early is queued."""
+        at = self._tick_at[node_id]
+        if at - self.now < self._delta:
+            # A tick queued under delta_o from now is the next grid tick
+            # already, as grid ticks are delta_o apart; _SILENT passes too.
+            return
+        when = self._next_grid_tick(node_id)
+        if when < at:
+            self._schedule_tick(node_id, when)
+
+    def _schedule_tick(self, node_id: int, when: int) -> None:
+        # A later entry already queued for the node is left to be skipped.
+        self._tick_at[node_id] = when
+        self._tick_entries += 1
+        heapq.heappush(self._heap, (when, node_id * 4 + 1, 0, _EV_TICK, node_id, None))
+
+    def _sleep(self, node_id: int, now: int) -> None:
+        """Schedule the node after a tick that did nothing."""
+        mempool = self.nodes[node_id].mempool
+        if mempool.pending is None:
+            self._tick_at[node_id] = _NO_TICK
+            return
+        # The first grid tick whose stamp is due a re-broadcast; it is later
+        # than ``now``, or this tick would have re-broadcast.
+        due = (mempool.pending_since + self.scenario.resend_ms
+               - self.nodes[node_id].behavior.skew)
+        self._schedule_tick(node_id, due + (now - due) % self._delta)
+
     def send(self, src: int, dst: int, msg) -> None:
-        self._push(self._deliver_time(src, dst), src, _EV_MSG, dst, msg)
+        self._post(src, dst, _EV_MSG, dst, msg)
 
     def broadcast(self, src: int, msg, include_self: bool) -> None:
         for dst in range(self.scenario.n):
@@ -378,9 +498,8 @@ class Simulation:
             self.send(src, dst, msg)
 
     def send_reply(self, node_id: int, proposer_id: int, digest: bytes) -> None:
-        dst_rank = self._proposer_rank + proposer_id
-        when = self._deliver_time(node_id, dst_rank)
-        self._push(when, node_id, _EV_REPLY, proposer_id, (digest, node_id))
+        self._post(node_id, self._proposer_rank + proposer_id, _EV_REPLY,
+                   proposer_id, (digest, node_id))
 
     def _deliver_reply(self, node_id: int, proposer_id: int, digest: bytes) -> None:
         self.proposers[proposer_id].on_reply(digest, node_id, self.scenario.f)
@@ -388,69 +507,110 @@ class Simulation:
     def _transport_batch(self, index: int, batch: OrderBatch) -> None:
         leader = 0
         for dst in range(self.scenario.n):
-            when = self._deliver_time(leader, dst)
-            self._push(when, leader, _EV_BATCH, dst, (index, batch))
+            self._post(leader, dst, _EV_BATCH, dst, (index, batch))
 
     # -- run --------------------------------------------------------------
 
     def run(self) -> ExperimentResult:
         scenario = self.scenario
-        for proposer in self.proposers:
-            rank = self._proposer_rank + proposer.proposer_id
+        heap = self._heap
+        for p in range(scenario.proposers):
+            key = (self._proposer_rank + p) * 4
             for k in range(scenario.commands_per_proposer):
-                when = scenario.propose_interval * k
-                self._push(when, rank, _EV_PROPOSE, proposer.proposer_id, k + 1)
+                self._seqno += 1
+                heapq.heappush(heap, (scenario.propose_interval * k, key, self._seqno,
+                                      _EV_PROPOSE, p, k + 1))
         for node in self.nodes:
-            phase = (node.node_id * scenario.delta_o) // scenario.n
-            self._push(phase + scenario.delta_o, node.node_id, _EV_TICK, node.node_id, None)
-
-        non_quiescent = False
-        while self._heap:
-            time, src, _seqno, kind, a, b = heapq.heappop(self._heap)
-            if time > scenario.max_sim_ms:
-                non_quiescent = True
-                break
-            self.now = time
-            self.events_processed += 1
-            if kind == _EV_TICK:
-                node = self.nodes[a]
-                node.on_tick(time)
-                if self._finished():
-                    break
-                self._push(time + scenario.delta_o, a, _EV_TICK, a, None)
-            elif kind == _EV_MSG:
-                self._nontick_pending -= 1
-                self.nodes[a].on_message(b, src)
-                if self._finished():
-                    break
-            elif kind == _EV_CMD:
-                self._nontick_pending -= 1
-                self.nodes[a].on_command(b)
-                if self._finished():
-                    break
-            elif kind == _EV_BATCH:
-                self._nontick_pending -= 1
-                self.nodes[a].on_batch(b[0], b[1])
-                if self._finished():
-                    break
-            elif kind == _EV_PROPOSE:
-                self._nontick_pending -= 1
-                proposer = self.proposers[a]
-                cmd = proposer.build_command(b)
-                for dst in range(scenario.n):
-                    when = self._deliver_time(self._proposer_rank + a, dst)
-                    self._push(when, self._proposer_rank + a, _EV_CMD, dst, cmd)
-            else:  # _EV_REPLY
-                self._nontick_pending -= 1
-                digest, node_id = b
-                self._deliver_reply(node_id, a, digest)
-
+            if not node.idle():  # state set up before the run
+                self.wake(node.node_id)
+        if len(heap) == self._tick_entries and self._all_idle():
+            non_quiescent = self._end_at_next_tick()
+        else:
+            non_quiescent = self._loop()
+        if non_quiescent:
+            self.now = max(self.now, self._last_grid_tick(scenario.max_sim_ms))
         return self._collect(non_quiescent)
 
-    def _finished(self) -> bool:
-        if self._nontick_pending > 0:
-            return False
+    def _loop(self) -> bool:
+        """Process events until the run ends; True if it ends non-quiescent."""
+        heap, nodes, tick_at, delta = self._heap, self.nodes, self._tick_at, self._delta
+        heappop, heappush = heapq.heappop, heapq.heappush
+        max_sim_ms = self.scenario.max_sim_ms
+        now, high = self.now, self._high_key
+        processed = self.events_processed
+        try:
+            while heap:
+                time, key, _seqno, kind, a, b = heappop(heap)
+                if time > max_sim_ms:
+                    return True
+                # A superseded tick entry marks a grid tick at which its node
+                # had nothing to do, so it moves the clock as that tick would.
+                if time != now:
+                    now = self.now = time
+                    high = self._high_key = key
+                elif key > high:
+                    high = self._high_key = key
+                processed += 1
+                if kind == _EV_MSG:
+                    nodes[a].on_message(b, key >> 2)
+                elif kind == _EV_TICK:
+                    if tick_at[a] != time:  # superseded by an earlier wake
+                        processed -= 1
+                        self._tick_entries -= 1
+                        continue
+                    self._ticking = a
+                    acted = nodes[a].on_tick(time)
+                    self._ticking = -1
+                    # A tick that did nothing leaves the run as unfinished as
+                    # the event before it; one that acted queued events.
+                    if acted:
+                        tick_at[a] = time + delta
+                        heappush(heap, (time + delta, key, 0, kind, a, None))
+                    else:
+                        self._tick_entries -= 1
+                        self._sleep(a, time)
+                    continue
+                elif kind == _EV_CMD:
+                    nodes[a].on_command(b)
+                elif kind == _EV_BATCH:
+                    nodes[a].on_batch(b[0], b[1])
+                elif kind == _EV_PROPOSE:
+                    cmd = self.proposers[a].build_command(b)
+                    rank = self._proposer_rank + a
+                    for dst in range(self.scenario.n):
+                        self._post(rank, dst, _EV_CMD, dst, cmd)
+                    continue
+                else:  # _EV_REPLY
+                    digest, node_id = b
+                    self._deliver_reply(node_id, a, digest)
+                    if len(heap) == self._tick_entries and self._all_idle():
+                        return self._end_at_next_tick()
+                    continue
+                if len(heap) == self._tick_entries and self._all_idle():
+                    return False
+            return True
+        finally:
+            self.events_processed = processed
+
+    def _all_idle(self) -> bool:
         return all(node.idle() for node in self.nodes)
+
+    def _end_at_next_tick(self) -> bool:
+        """Quiescent at an event that runs no check: the run ends at the next
+        grid tick of any node. Returns True if that is past ``max_sim_ms``."""
+        when = min(self._next_grid_tick(i) for i in range(self.scenario.n))
+        if when > self.scenario.max_sim_ms:
+            return True
+        self.now = when
+        return False
+
+    def _last_grid_tick(self, limit: int) -> int:
+        """The last grid tick of any node at or before ``limit`` (0 if none)."""
+        last = 0
+        for first in self._first_tick[:self.scenario.n]:
+            if first <= limit:
+                last = max(last, limit - (limit - first) % self._delta)
+        return last
 
     # -- result assembly ----------------------------------------------------
 

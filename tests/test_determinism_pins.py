@@ -12,13 +12,19 @@ must commit the designated (lowest-id Byzantine) node's certified chain.
 self-consistent MAC would pass it. The reference node's encoded batch
 trace carries every certificate's signer set and aggregate, and is pinned
 too.
+
+The tie-break pins hold runs whose order hangs on how a node's tick ranks
+against events at the same simulated time, and two run-end pins hold where a
+run stops: ``sim_time_ms`` feeds throughput, so it may not move either.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from phalanx import Simulation, parse_scenario_text, run
+from phalanx import NodeBehavior, Scenario, Simulation, parse_scenario_text, run
+from prop_harness import random_scenario
 
 BURST4 = """\
 n = 4
@@ -154,6 +160,29 @@ BATCH_PINS = {
 }
 
 
+# (trace_sha256, batch-trace sha256) of random_scenario(Random(9000 + i)).
+# Ranking a node's tick after every event it sent for the same time, or
+# giving a tick scheduled late a fresh place in the tie-break, changes each.
+TIE_BREAK_PINS = {
+    ("anchor", 19): (
+        "01894b2287dc79e20b597f10ac77013653e4a552c164581c92f8e605254d3f9e",
+        "c45cee85121433014070a8f2e6848ac4efbc28f982df9ca969b3f005799a79e3",
+    ),
+    ("anchor", 26): (
+        "a95610dc30e0ffc6c44b56e489addd32a6c04511b8a2c659630cd4aaeaf5d557",
+        "144a61ec0108f3cb2a45e544d81f88e40eeccb4fd80e5fd7c7bf6f7ffaaba6b5",
+    ),
+    ("anchor", 30): (
+        "0380740382b82ea010228db4385a1bdd774e7f1ef68f3b8064341419dd39db9c",
+        "b84af6fca8b5878a302a68ad13c678e15afb058b3badc4c39f324416be6bf21b",
+    ),
+    ("timestamp", 30): (
+        "ca67e5bdfbd086a553278d8e48d8d8944579beb7bb6f96720f84ef7328f9a226",
+        "b84af6fca8b5878a302a68ad13c678e15afb058b3badc4c39f324416be6bf21b",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_trace_sha256_pinned(name):
     text, expected = PINS[name]
@@ -172,6 +201,13 @@ def test_batch_trace_pinned(name):
     assert hashlib.sha256(joined.encode()).hexdigest() == expected
 
 
+def test_idle_nodes_skip_their_ticks():
+    # A node awaiting votes, or with nothing queued, sleeps instead of ticking
+    # every delta_o; ticking every node every delta_o takes 191,637 events here.
+    result = run(parse_scenario_text(PINS["sweep16_timestamp"][0]))
+    assert result.events_processed <= 100_000
+
+
 @pytest.mark.parametrize("name", ["follow_reverse4", "follow7"])
 def test_follow_traces_are_the_designated_chain(name):
     scenario = parse_scenario_text(PINS[name][0])
@@ -185,3 +221,58 @@ def test_follow_traces_are_the_designated_chain(name):
     assert chain
     for node_id in scenario.honest_ids():
         assert [entry.digest for entry in result.traces[node_id]] == chain
+
+
+@pytest.mark.parametrize("strategy, index", sorted(TIE_BREAK_PINS),
+                         ids=[f"{s}-{i}" for s, i in sorted(TIE_BREAK_PINS)])
+def test_tie_break_order_pinned(strategy, index):
+    trace_pin, batch_pin = TIE_BREAK_PINS[strategy, index]
+    result = run(random_scenario(random.Random(9000 + index), strategy),
+                 record_batches=True)
+    assert not result.non_quiescent
+    assert result.trace_sha256() == trace_pin
+    joined = "\n".join(result.batch_trace)
+    assert hashlib.sha256(joined.encode()).hexdigest() == batch_pin
+
+
+def test_zero_latency_order_pinned():
+    # With no link latency an event can be handled after a node's tick at the
+    # same time yet carry a smaller heap key than the tick: judging whether
+    # that tick has run by the current event's key alone changes this order.
+    result = run(Scenario(n=4, f=1, proposers=2, commands_per_proposer=10,
+                          delta_o=20, latency=(0, 0), propose_interval=0),
+                 record_batches=True)
+    assert result.committed == 20
+    assert result.trace_sha256() == (
+        "53f2af06f8b48a630715a562233096531ef16100b9c5f57630618423c60982c3")
+    joined = "\n".join(result.batch_trace)
+    assert hashlib.sha256(joined.encode()).hexdigest() == (
+        "0a5521901630b268585fe2935254f5b0914e62bc4fb2cf22c7e927838f4441d9")
+
+
+@pytest.mark.parametrize("scenario, sim_time_ms", [
+    (Scenario(n=4, f=1, latency=(1, 300), max_sim_ms=900, seed=1,
+              byzantine={1: NodeBehavior(shuffle=True)}), 900),
+    # Two silent nodes of four: no log is certified, every live node waits on
+    # a re-broadcast timer, and silent node 2 has the last grid tick, 4025.
+    (Scenario(n=4, f=1, commands_per_proposer=5, max_sim_ms=4030, seed=5,
+              byzantine={2: NodeBehavior(silent=True), 3: NodeBehavior(silent=True)}),
+     4025),
+], ids=["shuffle", "silent-pair"])
+def test_cut_short_run_ends_at_the_last_tick(scenario, sim_time_ms):
+    # Cut at max_sim_ms while nodes still wait: the run's clock stops at the
+    # last grid tick any node, silent or not, has at or before the limit.
+    result = run(scenario)
+    assert result.non_quiescent
+    assert result.sim_time_ms == sim_time_ms
+
+
+def test_client_replies_run_ends_at_the_next_tick():
+    # The last reply leaves the cluster quiescent; the run ends at the next
+    # tick of any node, 8 ms after the last commit of the run without replies.
+    text = BATCH_PINS["lan_smoke"][0]
+    plain = run(parse_scenario_text(text))
+    replied = run(parse_scenario_text(text), client_replies=True)
+    assert not replied.non_quiescent
+    assert replied.accepted_commands == 200
+    assert (plain.sim_time_ms, replied.sim_time_ms) == (10054, 10062)

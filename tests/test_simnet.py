@@ -5,6 +5,7 @@ import random
 import pytest
 
 from phalanx import Command, NodeBehavior, Scenario, Simulation, run
+from phalanx.wire import PreOrderMessage
 
 
 def small(**kw):
@@ -60,6 +61,13 @@ def fixed_latencies(sim, values):
     sim._latency_bits = lambda k: next(draws)
 
 
+def deliver_time(sim, src, dst):
+    """Send one message from ``src`` to ``dst``; return when it is delivered."""
+    sim._heap.clear()
+    sim.send(src, dst, None)
+    return sim._heap[0][0]
+
+
 class TestLinkFifoClamp:
     def test_earlier_send_never_overtaken(self):
         # Latency draws of 10 then 3 on one link must still deliver in send
@@ -67,8 +75,8 @@ class TestLinkFifoClamp:
         sim = Simulation(small(latency=(0, 15)))
         fixed_latencies(sim, [10, 3])
         sim.now = 100
-        first = sim._deliver_time(0, 1)
-        second = sim._deliver_time(0, 1)
+        first = deliver_time(sim, 0, 1)
+        second = deliver_time(sim, 0, 1)
         assert first == 110
         assert second == 110  # clamped, not 103
 
@@ -76,13 +84,13 @@ class TestLinkFifoClamp:
         sim = Simulation(small(latency=(0, 15)))
         fixed_latencies(sim, [10, 3])
         sim.now = 100
-        assert sim._deliver_time(0, 1) == 110
-        assert sim._deliver_time(0, 2) == 103
+        assert deliver_time(sim, 0, 1) == 110
+        assert deliver_time(sim, 0, 2) == 103
 
     def test_self_link_is_immediate(self):
         sim = Simulation(small())
         sim.now = 42
-        assert sim._deliver_time(1, 1) == 42
+        assert deliver_time(sim, 1, 1) == 42
 
 
 class TestLatencyDraw:
@@ -96,7 +104,7 @@ class TestLatencyDraw:
         drawn = []
         for _ in range(300):
             sim._link_last.clear()
-            drawn.append(sim._deliver_time(0, 1))
+            drawn.append(deliver_time(sim, 0, 1))
         reference = random.Random(f"phalanx:{seed}:latency")
         assert drawn == [reference.randint(*latency) for _ in range(300)]
         assert sim.rng.getstate() == reference.getstate()
@@ -251,6 +259,42 @@ class TestByzantineBehaviors:
                                       3: NodeBehavior(silent=True)}))
         assert result.non_quiescent
         assert result.uncommitted == 5
+
+
+class TestTickScheduling:
+    def test_silent_node_never_ticks(self):
+        sim = Simulation(small(commands_per_proposer=10,
+                               byzantine={3: NodeBehavior(silent=True)}))
+        silent = sim.nodes[3]
+        calls = []
+        original = silent.on_tick
+
+        def on_tick(now):
+            calls.append(now)
+            return original(now)
+
+        silent.on_tick = on_tick
+        result = sim.run()
+        assert result.committed == 10
+        assert calls == []
+
+    def test_resends_survive_sleeping_between_ticks(self):
+        # Links slower than resend_ms: a sleeping node still re-broadcasts its
+        # pending pre-order as often as one that ticks every delta_o.
+        sim = Simulation(small(commands_per_proposer=10, latency=(2500, 3000), seed=3))
+        pre_orders = []
+        original = sim.send
+
+        def send(src, dst, msg):
+            if isinstance(msg, PreOrderMessage):
+                pre_orders.append(src)
+            original(src, dst, msg)
+
+        sim.send = send
+        result = sim.run()
+        assert result.committed == 10
+        assert not result.non_quiescent
+        assert len(pre_orders) == 480
 
 
 class TestTimestampStrategy:
