@@ -8,12 +8,20 @@ the intervening logs from its mempool (fetching any gap from peers),
 bumps its frontier vector, and appends the collected logs sorted by
 (seq, author).
 
-Every slot of a delivered batch is checked before any of it is used: its
-author position, then ``Mempool.is_certified``. A slot equal to the log the
-node already stores at that (author, seq) skips that check (see
-``Mempool.is_certified`` for why), and a fresh slot that advances an
-author's frontier is stored with ``Mempool.store_certified``, so it is
-verified once.
+A delivered batch is checked against its reference, the last batch the
+node expanded. A slot that is the very object at the same position of the
+reference passed the position and certificate checks then, and after that
+expansion its seq is at or below the author's committed frontier, which
+never falls: it can neither advance nor leave a gap, so it is skipped. The
+leader snapshots unchanged heads as the same objects, so most slots of a
+batch are skipped this way. Every other slot is checked before any of the
+batch is used: its author position, then ``Mempool.is_certified``, unless it
+equals the log the node already stores at that (author, seq) (see
+``Mempool.is_certified`` for why). Only the slots that advance an author's
+frontier are stored with ``Mempool.store_certified`` (a fresh slot is thus
+verified once), gap-checked and expanded. A stalled batch keeps its
+advancing slots until the missing logs arrive; a refused batch never
+becomes the reference.
 
 A harness sequencer stands in for the total-order broadcast: it assigns
 consecutive batch indices and every node consumes them in index order.
@@ -38,11 +46,13 @@ class BatchInvalid(ValueError):
 
 
 class MissingLogs(Exception):
-    """Commit needs logs not present locally; carries the gap list."""
+    """Commit needs logs not present locally; carries the gap list and the
+    positions of the slots that advance the frontier, for the resumed commit."""
 
-    def __init__(self, missing: list[tuple[int, int]]):
+    def __init__(self, missing: list[tuple[int, int]], advancing: list[int]):
         super().__init__(f"missing logs: {missing}")
         self.missing = missing
+        self.advancing = advancing
 
 
 def encode_order_batch(batch: OrderBatch) -> bytes:
@@ -83,7 +93,10 @@ class Consenter:
         self.batch_trace: list[str] = []
         self._buffer: dict[int, OrderBatch] = {}
         self._next_index = 0
-        self._stalled: Optional[OrderBatch] = None
+        # The last expanded batch: its slots were checked and are committed.
+        self._expanded: OrderBatch = (None,) * self.n
+        # A batch waiting on missing logs, with its advancing slot positions.
+        self._stalled: Optional[tuple[OrderBatch, list[int]]] = None
         self._missing: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
@@ -117,8 +130,8 @@ class Consenter:
         self._missing.discard((author, seq))
         if self._missing:
             return []
-        batch, self._stalled = self._stalled, None
-        self._finish(batch)
+        (batch, advancing), self._stalled = self._stalled, None
+        self._finish(batch, advancing)
         self._next_index += 1
         return self._advance()
 
@@ -130,7 +143,7 @@ class Consenter:
             except BatchInvalid:
                 self.leader_faults += 1
             except MissingLogs as gap:
-                self._stalled = batch
+                self._stalled = (batch, gap.advancing)
                 self._missing = set(gap.missing)
                 return gap.missing
             self._next_index += 1
@@ -146,54 +159,58 @@ class Consenter:
         if len(batch) != self.n:
             raise BatchInvalid(f"batch has {len(batch)} slots, expected {self.n}")
         stored = self.mempool.log_store
+        committed = self.committed_seq
+        expanded = self._expanded
+        advancing: list[int] = []
         fresh: set[int] = set()  # slots not already in the log store
         for j, slot in enumerate(batch):
-            if slot is None:
-                continue
+            if slot is expanded[j] or slot is None:
+                continue  # checked when the last expanded batch carried it
             if slot.node_id != j:
                 raise BatchInvalid(f"slot {j} authored by {slot.node_id}")
             known = stored.get((j, slot.seq))
-            if known is slot or known == slot:
-                continue  # verified when it was stored
-            if not self.mempool.is_certified(slot):
-                raise BatchInvalid(f"slot {j} fails certificate verification")
-            fresh.add(j)
+            if known is not slot and known != slot:
+                if not self.mempool.is_certified(slot):
+                    raise BatchInvalid(f"slot {j} fails certificate verification")
+                fresh.add(j)
+            if slot.seq > committed[j]:
+                advancing.append(j)
         missing: list[tuple[int, int]] = []
-        for j, slot in enumerate(batch):
-            if slot is None or slot.seq <= self.committed_seq[j]:
-                continue
+        for j in advancing:
+            slot = batch[j]
             if j in fresh and not self.mempool.store_certified(slot):
                 # A certified slot that forks the stored chain: possible only
                 # beyond f faults, and expansion could not find it.
                 raise BatchInvalid(f"slot {j} forks the stored chain")
-            for seq in range(self.committed_seq[j] + 1, slot.seq):
+            for seq in range(committed[j] + 1, slot.seq):
                 if self.mempool.fetch_log(j, seq) is None:
                     missing.append((j, seq))
         if missing:
-            raise MissingLogs(missing)
-        return self._finish(batch)
+            raise MissingLogs(missing, advancing)
+        return self._finish(batch, advancing)
 
-    def _finish(self, batch: OrderBatch) -> LogSet:
-        log_set = self._expand(batch)
+    def _finish(self, batch: OrderBatch, advancing: list[int]) -> LogSet:
+        log_set = self._expand(batch, advancing)
+        self._expanded = batch
         self.log_sets.append(log_set)
         if self.record_batches:
             self.batch_trace.append(encode_order_batch(batch).hex())
         return log_set
 
-    def _expand(self, batch: OrderBatch) -> LogSet:
+    def _expand(self, batch: OrderBatch, advancing: list[int]) -> LogSet:
         collected: list[PartialOrderLog] = []
-        for j, slot in enumerate(batch):
-            if slot is None or slot.seq <= self.committed_seq[j]:
-                continue
-            for seq in range(self.committed_seq[j] + 1, slot.seq + 1):
+        for j in advancing:
+            top = batch[j].seq
+            for seq in range(self.committed_seq[j] + 1, top + 1):
                 log = self.mempool.fetch_log(j, seq)
                 if log is None:
                     raise ProtocolInvariantError(
                         f"log ({j}, {seq}) missing after the gap check passed"
                     )
                 collected.append(log)
-            self.committed_seq[j] = slot.seq
-        collected.sort(key=lambda log: (log.seq, log.node_id))
+            self.committed_seq[j] = top
+        if len(advancing) > 1:  # one author's logs are already in seq order
+            collected.sort(key=lambda log: (log.seq, log.node_id))
         return tuple(collected)
 
     @property

@@ -278,6 +278,104 @@ class TestStoredSlotSkip:
         assert pool.fetch_log(2, 1) == log
 
 
+class TestExpandedBatchSkip:
+    """A slot that is the last expanded batch's object at its position is not
+    checked again; every other slot is."""
+
+    @pytest.fixture
+    def spied(self, setup, monkeypatch):
+        pool, consenter = setup
+        calls = []
+
+        class LogStore(dict):
+            def get(self, key, default=None):
+                calls.append(("log_store.get", key))
+                return super().get(key, default)
+
+        pool.log_store = LogStore()
+        for name in ("is_certified", "store_certified", "fetch_log"):
+            method = getattr(pool, name)
+            monkeypatch.setattr(pool, name, lambda *args, n=name, m=method:
+                                calls.append((n, *args)) or m(*args))
+        return pool, consenter, calls
+
+    def _checked(self, calls):
+        return [call for call in calls if call[0] in ("is_certified", "store_certified")]
+
+    def test_redelivered_batch_checks_nothing(self, spied, auth):
+        _pool, consenter, calls = spied
+        batch = (None, chain(auth, 1, 1)[0], chain(auth, 2, 1)[0], None)
+        assert consenter.on_delivered(0, batch) == []
+        assert len(self._checked(calls)) == 4  # each slot verified and stored
+        calls.clear()
+        assert consenter.on_delivered(1, batch) == []
+        assert calls == []
+        assert consenter.log_sets[1] == ()
+        assert consenter.committed_seq == [0, 1, 1, 0]
+
+    def test_tampered_copy_of_expanded_slot_refused(self, spied, auth):
+        pool, consenter, calls = spied
+        log = chain(auth, 1, 1)[0]
+        consenter.on_delivered(0, (None, log, None, None))
+        cert = log.certificate
+        flipped = bytes([cert.aggregate[0] ^ 1]) + cert.aggregate[1:]
+        forged = log.with_certificate(replace(cert, aggregate=flipped))
+        calls.clear()
+        assert consenter.on_delivered(1, (None, forged, None, None)) == []
+        assert self._checked(calls) == [("is_certified", forged)]
+        assert consenter.leader_faults == 1
+        assert len(consenter.log_sets) == 1
+        assert pool.fetch_log(1, 1) is log
+
+    def test_expanded_slot_moved_to_another_position_refused(self, spied, auth):
+        _pool, consenter, _calls = spied
+        log = chain(auth, 1, 1)[0]
+        consenter.on_delivered(0, (None, log, None, None))
+        assert consenter.on_delivered(1, (None, None, log, None)) == []
+        assert consenter.leader_faults == 1
+        assert consenter.committed_seq == [0, 1, 0, 0]
+
+    def test_refused_batch_never_becomes_the_reference(self, spied, auth):
+        _pool, consenter, calls = spied
+        first = chain(auth, 1, 2)
+        other = chain(auth, 2, 1)[0]
+        expanded = (None, first[0], other, None)
+        consenter.on_delivered(0, expanded)
+        forged = other.with_certificate(first[1].certificate)
+        refused = (None, first[1], forged, None)
+        consenter.on_delivered(1, refused)
+        # Compared with the refused batch, both slots would be skipped.
+        consenter.on_delivered(2, refused)
+        assert consenter.leader_faults == 2
+        calls.clear()
+        consenter.on_delivered(3, (None, first[1], other, None))
+        assert self._checked(calls) == [
+            ("is_certified", first[1]), ("store_certified", first[1])]
+        assert consenter.log_sets[-1] == (first[1],)
+        assert consenter.leader_faults == 2
+
+    def test_resumed_stall_expands_its_advancing_slots(self, spied, auth):
+        pool, consenter, calls = spied
+        ones, twos, threes = chain(auth, 1, 1), chain(auth, 2, 3), chain(auth, 3, 1)
+        consenter.on_delivered(0, (None, ones[0], twos[0], None))
+        # Slot 1 is an equal copy, not the expanded object: checked, not advancing.
+        stalled = (None, replace(ones[0]), twos[2], threes[0])
+        assert consenter.on_delivered(1, stalled) == [(2, 2)]
+        assert consenter.committed_seq == [0, 1, 1, 0]
+        pool.handle_order(twos[1])
+        calls.clear()
+        assert consenter.on_log_stored(2, 2) == []
+        assert [call for call in calls if call[0] == "fetch_log"] == [
+            ("fetch_log", 2, 2), ("fetch_log", 2, 3), ("fetch_log", 3, 1)]
+        assert self._checked(calls) == []
+        assert consenter.log_sets[-1] == (threes[0], twos[1], twos[2])
+        assert consenter.committed_seq == [0, 1, 3, 1]
+        # The resumed batch is now the reference.
+        calls.clear()
+        consenter.on_delivered(2, stalled)
+        assert calls == []
+
+
 class TestExpandInvariant:
     def test_rejected_frontier_slot_raises(self, setup, auth):
         # A certified slot that breaks the stored chain (possible only with
@@ -310,4 +408,4 @@ class TestExpandInvariant:
         _pool, consenter = setup
         unstored = chain(auth, 1, 1)[0]
         with pytest.raises(ProtocolInvariantError):
-            consenter._expand((None, unstored, None, None))
+            consenter._expand((None, unstored, None, None), [1])

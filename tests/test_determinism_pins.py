@@ -13,12 +13,17 @@ self-consistent MAC would pass it. The reference node's encoded batch
 trace carries every certificate's signer set and aggregate, and is pinned
 too.
 
+Two reference scenarios also pin their whole ``result.json``, so a change
+that keeps the trace but moves a count (``events_processed``,
+``sim_time_ms``, ``leader_faults``...) fails too.
+
 The tie-break pins hold runs whose order hangs on how a node's tick ranks
 against events at the same simulated time, and two run-end pins hold where a
 run stops: ``sim_time_ms`` feeds throughput, so it may not move either.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -160,6 +165,39 @@ BATCH_PINS = {
 }
 
 
+# Every result.json field of two reference scenarios, scenario echo included.
+RESULT_PINS = {
+    "sweep16_timestamp": {
+        "accepted_commands": 0, "alter_path_ratio": 0.0, "committed": 80,
+        "consistency": True, "events_processed": 84709, "leader_faults": 0,
+        "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
+        "reordered_ratio": 0.021153846153846155, "schema_version": 1,
+        "sim_time_ms": 139367, "total_proposed": 80, "uncommitted": 0,
+        "trace_sha256": PINS["sweep16_timestamp"][1],
+        "scenario": {
+            "auth_scheme": "hmac", "batch_size": 4,
+            "byzantine": {str(i): "shuffle+skew:-100" for i in range(11, 16)},
+            "commands_per_proposer": 40, "delta_o": 20, "f": 5, "latency": [1, 1200],
+            "max_sim_ms": 600000, "n": 16, "propose_interval": 20, "proposers": 2,
+            "resend_ms": 2000, "seed": 1, "strategy": "timestamp",
+        },
+    },
+    "alter16": {
+        "accepted_commands": 0, "alter_path_ratio": 0.6, "committed": 80,
+        "consistency": True, "events_processed": 84769, "leader_faults": 0,
+        "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
+        "reordered_ratio": 0.0, "schema_version": 1,
+        "sim_time_ms": 139248, "total_proposed": 80, "uncommitted": 0,
+        "trace_sha256": PINS["alter16"][1],
+        "scenario": {
+            "auth_scheme": "hmac", "batch_size": 4, "byzantine": {},
+            "commands_per_proposer": 20, "delta_o": 20, "f": 5, "latency": [1, 1200],
+            "max_sim_ms": 600000, "n": 16, "propose_interval": 5, "proposers": 4,
+            "resend_ms": 2000, "seed": 9, "strategy": "anchor",
+        },
+    },
+}
+
 # (trace_sha256, batch-trace sha256) of random_scenario(Random(9000 + i)).
 # Ranking a node's tick after every event it sent for the same time, or
 # giving a tick scheduled late a fresh place in the tie-break, changes each.
@@ -199,6 +237,12 @@ def test_batch_trace_pinned(name):
     assert result.batch_trace
     joined = "\n".join(result.batch_trace)
     assert hashlib.sha256(joined.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_PINS))
+def test_result_json_pinned(name):
+    result = run(parse_scenario_text(PINS[name][0]))
+    assert json.loads(result.to_json()) == RESULT_PINS[name]
 
 
 def test_idle_nodes_skip_their_ticks():

@@ -212,6 +212,33 @@ class TestHandleOrder:
         assert pool.handle_order(log)
         assert pool.rejects[CHAIN_BREAK] == 0
 
+    def test_stored_log_accepted_without_check(self, pool, auth, monkeypatch):
+        log = make_certified(auth, 2, 1, cmd(1), EMPTY_DIGEST)
+        assert pool.handle_order(log)
+        checked = []
+        monkeypatch.setattr(pool, "is_certified", checked.append)
+        assert pool.handle_order(log)
+        assert pool.handle_order(dataclasses.replace(log))
+        assert checked == []
+
+    @pytest.mark.parametrize("tamper", ["aggregate", "timestamp"])
+    def test_tampered_copy_of_stored_log_checked(self, pool, auth, monkeypatch, tamper):
+        log = make_certified(auth, 2, 1, cmd(1), EMPTY_DIGEST)
+        assert pool.handle_order(log)
+        if tamper == "aggregate":
+            cert = log.certificate
+            flipped = bytes([cert.aggregate[0] ^ 1]) + cert.aggregate[1:]
+            forged = log.with_certificate(dataclasses.replace(cert, aggregate=flipped))
+        else:
+            forged = dataclasses.replace(log, timestamp=log.timestamp + 1)
+        checked = []
+        verify = pool.is_certified
+        monkeypatch.setattr(pool, "is_certified", lambda l: checked.append(l) or verify(l))
+        assert not pool.handle_order(forged)
+        assert checked == [forged]
+        assert pool.rejects[INVALID_CERT] == 1
+        assert pool.fetch_log(2, 1) is log
+
     def test_prefix_consistency_enforced(self, pool, auth):
         first = make_certified(auth, 2, 1, cmd(1), EMPTY_DIGEST)
         detached = make_certified(auth, 2, 2, cmd(2), b"\x09" * 32)
