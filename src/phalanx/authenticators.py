@@ -13,6 +13,11 @@ Two interchangeable implementations of the same 2f+1 threshold semantics:
   per node); the certificate aggregates the individual signatures.
 
 Both enforce: exactly 2f+1 shares, distinct signers, one event digest.
+
+A share is checked once, when it arrives: :meth:`Authenticator.combine`
+builds a certificate from shares the caller has already verified, without
+checking them again. :meth:`Authenticator.aggregate` is the checked entry
+point for shares of unknown origin; it verifies each share, then combines.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ class Authenticator(ABC):
         self.n = n
         self.f = f
         self.quorum = 2 * f + 1
-        self._verified_certs: dict[tuple, bool] = {}
+        self._verified_certs: dict[tuple[Digest, frozenset[int], bytes], bool] = {}
 
     @abstractmethod
     def partial_sign(self, signer: int, event_digest: Digest) -> PartialSignature: ...
@@ -57,7 +62,7 @@ class Authenticator(ABC):
     def _verify_aggregate(self, cert: Certificate) -> bool: ...
 
     def aggregate(self, event_digest: Digest, partials: Iterable[PartialSignature]) -> Certificate:
-        shares = sorted(partials, key=lambda ps: ps.signer)
+        shares = list(partials)
         signers = {ps.signer for ps in shares}
         if len(shares) != self.quorum or len(signers) != self.quorum:
             raise AggregationError(
@@ -69,10 +74,17 @@ class Authenticator(ABC):
                 raise AggregationError("share signed over a different event digest")
             if not self.verify_partial(ps):
                 raise AggregationError(f"invalid share from signer {ps.signer}")
-        return Certificate(event_digest, frozenset(signers), self._combine(event_digest, shares))
+        return self.combine(event_digest, shares)
+
+    def combine(self, event_digest: Digest, partials: Iterable[PartialSignature]) -> Certificate:
+        """Certificate over ``partials`` without checking them: the caller has
+        verified each one over ``event_digest``, from 2f+1 distinct signers."""
+        shares = sorted(partials, key=lambda ps: ps.signer)
+        signers = frozenset([ps.signer for ps in shares])
+        return Certificate(event_digest, signers, self._combine(event_digest, shares))
 
     def verify_certificate(self, cert: Certificate) -> bool:
-        key = (cert.event_digest, cert.signers_sorted(), cert.aggregate)
+        key = (cert.event_digest, cert.signer_set, cert.aggregate)
         cached = self._verified_certs.get(key)
         if cached is None:
             cached = (
@@ -137,8 +149,10 @@ class Ed25519Authenticator(Authenticator):
 
     def __init__(self, n: int, f: int, cluster_seed: bytes = b"phalanx-sim"):
         super().__init__(n, f)
+        from cryptography.exceptions import InvalidSignature
         from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
+        self._invalid_signature = InvalidSignature
         self._private = []
         self._public = []
         for i in range(n):
@@ -151,14 +165,12 @@ class Ed25519Authenticator(Authenticator):
         return PartialSignature(signer, event_digest, self._private[signer].sign(event_digest))
 
     def verify_partial(self, ps: PartialSignature) -> bool:
-        from cryptography.exceptions import InvalidSignature
-
         if not 0 <= ps.signer < self.n:
             return False
         try:
             self._public[ps.signer].verify(ps.sig, ps.event_digest)
             return True
-        except InvalidSignature:
+        except self._invalid_signature:
             return False
 
     def _combine(self, event_digest: Digest, shares: list[PartialSignature]) -> bytes:

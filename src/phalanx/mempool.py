@@ -7,8 +7,13 @@ partial-order logs through three steps:
    value, and broadcast the uncertified log;
 2. vote: peers validate the chain linkage and return a signature share,
    refusing to endorse two different logs at the same (author, seq);
-3. order: once 2f+1 shares arrive the author aggregates them into a
+3. order: once 2f+1 shares arrive the author combines them into a
    certificate and broadcasts the completed log.
+
+Each node checks each vote share and each log digest once. A share is
+verified when its vote arrives and combined into the certificate without
+a second check. A log's digest is hashed when it is pre-ordered to this
+node; its certified copy reuses that check (:meth:`Mempool.is_certified`).
 
 It also stores every command and verified log for later retrieval by the
 consensus and executor layers.
@@ -21,7 +26,7 @@ from collections import Counter, deque
 from typing import Optional
 
 from .authenticators import Authenticator
-from .types import Command, Digest, EMPTY_DIGEST, PartialOrderLog
+from .types import Command, Digest, EMPTY_DIGEST, PartialOrderLog, PartialSignature
 from .wire import OrderMessage, PreOrderMessage, VoteMessage
 
 logger = logging.getLogger(__name__)
@@ -50,9 +55,10 @@ class Mempool:
         self.pending_since: Optional[int] = None
         self.latest: list[Optional[PartialOrderLog]] = [None] * self.n
         self.inbound: deque[Command] = deque()
-        self.votes_for_pending: dict[int, object] = {}
-        # Highest (seq, digest) this node has voted per author; blocks equivocation.
-        self.voted: dict[int, tuple[int, Digest]] = {}
+        self.votes_for_pending: dict[int, PartialSignature] = {}
+        # Highest-seq pre-order log this node has hashed and voted for, per
+        # author; blocks equivocation and spares is_certified a second hash.
+        self.voted: dict[int, PartialOrderLog] = {}
         self.command_store: dict[Digest, Command] = {}
         self.log_store: dict[tuple[int, int], PartialOrderLog] = {}
         self.rejects: Counter[str] = Counter()
@@ -130,15 +136,15 @@ class Mempool:
                 self.rejects[REJECT_GAP] += 1
                 return None
         prior = self.voted.get(sender)
-        if prior is not None and prior[0] == log.seq:
-            if prior[1] != log.cur_digest:
+        if prior is not None and prior.seq == log.seq:
+            if prior.cur_digest != log.cur_digest:
                 self.rejects[REJECT_EQUIVOCATION] += 1
                 logger.debug(
                     "node %d: equivocation by %d at seq %d", self.node_id, sender, log.seq
                 )
                 return None
             # Same log re-broadcast: repeat the identical vote.
-        self.voted[sender] = (log.seq, log.cur_digest)
+        self.voted[sender] = log
         partial = self.auth.partial_sign(self.node_id, log.cur_digest)
         return VoteMessage(log.cur_digest, partial)
 
@@ -146,19 +152,25 @@ class Mempool:
     # step 3: order
 
     def handle_vote(self, vote: VoteMessage, sender: int) -> Optional[OrderMessage]:
-        if self.pending is None or vote.digest != self.pending.cur_digest:
+        """Keep a vote share that is verified over the pending log's digest;
+        at 2f+1 distinct signers, combine the kept shares unchecked."""
+        pending = self.pending
+        if pending is None or vote.digest != pending.cur_digest:
             self.rejects[STALE_VOTE] += 1
             return None
-        if vote.partial.signer != sender or not self.auth.verify_partial(vote.partial):
+        partial = vote.partial
+        if (
+            partial.signer != sender
+            or partial.event_digest != pending.cur_digest
+            or not self.auth.verify_partial(partial)
+        ):
             self.rejects[INVALID_PARTIAL] += 1
             return None
-        self.votes_for_pending[vote.partial.signer] = vote.partial
+        self.votes_for_pending[partial.signer] = partial
         if len(self.votes_for_pending) < self.auth.quorum:
             return None
-        cert = self.auth.aggregate(
-            self.pending.cur_digest, list(self.votes_for_pending.values())
-        )
-        completed = self.pending.with_certificate(cert)
+        cert = self.auth.combine(pending.cur_digest, self.votes_for_pending.values())
+        completed = pending.with_certificate(cert)
         self.pending = None
         self.pending_since = None
         self.votes_for_pending = {}
@@ -185,19 +197,34 @@ class Mempool:
         verifies.
 
         The log store only ever holds logs that passed this check, or that
-        this node aggregated itself from verified vote shares in
+        this node combined itself from verified vote shares in
         :meth:`handle_vote`. So a log equal to the stored one at its (author,
         seq) need not be checked again; a copy that differs in any field
         (timestamp, certificate signers or aggregate, ...) must be, so a
         tampered copy of a stored log is still rejected.
+
+        The digest is not hashed again when the log's six uncertified fields
+        (author, seq, timestamp, command digest, previous digest and digest)
+        equal those of the pre-order log in ``voted`` at its (author, seq).
+        :meth:`handle_pre_order` hashed that log and found its digest
+        matching before voting, and the digest is a function of the other
+        five fields, so hashing equal fields again gives the same answer. Any
+        other log is hashed, and the certificate is verified in every case.
         """
         cert = log.certificate
-        return (
-            cert is not None
-            and cert.event_digest == log.cur_digest
-            and log.verify_digest()
-            and self.auth.verify_certificate(cert)
-        )
+        if cert is None or cert.event_digest != log.cur_digest:
+            return False
+        voted = self.voted.get(log.node_id)
+        if (
+            voted is None
+            or voted.seq != log.seq
+            or voted.cur_digest != log.cur_digest
+            or voted.timestamp != log.timestamp
+            or voted.command_digest != log.command_digest
+            or voted.prev_digest != log.prev_digest
+        ) and not log.verify_digest():
+            return False
+        return self.auth.verify_certificate(cert)
 
     def store_certified(self, log: PartialOrderLog) -> bool:
         """Store a log that passed :meth:`is_certified`, without verifying it

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 Digest = bytes
@@ -147,7 +147,13 @@ class PartialOrderLog:
         return self.cur_digest == expected
 
     def with_certificate(self, cert: Certificate) -> "PartialOrderLog":
-        return replace(self, certificate=cert)
+        return PartialOrderLog(
+            self.node_id, self.seq, self.timestamp,
+            self.command_digest, self.prev_digest, self.cur_digest, cert,
+        )
 
     def without_certificate(self) -> "PartialOrderLog":
-        return replace(self, certificate=None)
+        return PartialOrderLog(
+            self.node_id, self.seq, self.timestamp,
+            self.command_digest, self.prev_digest, self.cur_digest,
+        )

@@ -104,6 +104,31 @@ class TestAggregation:
             auth.aggregate(EVENT, good + [bad])
 
 
+class TestCombine:
+    def test_combine_matches_aggregate_without_checking(self, auth, monkeypatch):
+        signed = shares(auth, [3, 1, 2])
+        expected = auth.aggregate(EVENT, signed)
+        checked = []
+        monkeypatch.setattr(auth, "verify_partial", checked.append)
+        combined = auth.combine(EVENT, reversed(signed))
+        assert combined == expected
+        assert checked == []
+
+    def test_equal_signer_sets_share_one_cache_entry(self, auth, monkeypatch):
+        cert = auth.aggregate(EVENT, shares(auth, [1, 2, 3]))
+        copy = Certificate(
+            bytes(cert.event_digest), frozenset([3, 2, 1]), bytes(cert.aggregate)
+        )
+        assert copy.signer_set is not cert.signer_set
+        calls = []
+        verify = auth._verify_aggregate
+        monkeypatch.setattr(auth, "_verify_aggregate", lambda c: calls.append(c) or verify(c))
+        assert auth.verify_certificate(cert)
+        assert auth.verify_certificate(copy)
+        assert calls == [cert]
+        assert len(auth._verified_certs) == 1
+
+
 class TestCertificateTampering:
     def test_flipped_aggregate_byte_fails(self, auth):
         cert = auth.aggregate(EVENT, shares(auth, [1, 2, 3]))

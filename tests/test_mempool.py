@@ -4,11 +4,13 @@ import dataclasses
 
 import pytest
 
+import phalanx.types
 from phalanx import Command, EMPTY_DIGEST, HmacAuthenticator, Mempool, PartialOrderLog
 from phalanx.mempool import (
     CHAIN_BREAK,
     DUPLICATE_COMMAND,
     INVALID_CERT,
+    INVALID_PARTIAL,
     REJECT_EQUIVOCATION,
     REJECT_GAP,
     STALE_VOTE,
@@ -173,6 +175,29 @@ class TestOrder:
         vote = VoteMessage(pre.log.cur_digest, auth.partial_sign(1, pre.log.cur_digest))
         assert pool.handle_vote(vote, 2) is None
 
+    def test_share_over_other_digest_refused(self, pool, auth):
+        pool.enqueue_command(cmd(1))
+        pre = pool.try_pre_order(0)
+        digest = pre.log.cur_digest
+        for voter in (0, 1):
+            assert pool.handle_vote(VoteMessage(digest, auth.partial_sign(voter, digest)), voter) is None
+        other = cmd(9).digest
+        assert pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, other)), 2) is None
+        assert pool.rejects[INVALID_PARTIAL] == 1
+        assert pool.pending is pre.log
+        order = pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, digest)), 2)
+        assert order is not None
+        assert auth.verify_certificate(order.log.certificate)
+
+    def test_each_share_verified_once(self, pool, auth, monkeypatch):
+        pool.enqueue_command(cmd(1))
+        checked = []
+        verify = auth.verify_partial
+        monkeypatch.setattr(auth, "verify_partial", lambda ps: checked.append(ps) or verify(ps))
+        log = certify_own_log(pool, auth, now=0)
+        assert len(checked) == QUORUM
+        assert sorted(ps.signer for ps in checked) == sorted(log.certificate.signer_set)
+
 
 def make_certified(auth, node_id, seq, command, prev, ts=0):
     log = PartialOrderLog.create(node_id, seq, ts, command.digest, prev)
@@ -238,6 +263,36 @@ class TestHandleOrder:
         assert checked == [forged]
         assert pool.rejects[INVALID_CERT] == 1
         assert pool.fetch_log(2, 1) is log
+
+    def test_order_equal_to_voted_pre_order_not_rehashed(self, pool, auth, monkeypatch):
+        log = make_certified(auth, 2, 1, cmd(1), EMPTY_DIGEST)
+        assert pool.handle_pre_order(PreOrderMessage(log.without_certificate()), 2) is not None
+        hashed, certs = [], []
+        verify = auth.verify_certificate
+        monkeypatch.setattr(phalanx.types, "digest_log", lambda *a: hashed.append(a))
+        monkeypatch.setattr(auth, "verify_certificate", lambda c: certs.append(c) or verify(c))
+        assert pool.handle_order(log)
+        assert hashed == []
+        assert certs == [log.certificate]
+        assert pool.fetch_log(2, 1) is log
+
+    @pytest.mark.parametrize("field", ["timestamp", "command_digest", "prev_digest"])
+    def test_changed_copy_at_voted_slot_rehashed(self, pool, auth, field):
+        first = make_certified(auth, 2, 1, cmd(1), EMPTY_DIGEST)
+        assert pool.handle_order(first)
+        log = make_certified(auth, 2, 2, cmd(2), first.cur_digest, ts=50)
+        assert pool.handle_pre_order(PreOrderMessage(log.without_certificate()), 2) is not None
+        changed = {
+            "timestamp": log.timestamp + 1,
+            "command_digest": cmd(3).digest,
+            "prev_digest": b"\x07" * 32,
+        }[field]
+        forged = dataclasses.replace(log, **{field: changed})
+        assert forged.cur_digest == log.cur_digest
+        assert not pool.handle_order(forged)
+        assert pool.rejects[INVALID_CERT] == 1
+        assert pool.fetch_log(2, 2) is None
+        assert pool.handle_order(log)
 
     def test_prefix_consistency_enforced(self, pool, auth):
         first = make_certified(auth, 2, 1, cmd(1), EMPTY_DIGEST)
