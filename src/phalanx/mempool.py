@@ -4,16 +4,24 @@ The mempool turns received commands into certified, hash-chained
 partial-order logs through three steps:
 
 1. pre-order: pop the front command, stamp it with the next logical-clock
-   value, and broadcast the uncertified log;
-2. vote: peers validate the chain linkage and return a signature share,
-   refusing to endorse two different logs at the same (author, seq);
-3. order: once 2f+1 shares arrive the author combines them into a
-   certificate and broadcasts the completed log.
+   value, chain it on this node's newest own log, certified or not, and
+   broadcast the uncertified log. Up to ``PRE_ORDER_WINDOW`` own logs may
+   await votes at once (PBFT's low/high watermarks); a log starved of votes
+   is re-broadcast, the one whose re-broadcast fell due first;
+2. vote: a peer votes for an author's log whose seq lies above the author's
+   certified head h and at most h + ``PRE_ORDER_WINDOW``, and that chains on
+   the higher of that head and the newest log it voted for. It repeats its
+   vote for a re-broadcast and refuses to endorse two different logs at the
+   same (author, seq);
+3. order: once 2f+1 shares for one outstanding log arrive, the author
+   combines them into a certificate and broadcasts the completed log. Logs
+   may complete out of seq order.
 
 Each node checks each vote share and each log digest once. A share is
 verified when its vote arrives and combined into the certificate without
 a second check. A log's digest is hashed when it is pre-ordered to this
-node; its certified copy reuses that check (:meth:`Mempool.is_certified`).
+node, unless this node authored it; its certified copy reuses that check
+(:meth:`Mempool.is_certified`).
 
 It also stores every command and verified log for later retrieval by the
 consensus and executor layers.
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, deque
+from operator import attrgetter
 from typing import Optional
 
 from .authenticators import Authenticator
@@ -42,6 +51,25 @@ INVALID_PARTIAL = "invalid_partial"
 INVALID_CERT = "invalid_cert"
 CHAIN_BREAK = "chain_break"
 
+# Own logs a node may have awaiting votes at once, and how far above an
+# author's certified head a voter endorses.
+PRE_ORDER_WINDOW = 4
+
+
+class Outstanding:
+    """One own log awaiting votes: the log, its verified vote shares by
+    signer, and the stamp it was last broadcast at."""
+
+    __slots__ = ("log", "shares", "sent")
+
+    def __init__(self, log: PartialOrderLog, sent: int):
+        self.log = log
+        self.shares: dict[int, PartialSignature] = {}
+        self.sent = sent
+
+
+_SENT = attrgetter("sent")
+
 
 class Mempool:
     """Single-threaded ordering state machine for one node."""
@@ -51,14 +79,16 @@ class Mempool:
         self.auth = authenticator
         self.n = authenticator.n
         self.seq = 0
-        self.pending: Optional[PartialOrderLog] = None
-        self.pending_since: Optional[int] = None
+        # Digest of this node's newest own log, certified or not.
+        self.tip = EMPTY_DIGEST
+        # Own logs awaiting votes, by digest, in seq order.
+        self.outstanding: dict[Digest, Outstanding] = {}
         self.latest: list[Optional[PartialOrderLog]] = [None] * self.n
         self.inbound: deque[Command] = deque()
-        self.votes_for_pending: dict[int, PartialSignature] = {}
-        # Highest-seq pre-order log this node has hashed and voted for, per
-        # author; blocks equivocation and spares is_certified a second hash.
-        self.voted: dict[int, PartialOrderLog] = {}
+        # Per author, the pre-order logs this node hashed and voted for, by
+        # seq, until that seq is stored: blocks equivocation and spares
+        # is_certified a second hash.
+        self.voted: list[dict[int, PartialOrderLog]] = [{} for _ in range(self.n)]
         self.command_store: dict[Digest, Command] = {}
         self.log_store: dict[tuple[int, int], PartialOrderLog] = {}
         self.rejects: Counter[str] = Counter()
@@ -91,29 +121,33 @@ class Mempool:
     # ------------------------------------------------------------------
     # step 1: pre-order
 
+    def has_room(self) -> bool:
+        """True if fewer than ``PRE_ORDER_WINDOW`` own logs await votes."""
+        return len(self.outstanding) < PRE_ORDER_WINDOW
+
     def try_pre_order(self, now: int) -> Optional[PreOrderMessage]:
-        """Start ordering the front command if no log is awaiting votes."""
-        if self.pending is not None or not self.inbound:
+        """Start ordering the front command if the window has room."""
+        if not self.has_room() or not self.inbound:
             return None
         cmd = self.inbound.popleft()
         self.seq += 1
-        prev = EMPTY_DIGEST
-        if self.seq > 1:
-            prev = self.latest[self.node_id].cur_digest
-        log = PartialOrderLog.create(self.node_id, self.seq, now, cmd.digest, prev)
-        self.pending = log
-        self.pending_since = now
-        self.votes_for_pending = {}
+        log = PartialOrderLog.create(self.node_id, self.seq, now, cmd.digest, self.tip)
+        self.tip = log.cur_digest
+        self.outstanding[log.cur_digest] = Outstanding(log, now)
         return PreOrderMessage(log)
 
+    def first_due(self) -> Optional[Outstanding]:
+        """The outstanding log whose re-broadcast falls due first: the one
+        last sent earliest, the lowest seq among equals; None if none."""
+        return min(self.outstanding.values(), key=_SENT, default=None)
+
     def resend_pre_order(self, now: int, resend_ms: int) -> Optional[PreOrderMessage]:
-        """Re-broadcast the pending log if it has been starved of votes."""
-        if self.pending is None or self.pending_since is None:
+        """Re-broadcast the outstanding log that fell due first, if one is due."""
+        entry = self.first_due()
+        if entry is None or now - entry.sent < resend_ms:
             return None
-        if now - self.pending_since < resend_ms:
-            return None
-        self.pending_since = now
-        return PreOrderMessage(self.pending)
+        entry.sent = now
+        return PreOrderMessage(entry.log)
 
     # ------------------------------------------------------------------
     # step 2: vote
@@ -123,28 +157,42 @@ class Mempool:
         if log.node_id != sender:
             self.rejects[REJECT_BAD_AUTHOR] += 1
             return None
-        if not log.verify_digest():
+        # This node's own outstanding log was hashed when it was created.
+        own = self.outstanding.get(log.cur_digest)
+        if (own is None or own.log is not log) and not log.verify_digest():
             self.rejects[REJECT_BAD_DIGEST] += 1
             return None
         head = self.latest[sender]
-        if head is None:
-            if log.seq != 1:
-                self.rejects[REJECT_GAP] += 1
-                return None
-        else:
-            if log.seq != head.seq + 1 or log.prev_digest != head.cur_digest:
-                self.rejects[REJECT_GAP] += 1
-                return None
-        prior = self.voted.get(sender)
-        if prior is not None and prior.seq == log.seq:
+        head_seq = 0 if head is None else head.seq
+        seq = log.seq
+        if seq <= head_seq or seq > head_seq + PRE_ORDER_WINDOW:
+            self.rejects[REJECT_GAP] += 1
+            return None
+        voted = self.voted[sender]
+        prior = voted.get(seq)
+        if prior is not None:
             if prior.cur_digest != log.cur_digest:
                 self.rejects[REJECT_EQUIVOCATION] += 1
                 logger.debug(
-                    "node %d: equivocation by %d at seq %d", self.node_id, sender, log.seq
+                    "node %d: equivocation by %d at seq %d", self.node_id, sender, seq
                 )
                 return None
             # Same log re-broadcast: repeat the identical vote.
-        self.voted[sender] = log
+        else:
+            # Chain on the higher of the certified head and the newest voted
+            # log. Voted seqs above the head run without a gap up to the
+            # newest (an entry goes only once its seq is stored, at or below
+            # the head), so that is the head at head + 1 and the log voted
+            # at seq - 1 above it.
+            if seq == head_seq + 1:
+                prev = EMPTY_DIGEST if head is None else head.cur_digest
+            else:
+                below = voted.get(seq - 1)
+                prev = None if below is None else below.cur_digest
+            if log.prev_digest != prev:
+                self.rejects[REJECT_GAP] += 1
+                return None
+            voted[seq] = log
         partial = self.auth.partial_sign(self.node_id, log.cur_digest)
         return VoteMessage(log.cur_digest, partial)
 
@@ -152,28 +200,28 @@ class Mempool:
     # step 3: order
 
     def handle_vote(self, vote: VoteMessage, sender: int) -> Optional[OrderMessage]:
-        """Keep a vote share that is verified over the pending log's digest;
-        at 2f+1 distinct signers, combine the kept shares unchecked."""
-        pending = self.pending
-        if pending is None or vote.digest != pending.cur_digest:
+        """Keep a vote share that is verified over the digest of the
+        outstanding log it names; at 2f+1 distinct signers, combine that
+        log's kept shares unchecked."""
+        digest = vote.digest
+        entry = self.outstanding.get(digest)
+        if entry is None:
             self.rejects[STALE_VOTE] += 1
             return None
         partial = vote.partial
         if (
             partial.signer != sender
-            or partial.event_digest != pending.cur_digest
+            or partial.event_digest != digest
             or not self.auth.verify_partial(partial)
         ):
             self.rejects[INVALID_PARTIAL] += 1
             return None
-        self.votes_for_pending[partial.signer] = partial
-        if len(self.votes_for_pending) < self.auth.quorum:
+        shares = entry.shares
+        shares[partial.signer] = partial
+        if len(shares) < self.auth.quorum:
             return None
-        cert = self.auth.combine(pending.cur_digest, self.votes_for_pending.values())
-        completed = pending.with_certificate(cert)
-        self.pending = None
-        self.pending_since = None
-        self.votes_for_pending = {}
+        completed = entry.log.with_certificate(self.auth.combine(digest, shares.values()))
+        del self.outstanding[digest]
         self._store_log(completed)
         return OrderMessage(completed)
 
@@ -210,14 +258,15 @@ class Mempool:
         matching before voting, and the digest is a function of the other
         five fields, so hashing equal fields again gives the same answer. Any
         other log is hashed, and the certificate is verified in every case.
+        A log naming no node of the cluster as author is refused.
         """
         cert = log.certificate
-        if cert is None or cert.event_digest != log.cur_digest:
+        author = log.node_id
+        if cert is None or cert.event_digest != log.cur_digest or not 0 <= author < self.n:
             return False
-        voted = self.voted.get(log.node_id)
+        voted = self.voted[author].get(log.seq)
         if (
             voted is None
-            or voted.seq != log.seq
             or voted.cur_digest != log.cur_digest
             or voted.timestamp != log.timestamp
             or voted.command_digest != log.command_digest
@@ -247,10 +296,12 @@ class Mempool:
         return True
 
     def _store_log(self, log: PartialOrderLog) -> None:
-        self.log_store[(log.node_id, log.seq)] = log
-        head = self.latest[log.node_id]
+        author = log.node_id
+        self.log_store[(author, log.seq)] = log
+        self.voted[author].pop(log.seq, None)
+        head = self.latest[author]
         if head is None or log.seq > head.seq:
-            self.latest[log.node_id] = log
+            self.latest[author] = log
 
     def _flag_chain_break(self, a: PartialOrderLog, b: PartialOrderLog) -> None:
         # Cannot happen with <= f faults; recorded as Byzantine evidence only.

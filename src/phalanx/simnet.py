@@ -12,18 +12,19 @@ the strategy uses consensus, and every strategy is flushed at the end.
 
 Each node ticks on its own grid, ``phase + k * delta_o`` for k >= 1 with
 ``phase = node_id * delta_o // n``: a tick starts at most one new
-pre-order, re-broadcasts a starved one, and, on the leader, snapshots an
-order-batch. A tick is scheduled only when it can act:
+pre-order when the mempool's pre-order window has room, or else
+re-broadcasts the starved log that fell due first, and, on the leader,
+snapshots an order-batch. A tick is scheduled only when it can act:
 
 * after a tick that acted, the node ticks again ``delta_o`` later;
-* after a tick that did nothing, a node with a pre-order pending sleeps
-  until the first grid tick at or after ``pending_since + resend_ms -
-  skew``, when the pending log is due a re-broadcast; any other node
-  sleeps with no timer;
+* after a tick that did nothing, a node with logs awaiting votes sleeps
+  until the first grid tick at or after the earliest re-broadcast due time
+  among them, ``sent + resend_ms - skew`` for the log last sent earliest;
+  any other node sleeps with no timer;
 * a sleeping node wakes at its next grid tick after the current event when
-  a command is queued while no pre-order is pending, when a vote completes
-  its certificate while commands are queued, or, on the leader, when a
-  stored log advances its latest-log vector;
+  a command is queued while the window has room, when a vote completes a
+  certificate while commands are queued, or, on the leader, when a stored
+  log advances its latest-log vector;
 * a silent node never ticks.
 
 This skips only ticks that would have done nothing, so a run processes the
@@ -201,8 +202,8 @@ class _Node(Replica):
     def on_command(self, cmd: Command) -> None:
         mempool = self.mempool
         # With an earlier command still queued, the node woke for that one.
-        if (mempool.enqueue_command(cmd) and mempool.pending is None
-                and len(mempool.inbound) == 1):
+        if (mempool.enqueue_command(cmd) and len(mempool.inbound) == 1
+                and mempool.has_room()):
             self.sim.wake(self.node_id)
         self._answer_cmd_promises(cmd)
         self._maybe_unblock_executor(cmd.digest)
@@ -276,13 +277,13 @@ class _Node(Replica):
         if self.behavior.shuffle:
             # Pre-order a uniformly drawn queued command. Only a tick that
             # pre-orders draws, so there is one draw per pre-order, not per tick.
-            if mempool.pending is None:
+            if mempool.has_room():
                 j = self._shuffle_rng.randrange(len(queue))
                 if j:
                     cmd = queue[j]
                     del queue[j]
                     queue.appendleft(cmd)
-        elif self.behavior.reverse and mempool.pending is None:
+        elif self.behavior.reverse and mempool.has_room():
             # Serve the local FIFO from the back: the newest command is
             # pre-ordered first, inverting the declared partial order. Only a
             # tick that pre-orders rotates, so every pre-order takes the newest.
@@ -350,7 +351,7 @@ class _Node(Replica):
         if self.behavior.silent:
             return True
         mp = self.mempool
-        if mp.inbound or mp.pending is not None:
+        if mp.inbound or mp.outstanding:
             return False
         if self.consenter.pending_batches:
             return False
@@ -478,14 +479,14 @@ class Simulation:
 
     def _sleep(self, node_id: int, now: int) -> None:
         """Schedule the node after a tick that did nothing."""
-        mempool = self.nodes[node_id].mempool
-        if mempool.pending is None:
+        node = self.nodes[node_id]
+        first = node.mempool.first_due()
+        if first is None:
             self._tick_at[node_id] = _NO_TICK
             return
-        # The first grid tick whose stamp is due a re-broadcast; it is later
-        # than ``now``, or this tick would have re-broadcast.
-        due = (mempool.pending_since + self.scenario.resend_ms
-               - self.nodes[node_id].behavior.skew)
+        # The first grid tick whose stamp makes a log due a re-broadcast; it
+        # is later than ``now``, or this tick would have re-broadcast.
+        due = first.sent + self.scenario.resend_ms - node.behavior.skew
         self._schedule_tick(node_id, due + (now - due) % self._delta)
 
     def send(self, src: int, dst: int, msg) -> None:

@@ -33,7 +33,8 @@ base_seed = 50
 
 SWEEP_HEAD = "n = 4\nf = 1\nsweep_byzantine = 0..1\n"
 
-# Cut short by max_sim_ms while the honest nodes hold 1, 1 and 0 commands.
+# Cut short by max_sim_ms while the honest nodes hold 1, 0 and 0 commands
+# (1, 1 and 0 with PRE_ORDER_WINDOW patched to 1).
 CUT_SHORT = """
 n = 4
 f = 1
@@ -117,8 +118,13 @@ class TestRun:
     def test_cut_short_run_with_divergent_traces_exits_3(self, tmp_path, capsys,
                                                          monkeypatch):
         # Node 0's only commit is swapped for another digest, so the honest
-        # traces are no longer prefixes of one order.
+        # traces are no longer prefixes of one order. That needs a second node
+        # to have committed by the cut, which holds with one log awaiting votes
+        # at a time.
         import phalanx.cli as cli
+        import phalanx.mempool
+
+        monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", 1)
 
         real_run = cli.run
 

@@ -20,6 +20,12 @@ that keeps the trace but moves a count (``events_processed``,
 The tie-break pins hold runs whose order hangs on how a node's tick ranks
 against events at the same simulated time, and two run-end pins hold where a
 run stops: ``sim_time_ms`` feeds throughput, so it may not move either.
+
+The pins hold at the default pre-order window (``PRE_ORDER_WINDOW`` = 4).
+The ``STOP_AND_WAIT_*`` tables hold the same pins with the window patched to
+1, one own log awaiting votes at a time, at their values from before the
+window existed: at that window every run is what it was. Pins whose value
+the window does not move are checked at both windows.
 """
 
 import hashlib
@@ -28,6 +34,7 @@ import random
 
 import pytest
 
+import phalanx.mempool
 from phalanx import NodeBehavior, Scenario, Simulation, parse_scenario_text, run
 from prop_harness import random_scenario
 
@@ -128,16 +135,16 @@ PINS = {
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "f7e2213397e9101d3441e34a57869f1384471b249a85d19c626613d1c298415e",
+        "220d011b494e9c1cdbfb6e3a836fb93a3c99098b25a21e6dd964b42e1dd6a821",
     ),
     "sweep16_anchor": (
         SWEEP16.format(strategy="anchor"),
-        "854acc90a9fcdd00c7953b1a5df9cdcf005c7aeedba9fc48c096b71dec0f1bee",
+        "a3667fe11eca2eb030d4ee5b0ba1beee420b6464aa08095611ce190457ff5b4c",
     ),
     # Alter-path sets closed under reliable order: reordered_ratio 0.
     "alter16": (
         ALTER16,
-        "09d7b54ded7135b76d14e3d04778f988796b35d2c9c13c5c1e7754a59b8d75dd",
+        "826af1396a74b32dad8bfe8ebd5bec82b7acc0611c82908cbe99b246f52a60f0",
     ),
     "reverse_silent7": (
         REVERSE_SILENT7,
@@ -149,8 +156,18 @@ PINS = {
     ),
     "follow7": (
         FOLLOW7,
-        "06c606399d9e30c3bfd8a92c6fb5d8a7023b4f8108eb42e352fc462cc5d03689",
+        "a9aad3c26cde4c9d1e7c354afdea3c6b39fd797cefdcb62adc1dcc6ba0feaaf3",
     ),
+}
+
+STOP_AND_WAIT_PINS = {
+    "burst4": "6ba06b77d14462e282c326e092f6af903f7807c8f3243c74118c1538ca2928f6",
+    "sweep16_timestamp": "f7e2213397e9101d3441e34a57869f1384471b249a85d19c626613d1c298415e",
+    "sweep16_anchor": "854acc90a9fcdd00c7953b1a5df9cdcf005c7aeedba9fc48c096b71dec0f1bee",
+    "alter16": "09d7b54ded7135b76d14e3d04778f988796b35d2c9c13c5c1e7754a59b8d75dd",
+    "reverse_silent7": "b53773a8d09cc1e944a82003ba0529a14c173da07798bac273d719f3fda7382d",
+    "follow_reverse4": "0451a30b5c1aff23b47a11000875b2ced0216e48fccaf97cae88c929abda207e",
+    "follow7": "06c606399d9e30c3bfd8a92c6fb5d8a7023b4f8108eb42e352fc462cc5d03689",
 }
 
 BATCH_PINS = {
@@ -160,27 +177,63 @@ BATCH_PINS = {
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "ab7c01969159119b385bdf024c69bdbcc7579c253d99cc25d971b57c21a05dd0",
+        "17d0533c8a8c627c0f48a5f9b11b39c87c84e63c6da7d268f4ee91978f9a6334",
     ),
 }
 
+STOP_AND_WAIT_BATCH_PINS = {
+    "lan_smoke": "bb2608fe929a2720a3d632862cf6116e95fab9e062a6ca3617e1c02874330f98",
+    "sweep16_timestamp": "ab7c01969159119b385bdf024c69bdbcc7579c253d99cc25d971b57c21a05dd0",
+}
+
+
+SCENARIO_ECHO = {
+    "sweep16_timestamp": {
+        "auth_scheme": "hmac", "batch_size": 4,
+        "byzantine": {str(i): "shuffle+skew:-100" for i in range(11, 16)},
+        "commands_per_proposer": 40, "delta_o": 20, "f": 5, "latency": [1, 1200],
+        "max_sim_ms": 600000, "n": 16, "propose_interval": 20, "proposers": 2,
+        "resend_ms": 2000, "seed": 1, "strategy": "timestamp",
+    },
+    "alter16": {
+        "auth_scheme": "hmac", "batch_size": 4, "byzantine": {},
+        "commands_per_proposer": 20, "delta_o": 20, "f": 5, "latency": [1, 1200],
+        "max_sim_ms": 600000, "n": 16, "propose_interval": 5, "proposers": 4,
+        "resend_ms": 2000, "seed": 9, "strategy": "anchor",
+    },
+}
 
 # Every result.json field of two reference scenarios, scenario echo included.
 RESULT_PINS = {
+    "sweep16_timestamp": {
+        "accepted_commands": 0, "alter_path_ratio": 0.0, "committed": 80,
+        "consistency": True, "events_processed": 81276, "leader_faults": 0,
+        "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
+        "reordered_ratio": 0.019230769230769232, "schema_version": 1,
+        "sim_time_ms": 40513, "total_proposed": 80, "uncommitted": 0,
+        "trace_sha256": PINS["sweep16_timestamp"][1],
+        "scenario": SCENARIO_ECHO["sweep16_timestamp"],
+    },
+    "alter16": {
+        "accepted_commands": 0, "alter_path_ratio": 0.5, "committed": 80,
+        "consistency": True, "events_processed": 80202, "leader_faults": 0,
+        "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
+        "reordered_ratio": 0.0, "schema_version": 1,
+        "sim_time_ms": 41081, "total_proposed": 80, "uncommitted": 0,
+        "trace_sha256": PINS["alter16"][1],
+        "scenario": SCENARIO_ECHO["alter16"],
+    },
+}
+
+STOP_AND_WAIT_RESULT_PINS = {
     "sweep16_timestamp": {
         "accepted_commands": 0, "alter_path_ratio": 0.0, "committed": 80,
         "consistency": True, "events_processed": 84709, "leader_faults": 0,
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.021153846153846155, "schema_version": 1,
         "sim_time_ms": 139367, "total_proposed": 80, "uncommitted": 0,
-        "trace_sha256": PINS["sweep16_timestamp"][1],
-        "scenario": {
-            "auth_scheme": "hmac", "batch_size": 4,
-            "byzantine": {str(i): "shuffle+skew:-100" for i in range(11, 16)},
-            "commands_per_proposer": 40, "delta_o": 20, "f": 5, "latency": [1, 1200],
-            "max_sim_ms": 600000, "n": 16, "propose_interval": 20, "proposers": 2,
-            "resend_ms": 2000, "seed": 1, "strategy": "timestamp",
-        },
+        "trace_sha256": STOP_AND_WAIT_PINS["sweep16_timestamp"],
+        "scenario": SCENARIO_ECHO["sweep16_timestamp"],
     },
     "alter16": {
         "accepted_commands": 0, "alter_path_ratio": 0.6, "committed": 80,
@@ -188,20 +241,35 @@ RESULT_PINS = {
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
         "sim_time_ms": 139248, "total_proposed": 80, "uncommitted": 0,
-        "trace_sha256": PINS["alter16"][1],
-        "scenario": {
-            "auth_scheme": "hmac", "batch_size": 4, "byzantine": {},
-            "commands_per_proposer": 20, "delta_o": 20, "f": 5, "latency": [1, 1200],
-            "max_sim_ms": 600000, "n": 16, "propose_interval": 5, "proposers": 4,
-            "resend_ms": 2000, "seed": 9, "strategy": "anchor",
-        },
+        "trace_sha256": STOP_AND_WAIT_PINS["alter16"],
+        "scenario": SCENARIO_ECHO["alter16"],
     },
 }
 
 # (trace_sha256, batch-trace sha256) of random_scenario(Random(9000 + i)).
 # Ranking a node's tick after every event it sent for the same time, or
-# giving a tick scheduled late a fresh place in the tie-break, changes each.
+# giving a tick scheduled late a fresh place in the tie-break, changes each
+# stop-and-wait pin.
 TIE_BREAK_PINS = {
+    ("anchor", 19): (
+        "25329bd80ffbcc6025103aa3b35c0f69eac4e12dbe0f18ad0b1945300e683163",
+        "2975ea093ce568e4dd21d581a650d4908af304b793e61e2ad4bb7bfe8e105c88",
+    ),
+    ("anchor", 26): (
+        "91217726ae6d26e4f98e6513227c7c7f485353d79c345d189341b9ac9f28f6c8",
+        "2f93af396c4eaa90e46440e9a1cf2b3fc700da5c9743403f45d43d30b8c7f623",
+    ),
+    ("anchor", 30): (
+        "6b43617edc277ec119b3e5a57fa310e9b58e2d489a9f23eddd76203ea0ba4d23",
+        "d39722023d41213f3f64da50241a03d3b614893d8081a99a400eb45aa9c50930",
+    ),
+    ("timestamp", 30): (
+        "58b931e23374af0f0341ad7be39c1722389f9330fd415bf1cc71c43ad094760e",
+        "d39722023d41213f3f64da50241a03d3b614893d8081a99a400eb45aa9c50930",
+    ),
+}
+
+STOP_AND_WAIT_TIE_BREAK_PINS = {
     ("anchor", 19): (
         "01894b2287dc79e20b597f10ac77013653e4a552c164581c92f8e605254d3f9e",
         "c45cee85121433014070a8f2e6848ac4efbc28f982df9ca969b3f005799a79e3",
@@ -220,29 +288,68 @@ TIE_BREAK_PINS = {
     ),
 }
 
+TIE_BREAK_IDS = [f"{s}-{i}" for s, i in sorted(TIE_BREAK_PINS)]
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_trace_sha256_pinned(name):
-    text, expected = PINS[name]
+
+@pytest.fixture
+def stop_and_wait(monkeypatch):
+    """One own log awaiting votes at a time, as before the pre-order window."""
+    monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", 1)
+
+
+def check_trace(text, expected):
     result = run(parse_scenario_text(text))
     assert not result.non_quiescent
     assert result.consistency
     assert result.trace_sha256() == expected
 
 
+def batch_sha256(result):
+    assert result.batch_trace
+    return hashlib.sha256("\n".join(result.batch_trace).encode()).hexdigest()
+
+
+def check_tie_break(strategy, index, pins):
+    trace_pin, batch_pin = pins
+    result = run(random_scenario(random.Random(9000 + index), strategy),
+                 record_batches=True)
+    assert not result.non_quiescent
+    assert result.trace_sha256() == trace_pin
+    assert batch_sha256(result) == batch_pin
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_trace_sha256_pinned(name):
+    check_trace(*PINS[name])
+
+
+@pytest.mark.parametrize("name", sorted(STOP_AND_WAIT_PINS))
+def test_trace_sha256_pinned_stop_and_wait(name, stop_and_wait):
+    check_trace(PINS[name][0], STOP_AND_WAIT_PINS[name])
+
+
 @pytest.mark.parametrize("name", sorted(BATCH_PINS))
 def test_batch_trace_pinned(name):
     text, expected = BATCH_PINS[name]
-    result = run(parse_scenario_text(text), record_batches=True)
-    assert result.batch_trace
-    joined = "\n".join(result.batch_trace)
-    assert hashlib.sha256(joined.encode()).hexdigest() == expected
+    assert batch_sha256(run(parse_scenario_text(text), record_batches=True)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(STOP_AND_WAIT_BATCH_PINS))
+def test_batch_trace_pinned_stop_and_wait(name, stop_and_wait):
+    result = run(parse_scenario_text(BATCH_PINS[name][0]), record_batches=True)
+    assert batch_sha256(result) == STOP_AND_WAIT_BATCH_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(RESULT_PINS))
 def test_result_json_pinned(name):
     result = run(parse_scenario_text(PINS[name][0]))
     assert json.loads(result.to_json()) == RESULT_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STOP_AND_WAIT_RESULT_PINS))
+def test_result_json_pinned_stop_and_wait(name, stop_and_wait):
+    result = run(parse_scenario_text(PINS[name][0]))
+    assert json.loads(result.to_json()) == STOP_AND_WAIT_RESULT_PINS[name]
 
 
 def test_idle_nodes_skip_their_ticks():
@@ -267,31 +374,31 @@ def test_follow_traces_are_the_designated_chain(name):
         assert [entry.digest for entry in result.traces[node_id]] == chain
 
 
-@pytest.mark.parametrize("strategy, index", sorted(TIE_BREAK_PINS),
-                         ids=[f"{s}-{i}" for s, i in sorted(TIE_BREAK_PINS)])
+@pytest.mark.parametrize("strategy, index", sorted(TIE_BREAK_PINS), ids=TIE_BREAK_IDS)
 def test_tie_break_order_pinned(strategy, index):
-    trace_pin, batch_pin = TIE_BREAK_PINS[strategy, index]
-    result = run(random_scenario(random.Random(9000 + index), strategy),
-                 record_batches=True)
-    assert not result.non_quiescent
-    assert result.trace_sha256() == trace_pin
-    joined = "\n".join(result.batch_trace)
-    assert hashlib.sha256(joined.encode()).hexdigest() == batch_pin
+    check_tie_break(strategy, index, TIE_BREAK_PINS[strategy, index])
 
 
-def test_zero_latency_order_pinned():
+@pytest.mark.parametrize("strategy, index", sorted(STOP_AND_WAIT_TIE_BREAK_PINS),
+                         ids=TIE_BREAK_IDS)
+def test_tie_break_order_pinned_stop_and_wait(strategy, index, stop_and_wait):
+    check_tie_break(strategy, index, STOP_AND_WAIT_TIE_BREAK_PINS[strategy, index])
+
+
+def test_zero_latency_order_pinned(monkeypatch):
     # With no link latency an event can be handled after a node's tick at the
     # same time yet carry a smaller heap key than the tick: judging whether
     # that tick has run by the current event's key alone changes this order.
-    result = run(Scenario(n=4, f=1, proposers=2, commands_per_proposer=10,
-                          delta_o=20, latency=(0, 0), propose_interval=0),
-                 record_batches=True)
-    assert result.committed == 20
-    assert result.trace_sha256() == (
-        "53f2af06f8b48a630715a562233096531ef16100b9c5f57630618423c60982c3")
-    joined = "\n".join(result.batch_trace)
-    assert hashlib.sha256(joined.encode()).hexdigest() == (
-        "0a5521901630b268585fe2935254f5b0914e62bc4fb2cf22c7e927838f4441d9")
+    for window in (1, 4):
+        monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
+        result = run(Scenario(n=4, f=1, proposers=2, commands_per_proposer=10,
+                              delta_o=20, latency=(0, 0), propose_interval=0),
+                     record_batches=True)
+        assert result.committed == 20
+        assert result.trace_sha256() == (
+            "53f2af06f8b48a630715a562233096531ef16100b9c5f57630618423c60982c3")
+        assert batch_sha256(result) == (
+            "0a5521901630b268585fe2935254f5b0914e62bc4fb2cf22c7e927838f4441d9")
 
 
 @pytest.mark.parametrize("scenario, sim_time_ms", [
@@ -303,20 +410,24 @@ def test_zero_latency_order_pinned():
               byzantine={2: NodeBehavior(silent=True), 3: NodeBehavior(silent=True)}),
      4025),
 ], ids=["shuffle", "silent-pair"])
-def test_cut_short_run_ends_at_the_last_tick(scenario, sim_time_ms):
+def test_cut_short_run_ends_at_the_last_tick(scenario, sim_time_ms, monkeypatch):
     # Cut at max_sim_ms while nodes still wait: the run's clock stops at the
     # last grid tick any node, silent or not, has at or before the limit.
-    result = run(scenario)
-    assert result.non_quiescent
-    assert result.sim_time_ms == sim_time_ms
+    for window in (1, 4):
+        monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
+        result = run(scenario)
+        assert result.non_quiescent
+        assert result.sim_time_ms == sim_time_ms
 
 
-def test_client_replies_run_ends_at_the_next_tick():
+def test_client_replies_run_ends_at_the_next_tick(monkeypatch):
     # The last reply leaves the cluster quiescent; the run ends at the next
     # tick of any node, 8 ms after the last commit of the run without replies.
     text = BATCH_PINS["lan_smoke"][0]
-    plain = run(parse_scenario_text(text))
-    replied = run(parse_scenario_text(text), client_replies=True)
-    assert not replied.non_quiescent
-    assert replied.accepted_commands == 200
-    assert (plain.sim_time_ms, replied.sim_time_ms) == (10054, 10062)
+    for window in (1, 4):
+        monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
+        plain = run(parse_scenario_text(text))
+        replied = run(parse_scenario_text(text), client_replies=True)
+        assert not replied.non_quiescent
+        assert replied.accepted_commands == 200
+        assert (plain.sim_time_ms, replied.sim_time_ms) == (10054, 10062)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import phalanx.mempool
 import phalanx.types
 from phalanx import Command, EMPTY_DIGEST, HmacAuthenticator, Mempool, PartialOrderLog
 from phalanx.mempool import (
@@ -11,6 +12,7 @@ from phalanx.mempool import (
     DUPLICATE_COMMAND,
     INVALID_CERT,
     INVALID_PARTIAL,
+    PRE_ORDER_WINDOW,
     REJECT_EQUIVOCATION,
     REJECT_GAP,
     STALE_VOTE,
@@ -35,18 +37,24 @@ def cmd(seq, payload=None):
     return Command.create(0, seq, payload or b"payload-%d" % seq)
 
 
-def certify_own_log(pool, auth, now):
-    """Drive the author through its own pre-order/vote/order round."""
-    pre = pool.try_pre_order(now)
-    assert pre is not None
+def certify(pool, auth, log):
+    """Deliver 2f+1 votes for the author's outstanding ``log``; return the
+    certified log."""
     order = None
     for voter in range(QUORUM):
-        vote = VoteMessage(pre.log.cur_digest, auth.partial_sign(voter, pre.log.cur_digest))
+        vote = VoteMessage(log.cur_digest, auth.partial_sign(voter, log.cur_digest))
         result = pool.handle_vote(vote, voter)
         if result is not None:
             order = result
     assert order is not None
     return order.log
+
+
+def certify_own_log(pool, auth, now):
+    """Drive the author through its own pre-order/vote/order round."""
+    pre = pool.try_pre_order(now)
+    assert pre is not None
+    return certify(pool, auth, pre.log)
 
 
 class TestEnqueue:
@@ -72,14 +80,32 @@ class TestPreOrder:
         log = msg.log
         assert (log.seq, log.prev_digest, log.timestamp) == (1, EMPTY_DIGEST, 5)
         assert log.certificate is None
-        assert pool.pending is log
+        assert [entry.log for entry in pool.outstanding.values()] == [log]
 
-    def test_no_double_pending(self, pool):
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_window_caps_outstanding_logs(self, pool, auth, window, monkeypatch):
+        monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
+        for i in range(1, window + 3):
+            pool.enqueue_command(cmd(i))
+        pres = [pool.try_pre_order(50 * k) for k in range(window)]
+        assert all(pre is not None for pre in pres)
+        assert not pool.has_room()
+        assert pool.try_pre_order(50 * window) is None
+        assert len(pool.outstanding) == window
+        assert len(pool.inbound) == 2
+        certify(pool, auth, pres[-1].log)  # completing any one log frees a place
+        assert pool.has_room()
+        assert pool.try_pre_order(50 * window) is not None
+        assert len(pool.outstanding) == window
+        assert len(pool.inbound) == 1
+
+    def test_new_log_chains_on_uncertified_own_log(self, pool):
         pool.enqueue_command(cmd(1))
         pool.enqueue_command(cmd(2))
-        assert pool.try_pre_order(0) is not None
-        assert pool.try_pre_order(50) is None  # one outstanding log at a time
-        assert len(pool.inbound) == 1
+        first = pool.try_pre_order(0).log
+        second = pool.try_pre_order(50).log
+        assert (second.seq, second.prev_digest) == (2, first.cur_digest)
+        assert pool.latest[0] is None
 
     def test_empty_queue_returns_none(self, pool):
         assert pool.try_pre_order(0) is None
@@ -100,12 +126,94 @@ class TestPreOrder:
         assert resent is not None
         assert resent.log == original.log
 
+    def test_resend_takes_the_log_due_first(self, pool):
+        for i in (1, 2, 3):
+            pool.enqueue_command(cmd(i))
+        logs = [pool.try_pre_order(now).log for now in (0, 50, 100)]
+        assert pool.resend_pre_order(60, resend_ms=60).log is logs[0]
+        # Log 2 (last sent at 50) now falls due before log 1 (re-sent at 60).
+        assert pool.first_due().log is logs[1]
+        assert pool.resend_pre_order(109, resend_ms=60) is None
+        assert pool.resend_pre_order(110, resend_ms=60).log is logs[1]
+        # One log per call; log 1 (sent at 60) before log 3 (sent at 100).
+        assert pool.resend_pre_order(160, resend_ms=60).log is logs[0]
+        assert pool.resend_pre_order(160, resend_ms=60).log is logs[2]
+        assert pool.resend_pre_order(160, resend_ms=60) is None
+
+
+def author_chain(length, author=1, payload=b"c"):
+    """``length`` chained pre-order logs of ``author``."""
+    logs, prev = [], EMPTY_DIGEST
+    for seq in range(1, length + 1):
+        logs.append(PartialOrderLog.create(
+            author, seq, 50 * seq, cmd(seq, payload + b"%d" % seq).digest, prev))
+        prev = logs[-1].cur_digest
+    return logs
+
 
 class TestVote:
     def _author_pre_order(self, auth, seq=1, prev=EMPTY_DIGEST, ts=0, command=None):
         command = command or cmd(seq)
         log = PartialOrderLog.create(1, seq, ts, command.digest, prev)
         return PreOrderMessage(log)
+
+    @pytest.mark.parametrize("head", [0, 1])
+    def test_head_plus_window_plus_one_refused(self, pool, auth, head):
+        chain = author_chain(head + PRE_ORDER_WINDOW + 1)
+        for log in chain[:head]:
+            assert pool.handle_order(with_cert(auth, log))
+        for log in chain[head:-1]:
+            assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
+        assert pool.handle_pre_order(PreOrderMessage(chain[-1]), 1) is None
+        assert pool.rejects[REJECT_GAP] == 1
+        if head:  # at or below the certified head is refused too
+            assert pool.handle_pre_order(PreOrderMessage(chain[0]), 1) is None
+            assert pool.rejects[REJECT_GAP] == 2
+
+    def test_second_digest_at_voted_seq_refused(self, pool):
+        chain = author_chain(3)
+        other = author_chain(3, payload=b"other")
+        for log in chain:
+            assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
+        # Same seq, same predecessor, another command.
+        fork = PartialOrderLog.create(1, 2, 100, cmd(9).digest, chain[0].cur_digest)
+        for log in (fork, other[0], other[2]):
+            assert pool.handle_pre_order(PreOrderMessage(log), 1) is None
+        assert pool.rejects[REJECT_EQUIVOCATION] == 3
+        assert pool.rejects[REJECT_GAP] == 0
+
+    def test_rebroadcast_inside_window_revotes(self, pool):
+        chain = author_chain(3)
+        votes = [pool.handle_pre_order(PreOrderMessage(log), 1) for log in chain]
+        assert pool.handle_pre_order(PreOrderMessage(chain[1]), 1) == votes[1]
+        assert pool.handle_pre_order(PreOrderMessage(chain[0]), 1) == votes[0]
+
+    def test_chains_on_newest_voted_log(self, pool, auth):
+        chain = author_chain(4)
+        for log in chain[:3]:
+            assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
+        # Seq 4 must follow the voted seq 3, not the certified head.
+        detached = PartialOrderLog.create(1, 4, 200, cmd(4).digest, chain[1].cur_digest)
+        assert pool.handle_pre_order(PreOrderMessage(detached), 1) is None
+        assert pool.rejects[REJECT_GAP] == 1
+        # Seq 3 stored out of order: the head is now above the voted seq 1.
+        assert pool.handle_order(with_cert(auth, chain[2]))
+        assert pool.handle_pre_order(PreOrderMessage(chain[3]), 1) is not None
+
+    def test_voter_state_bounded_and_emptied_by_stores(self, pool, auth):
+        # Vote down a long chain, storing the oldest voted log whenever the
+        # next one lies beyond the window.
+        chain = author_chain(3 * PRE_ORDER_WINDOW)
+        stored = 0
+        for log in chain:
+            while pool.handle_pre_order(PreOrderMessage(log), 1) is None:
+                assert pool.handle_order(with_cert(auth, chain[stored]))
+                stored += 1
+            assert len(pool.voted[1]) <= PRE_ORDER_WINDOW
+        assert len(pool.voted[1]) == PRE_ORDER_WINDOW
+        for log in chain[stored:]:
+            assert pool.handle_order(with_cert(auth, log))
+        assert pool.voted == [{} for _ in range(N)]
 
     def test_valid_first_log_gets_vote(self, pool, auth):
         msg = self._author_pre_order(auth)
@@ -148,7 +256,7 @@ class TestOrder:
         log = certify_own_log(pool, auth, now=0)
         assert log.certificate is not None
         assert auth.verify_certificate(log.certificate)
-        assert pool.pending is None
+        assert not pool.outstanding
         assert pool.latest[0] is log
         assert pool.fetch_log(0, 1) is log
 
@@ -158,7 +266,7 @@ class TestOrder:
         vote = VoteMessage(pre.log.cur_digest, auth.partial_sign(1, pre.log.cur_digest))
         assert pool.handle_vote(vote, 1) is None
         assert pool.handle_vote(vote, 1) is None
-        assert len(pool.votes_for_pending) == 1
+        assert len(pool.outstanding[pre.log.cur_digest].shares) == 1
 
     def test_stale_vote_ignored(self, pool, auth):
         pool.enqueue_command(cmd(1))
@@ -168,6 +276,50 @@ class TestOrder:
         pool.try_pre_order(50)
         assert pool.handle_vote(stale, 3) is None
         assert pool.rejects[STALE_VOTE] >= 1
+
+    def test_votes_go_to_the_log_they_name(self, pool, auth):
+        pool.enqueue_command(cmd(1))
+        pool.enqueue_command(cmd(2))
+        first = pool.try_pre_order(0).log
+        second = pool.try_pre_order(50).log
+        for voter in (0, 1):
+            vote = VoteMessage(second.cur_digest, auth.partial_sign(voter, second.cur_digest))
+            assert pool.handle_vote(vote, voter) is None
+        assert len(pool.outstanding[first.cur_digest].shares) == 0
+        assert len(pool.outstanding[second.cur_digest].shares) == 2
+
+    def test_out_of_order_certification_stores_both(self, pool, auth):
+        for i in (1, 2, 3):
+            pool.enqueue_command(cmd(i))
+        first = pool.try_pre_order(0).log
+        second = pool.try_pre_order(50).log
+        done_second = certify(pool, auth, second)
+        assert pool.latest[0] is done_second
+        assert list(pool.outstanding) == [first.cur_digest]
+        third = pool.try_pre_order(100).log
+        assert third.prev_digest == second.cur_digest
+        done_first = certify(pool, auth, first)
+        assert pool.fetch_log(0, 1) is done_first
+        assert pool.fetch_log(0, 2) is done_second
+        assert pool.latest[0] is done_second
+        assert pool.rejects[CHAIN_BREAK] == 0
+
+    def test_own_pre_order_not_rehashed(self, pool, auth, monkeypatch):
+        pool.enqueue_command(cmd(1))
+        own = pool.try_pre_order(0)
+        peer = PreOrderMessage(author_chain(1)[0])
+        hashed = []
+        digest_log = phalanx.types.digest_log
+        monkeypatch.setattr(phalanx.types, "digest_log",
+                            lambda *a: hashed.append(a[:2]) or digest_log(*a))
+        assert pool.handle_pre_order(own, 0) is not None
+        assert hashed == []
+        assert pool.handle_pre_order(pool.resend_pre_order(5000, resend_ms=10), 0) is not None
+        assert hashed == []
+        # An equal copy that is not the outstanding object is hashed, like a peer's log.
+        assert pool.handle_pre_order(PreOrderMessage(dataclasses.replace(own.log)), 0)
+        assert pool.handle_pre_order(peer, 1) is not None
+        assert hashed == [(0, 1), (1, 1)]
 
     def test_vote_with_wrong_sender_rejected(self, pool, auth):
         pool.enqueue_command(cmd(1))
@@ -184,7 +336,7 @@ class TestOrder:
         other = cmd(9).digest
         assert pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, other)), 2) is None
         assert pool.rejects[INVALID_PARTIAL] == 1
-        assert pool.pending is pre.log
+        assert pool.outstanding[digest].log is pre.log
         order = pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, digest)), 2)
         assert order is not None
         assert auth.verify_certificate(order.log.certificate)
@@ -199,10 +351,13 @@ class TestOrder:
         assert sorted(ps.signer for ps in checked) == sorted(log.certificate.signer_set)
 
 
-def make_certified(auth, node_id, seq, command, prev, ts=0):
-    log = PartialOrderLog.create(node_id, seq, ts, command.digest, prev)
+def with_cert(auth, log):
     shares = [auth.partial_sign(s, log.cur_digest) for s in range(QUORUM)]
     return log.with_certificate(auth.aggregate(log.cur_digest, shares))
+
+
+def make_certified(auth, node_id, seq, command, prev, ts=0):
+    return with_cert(auth, PartialOrderLog.create(node_id, seq, ts, command.digest, prev))
 
 
 class TestHandleOrder:
@@ -300,6 +455,24 @@ class TestHandleOrder:
         assert pool.handle_order(first)
         assert not pool.handle_order(detached)
         assert pool.rejects[CHAIN_BREAK] == 1
+
+    def test_voted_logs_in_flight_not_rehashed(self, pool, auth, monkeypatch):
+        chain = author_chain(PRE_ORDER_WINDOW)
+        for log in chain:
+            assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
+        hashed = []
+        monkeypatch.setattr(phalanx.types, "digest_log", lambda *a: hashed.append(a))
+        for log in reversed(chain):
+            assert pool.handle_order(with_cert(auth, log))
+        assert hashed == []
+        assert [pool.fetch_log(1, seq).cur_digest for seq in range(1, len(chain) + 1)] == [
+            log.cur_digest for log in chain
+        ]
+
+    def test_unknown_author_refused(self, pool, auth):
+        log = make_certified(auth, N, 1, cmd(1), EMPTY_DIGEST)
+        assert not pool.handle_order(log)
+        assert pool.rejects[INVALID_CERT] == 1
 
     def test_lookup_miss_returns_none(self, pool):
         assert pool.fetch_log(2, 6) is None

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import phalanx.mempool
 from phalanx import ProtocolInvariantError, Scenario, Simulation, run
 from phalanx.scenario import TIMESTAMP
 
@@ -25,6 +26,16 @@ def test_wide_scenario_invariants(index):
     scenario = wide_scenario(random.Random(7000 + index))
     failures = check_invariants(scenario)
     assert not failures, f"{scenario.to_dict()}: {failures}"
+
+
+@pytest.mark.parametrize("window", [2, 8])
+@pytest.mark.parametrize("index", range(BATCH))
+def test_wide_scenario_invariants_at_window(index, window, monkeypatch):
+    # The same scenarios with other pre-order windows than the default.
+    monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
+    scenario = wide_scenario(random.Random(7000 + index))
+    failures = check_invariants(scenario)
+    assert not failures, f"window {window}, {scenario.to_dict()}: {failures}"
 
 
 def test_alter_sets_respect_reliable_order_small():

@@ -1,11 +1,14 @@
 """End-to-end simulation properties: FIFO links, determinism, fault handling."""
 
+import dataclasses
 import random
 
 import pytest
 
+import phalanx.mempool
 from phalanx import Command, NodeBehavior, Scenario, Simulation, run
 from phalanx.wire import PreOrderMessage
+from prop_harness import random_scenario, wide_scenario
 
 
 def small(**kw):
@@ -123,10 +126,9 @@ def pre_order(node, now: int = 50) -> bytes:
     """Tick ``node`` into a pre-order; certify it at once; return its digest."""
     mempool = node.mempool
     node.on_tick(now)
-    log = mempool.pending
-    mempool.latest[node.node_id] = log
-    mempool.pending = None
-    return log.command_digest
+    (entry,) = mempool.outstanding.values()
+    mempool.outstanding.clear()
+    return entry.log.command_digest
 
 
 class TestShuffleDraws:
@@ -158,16 +160,21 @@ class TestShuffleDraws:
         if queued >= 2:
             reference.randrange(queued)
         node.on_tick(50)
-        assert (node.mempool.pending is not None) == (queued >= 1)
+        assert len(node.mempool.outstanding) == min(queued, 1)
         assert node._shuffle_rng.getstate() == reference.getstate()
 
     def test_no_draw_while_awaiting_votes(self):
-        node, _ = shuffler(4)
-        node.on_tick(50)
-        pending, state = node.mempool.pending, node._shuffle_rng.getstate()
-        for now in (100, 150, 2100):  # the last one re-sends the pending log
+        # Once the window is full, ticks draw nothing until a log certifies.
+        window = phalanx.mempool.PRE_ORDER_WINDOW
+        node, _ = shuffler(window + 3)
+        for k in range(1, window + 1):
+            node.on_tick(50 * k)
+        outstanding = list(node.mempool.outstanding)
+        state = node._shuffle_rng.getstate()
+        for now in (300, 350, 2100):  # the last one re-sends the first log
             node.on_tick(now)
-        assert node.mempool.pending is pending
+        assert list(node.mempool.outstanding) == outstanding
+        assert len(outstanding) == window
         assert len(node.mempool.inbound) == 3
         assert node._shuffle_rng.getstate() == state
 
@@ -278,23 +285,64 @@ class TestTickScheduling:
         assert result.committed == 10
         assert calls == []
 
-    def test_resends_survive_sleeping_between_ticks(self):
+    def test_resends_survive_sleeping_between_ticks(self, monkeypatch):
         # Links slower than resend_ms: a sleeping node still re-broadcasts its
-        # pending pre-order as often as one that ticks every delta_o.
-        sim = Simulation(small(commands_per_proposer=10, latency=(2500, 3000), seed=3))
-        pre_orders = []
-        original = sim.send
+        # outstanding pre-orders as often as one that ticks every delta_o.
+        # Votes return after each log's third send, at either window.
+        for window in (1, 4):
+            monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
+            sim = Simulation(small(commands_per_proposer=10, latency=(2500, 3000), seed=3))
+            pre_orders = []
+            original = sim.send
 
-        def send(src, dst, msg):
-            if isinstance(msg, PreOrderMessage):
-                pre_orders.append(src)
-            original(src, dst, msg)
+            def send(src, dst, msg):
+                if isinstance(msg, PreOrderMessage):
+                    pre_orders.append(src)
+                original(src, dst, msg)
 
-        sim.send = send
-        result = sim.run()
-        assert result.committed == 10
-        assert not result.non_quiescent
-        assert len(pre_orders) == 480
+            sim.send = send
+            result = sim.run()
+            assert result.committed == 10
+            assert not result.non_quiescent
+            assert len(pre_orders) == 480
+
+
+def every_grid_point(sim, node_id, now):
+    """``Simulation._sleep`` for a loop that ticks every node on every grid
+    point: a node never sleeps once it has ticked."""
+    sim._schedule_tick(node_id, now + sim._delta)
+
+
+def outcome(scenario):
+    """Every output of a run but ``events_processed``, which counts ticks."""
+    result = run(scenario, record_batches=True)
+    payload = result.to_json_dict()
+    del payload["events_processed"]
+    traces = {i: [entry.line() for entry in trace] for i, trace in result.traces.items()}
+    return payload, traces, result.batch_trace
+
+
+class TestTickElision:
+    """Ticking only when a tick can act changes no output: runs match a loop
+    that ticks every node on every grid point."""
+
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("generator, base", [(random_scenario, 5000),
+                                                 (wide_scenario, 6000)],
+                             ids=["random", "wide"])
+    def test_matches_every_grid_point_loop(self, monkeypatch, window, generator, base):
+        monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
+        mismatches = []
+        for index in range(20):
+            # Capped, so wide runs stay short and some end cut short.
+            scenario = dataclasses.replace(generator(random.Random(base + index)),
+                                           max_sim_ms=20_000)
+            elided = outcome(scenario)
+            with monkeypatch.context() as patched:
+                patched.setattr(Simulation, "_sleep", every_grid_point)
+                if outcome(scenario) != elided:
+                    mismatches.append(index)
+        assert mismatches == []
 
 
 class TestTimestampStrategy:
