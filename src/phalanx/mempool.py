@@ -15,7 +15,9 @@ partial-order logs through three steps:
    same (author, seq);
 3. order: once 2f+1 shares for one outstanding log arrive, the author
    combines them into a certificate and broadcasts the completed log. Logs
-   may complete out of seq order.
+   may complete out of seq order, but an author's certified head h, which
+   the order-batches carry, only moves over a prefix 1..h stored without a
+   gap; a log stored above a gap waits there.
 
 Each node checks each vote share and each log digest once. A share is
 verified when its vote arrives and combined into the certificate without
@@ -83,11 +85,13 @@ class Mempool:
         self.tip = EMPTY_DIGEST
         # Own logs awaiting votes, by digest, in seq order.
         self.outstanding: dict[Digest, Outstanding] = {}
+        # Per author, the newest log of the prefix stored without a gap: the
+        # certified head.
         self.latest: list[Optional[PartialOrderLog]] = [None] * self.n
         self.inbound: deque[Command] = deque()
         # Per author, the pre-order logs this node hashed and voted for, by
-        # seq, until that seq is stored: blocks equivocation and spares
-        # is_certified a second hash.
+        # seq, until the certified head passes that seq: blocks equivocation
+        # and spares is_certified a second hash.
         self.voted: list[dict[int, PartialOrderLog]] = [{} for _ in range(self.n)]
         self.command_store: dict[Digest, Command] = {}
         self.log_store: dict[tuple[int, int], PartialOrderLog] = {}
@@ -127,7 +131,7 @@ class Mempool:
 
     def try_pre_order(self, now: int) -> Optional[PreOrderMessage]:
         """Start ordering the front command if the window has room."""
-        if not self.has_room() or not self.inbound:
+        if len(self.outstanding) >= PRE_ORDER_WINDOW or not self.inbound:
             return None
         cmd = self.inbound.popleft()
         self.seq += 1
@@ -158,8 +162,8 @@ class Mempool:
             self.rejects[REJECT_BAD_AUTHOR] += 1
             return None
         # This node's own outstanding log was hashed when it was created.
-        own = self.outstanding.get(log.cur_digest)
-        if (own is None or own.log is not log) and not log.verify_digest():
+        own = sender == self.node_id and self.outstanding.get(log.cur_digest)
+        if (not own or own.log is not log) and not log.verify_digest():
             self.rejects[REJECT_BAD_DIGEST] += 1
             return None
         head = self.latest[sender]
@@ -181,9 +185,9 @@ class Mempool:
         else:
             # Chain on the higher of the certified head and the newest voted
             # log. Voted seqs above the head run without a gap up to the
-            # newest (an entry goes only once its seq is stored, at or below
-            # the head), so that is the head at head + 1 and the log voted
-            # at seq - 1 above it.
+            # newest (an entry goes only once the head passes its seq), so
+            # that is the head at head + 1 and the log voted at seq - 1
+            # above it.
             if seq == head_seq + 1:
                 prev = EMPTY_DIGEST if head is None else head.cur_digest
             else:
@@ -296,12 +300,32 @@ class Mempool:
         return True
 
     def _store_log(self, log: PartialOrderLog) -> None:
+        """Store a log and advance its author's certified head over the
+        stored prefix without a gap; a log stored above a gap waits there.
+
+        A voter endorses a log before its predecessor is certified, so an
+        author can get a log certified above seqs that never will be. The
+        head, which the leader's order-batches carry and the voter's window
+        starts from, thus moves only over seqs 1..h all stored here: every
+        log a batch commits can be fetched, and a seq at or below the head is
+        stored. Voted entries are dropped as the head passes them.
+        """
         author = log.node_id
-        self.log_store[(author, log.seq)] = log
-        self.voted[author].pop(log.seq, None)
+        seq = log.seq
+        store = self.log_store
+        store[(author, seq)] = log
         head = self.latest[author]
-        if head is None or log.seq > head.seq:
-            self.latest[author] = log
+        if seq != (0 if head is None else head.seq) + 1:
+            return
+        voted = self.voted[author]
+        while True:
+            voted.pop(seq, None)
+            above = store.get((author, seq + 1))
+            if above is None:
+                break
+            log = above
+            seq += 1
+        self.latest[author] = log
 
     def _flag_chain_break(self, a: PartialOrderLog, b: PartialOrderLog) -> None:
         # Cannot happen with <= f faults; recorded as Byzantine evidence only.

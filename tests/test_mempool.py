@@ -7,6 +7,7 @@ import pytest
 import phalanx.mempool
 import phalanx.types
 from phalanx import Command, EMPTY_DIGEST, HmacAuthenticator, Mempool, PartialOrderLog
+from phalanx.consensus import Consenter
 from phalanx.mempool import (
     CHAIN_BREAK,
     DUPLICATE_COMMAND,
@@ -196,9 +197,44 @@ class TestVote:
         detached = PartialOrderLog.create(1, 4, 200, cmd(4).digest, chain[1].cur_digest)
         assert pool.handle_pre_order(PreOrderMessage(detached), 1) is None
         assert pool.rejects[REJECT_GAP] == 1
-        # Seq 3 stored out of order: the head is now above the voted seq 1.
+        # Seq 3 stored above a gap: the head stays, and seq 4 still chains
+        # on the voted seq 3.
         assert pool.handle_order(with_cert(auth, chain[2]))
+        assert pool.latest[1] is None
         assert pool.handle_pre_order(PreOrderMessage(chain[3]), 1) is not None
+
+    def test_author_certifying_only_the_window_top_stalls_itself(self, pool, auth):
+        # A Byzantine author collects votes down a chain of w logs but
+        # certifies and broadcasts only the top one. Its predecessors are
+        # certified nowhere, so no honest head or order-batch may reach it.
+        chain = author_chain(PRE_ORDER_WINDOW + 1)
+        for log in chain[:-1]:
+            assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
+        assert pool.handle_order(with_cert(auth, chain[-2]))
+        assert pool.fetch_log(1, PRE_ORDER_WINDOW) is not None
+        assert pool.latest[1] is None
+        assert Consenter(0, pool).make_order_batch() is None
+        # The window does not slide past the gap, and voter state stays at w.
+        assert pool.handle_pre_order(PreOrderMessage(chain[-1]), 1) is None
+        assert pool.rejects[REJECT_GAP] == 1
+        assert sorted(pool.voted[1]) == list(range(1, PRE_ORDER_WINDOW + 1))
+        # Once the gap fills, in any order, the head reaches the top.
+        for log in reversed(chain[:-2]):
+            assert pool.handle_order(with_cert(auth, log))
+        assert pool.latest[1].seq == PRE_ORDER_WINDOW
+        assert pool.voted[1] == {}
+        assert Consenter(0, pool).make_order_batch()[1].seq == PRE_ORDER_WINDOW
+
+    def test_stored_above_gap_still_revotes_below(self, pool, auth):
+        # f voters can get seq 2 certified before seq 1; a re-broadcast of
+        # seq 1 must still get this voter's vote.
+        chain = author_chain(2)
+        votes = [pool.handle_pre_order(PreOrderMessage(log), 1) for log in chain]
+        assert pool.handle_order(with_cert(auth, chain[1]))
+        assert pool.latest[1] is None
+        assert pool.handle_pre_order(PreOrderMessage(chain[0]), 1) == votes[0]
+        assert pool.handle_order(with_cert(auth, chain[0]))
+        assert pool.latest[1].seq == 2
 
     def test_voter_state_bounded_and_emptied_by_stores(self, pool, auth):
         # Vote down a long chain, storing the oldest voted log whenever the
@@ -294,13 +330,14 @@ class TestOrder:
         first = pool.try_pre_order(0).log
         second = pool.try_pre_order(50).log
         done_second = certify(pool, auth, second)
-        assert pool.latest[0] is done_second
+        # Stored above the gap at seq 1: the certified head waits there.
+        assert pool.fetch_log(0, 2) is done_second
+        assert pool.latest[0] is None
         assert list(pool.outstanding) == [first.cur_digest]
         third = pool.try_pre_order(100).log
         assert third.prev_digest == second.cur_digest
         done_first = certify(pool, auth, first)
         assert pool.fetch_log(0, 1) is done_first
-        assert pool.fetch_log(0, 2) is done_second
         assert pool.latest[0] is done_second
         assert pool.rejects[CHAIN_BREAK] == 0
 
