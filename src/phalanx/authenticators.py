@@ -62,6 +62,9 @@ class Authenticator(ABC):
     def _verify_aggregate(self, cert: Certificate) -> bool: ...
 
     def aggregate(self, event_digest: Digest, partials: Iterable[PartialSignature]) -> Certificate:
+        """Certificate over ``partials`` after checking every share: the entry
+        point for certificates built outside the vote path, such as the golden
+        fixtures; the vote path checks shares on arrival and uses :meth:`combine`."""
         shares = list(partials)
         signers = {ps.signer for ps in shares}
         if len(shares) != self.quorum or len(signers) != self.quorum:

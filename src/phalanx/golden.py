@@ -10,9 +10,12 @@ without the network simulator:
   timestamp baseline invert a same-proposer pair that the anchor executor
   commits in proposal order.
 
-Every replica is the simulator's :class:`~phalanx.replica.Replica`, fed
-the same batch stream as the simulator feeds it; the expected committed
-sequences are asserted on all of them.
+Every replica is the simulator's :class:`~phalanx.replica.Replica`, and
+each batch is delivered through :meth:`~phalanx.replica.Replica.on_batch`
+as the simulator delivers it; the expected committed sequences are
+asserted on all of them. A golden replica holds every log and command
+body its batches need, so its port refuses the fetch broadcast that a
+gap would make.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .authenticators import HmacAuthenticator
-from .consensus import OrderBatch
 from .executor import ALTER_PATH, NORMAL_PATH
 from .replica import Replica
 from .scenario import ANCHOR, TIMESTAMP
@@ -57,10 +59,17 @@ def _chain(auth: HmacAuthenticator, node_id: int,
     return logs
 
 
+class _NoPeers:
+    """The port of a golden replica, which has no peer to fetch from."""
+
+    def broadcast(self, src: int, msg, include_self: bool) -> None:
+        raise ProtocolInvariantError(f"harness replica {src} had to fetch: {msg}")
+
+
 def _replica(node_id: int, auth: HmacAuthenticator, strategy: str,
              commands: list[Command], logs: list[PartialOrderLog]) -> Replica:
     """A replica whose mempool already holds every command body and log."""
-    replica = Replica(node_id, auth, strategy)
+    replica = Replica(node_id, auth, strategy, net=_NoPeers())
     for cmd in commands:
         replica.mempool.store_command(cmd)
     for log in logs:
@@ -69,14 +78,9 @@ def _replica(node_id: int, auth: HmacAuthenticator, strategy: str,
     return replica
 
 
-def _deliver(replica: Replica, index: int, batch: OrderBatch) -> None:
-    """Deliver batch ``index`` as the simulator does, then pump the strategy."""
-    if replica.consenter.on_delivered(index, batch) or replica.consenter.leader_faults:
-        raise ProtocolInvariantError(f"harness batch {index} did not commit")
-    replica.pump()
-
-
 def _committed(replica: Replica) -> list[Digest]:
+    if replica.consenter.leader_faults:
+        raise ProtocolInvariantError(f"replica {replica.node_id} refused a harness batch")
     return [entry.digest for entry in replica.executor.committed_order]
 
 
@@ -114,13 +118,13 @@ def run_anchor_handoff() -> GoldenOutcome:
     passed = True
 
     first = replicas[0]
-    _deliver(first, 0, batches[0])
+    first.on_batch(0, batches[0])
     passed &= _check(details, _committed(first) == [],
                      "no anchor after the first batch")
-    _deliver(first, 1, batches[1])
+    first.on_batch(1, batches[1])
     passed &= _check(details, _committed(first) == [red.digest, yellow.digest],
                      "second batch commits red then yellow")
-    _deliver(first, 2, batches[2])
+    first.on_batch(2, batches[2])
     expected = [red.digest, yellow.digest, green.digest]
     passed &= _check(details, _committed(first) == expected,
                      "third batch commits green")
@@ -132,7 +136,7 @@ def run_anchor_handoff() -> GoldenOutcome:
 
     for replica in replicas[1:]:
         for index, batch in enumerate(batches):
-            _deliver(replica, index, batch)
+            replica.on_batch(index, batch)
         passed &= _check(
             details,
             _committed(replica) == expected,
@@ -164,11 +168,11 @@ def run_median_inversion() -> GoldenOutcome:
     ts_traces = []
     for node_id in range(n):
         anchor = _replica(node_id, auth, ANCHOR, commands, all_logs)
-        _deliver(anchor, 0, batch)
+        anchor.on_batch(0, batch)
         anchor.executor.flush()
         anchor_traces.append(_committed(anchor))
         baseline = _replica(node_id, auth, TIMESTAMP, commands, all_logs)
-        _deliver(baseline, 0, batch)
+        baseline.on_batch(0, batch)
         baseline.executor.flush()
         ts_traces.append(_committed(baseline))
         if node_id == 0:

@@ -6,9 +6,11 @@ overtaken, even when the sampled latencies would invert it. Every source
 of randomness derives from the scenario seed, so a scenario reruns to a
 byte-identical result.
 
-Each node is a :class:`~phalanx.replica.Replica` wired to the event loop,
-so this module never branches on the ordering strategy: node 0 leads when
-the strategy uses consensus, and every strategy is flushed at the end.
+Each node is a :class:`~phalanx.replica.Replica` whose port is the
+:class:`Simulation` itself (``send``, ``broadcast``, ``wake`` and
+``sequencer``), so this module never branches on the ordering strategy and
+holds no protocol handler: it carries messages and batches, schedules
+ticks, and flushes every strategy at the end.
 
 Each node ticks on its own grid, ``phase + k * delta_o`` for k >= 1 with
 ``phase = node_id * delta_o // n``: a tick starts at most one new
@@ -43,15 +45,16 @@ also where an event that meets no tick of its source goes.
 
 A run ends where that every-grid-point loop would have ended: at the first
 event after which nothing is pending and every node is idle; at the next
-grid tick of any node when that holds after a client reply or before the
-first event; otherwise, cut short, at the last grid tick of any node at or
-before ``max_sim_ms``.
+grid tick of any node when that holds before the first event; otherwise,
+cut short, at the last grid tick of any node at or before ``max_sim_ms``.
 
-Byzantine behaviors reorder a node's inbound queue, skew its reported log
-timestamps, or silence it entirely. A ``shuffle`` node makes one uniform
-draw over its queue on each tick that pre-orders with two or more commands
-queued, and pre-orders the drawn command; the rest keep their arrival
-order. A
+Byzantine behaviors live here and in :mod:`~phalanx.scenario` only, never
+in the replica. They reorder a node's inbound queue, skew its reported log
+timestamps, or silence it entirely. :class:`_Node` applies the queue
+behaviour and the skewed stamp on each tick; a silent node is a
+:class:`_SilentNode`. A ``shuffle`` node makes one uniform draw over its
+queue on each tick that pre-orders with two or more commands queued, and
+pre-orders the drawn command; the rest keep their arrival order. A
 ``reverse`` node moves its newest queued command to the front on each
 tick that pre-orders, so it always pre-orders newest-first.
 """
@@ -71,15 +74,7 @@ from .metrics import reordered_ratio, traces_consistent, traces_prefix_consisten
 from .replica import Replica
 from .scenario import Scenario
 from .types import Command
-from .wire import (
-    FetchCommandMessage,
-    FetchCommandResponse,
-    FetchLogMessage,
-    FetchLogResponse,
-    OrderMessage,
-    PreOrderMessage,
-    VoteMessage,
-)
+from .wire import PreOrderMessage
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -93,9 +88,8 @@ _SILENT = -1
 _EV_TICK = 0
 _EV_MSG = 1
 _EV_PROPOSE = 2
-_EV_REPLY = 3
-_EV_CMD = 4
-_EV_BATCH = 5
+_EV_CMD = 3
+_EV_BATCH = 4
 
 
 @dataclass
@@ -116,7 +110,6 @@ class ExperimentResult:
     total_proposed: int
     non_quiescent: bool
     leader_faults: int
-    accepted_commands: int
     sim_time_ms: int
     events_processed: int
     batch_trace: list[str] = field(default_factory=list)
@@ -143,7 +136,6 @@ class ExperimentResult:
             "total_proposed": self.total_proposed,
             "non_quiescent": self.non_quiescent,
             "leader_faults": self.leader_faults,
-            "accepted_commands": self.accepted_commands,
             "sim_time_ms": self.sim_time_ms,
             "events_processed": self.events_processed,
             "trace_sha256": self.trace_sha256(),
@@ -153,121 +145,35 @@ class ExperimentResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-class _Proposer:
-    """Client stub: emits numbered commands and tallies f+1 matching replies."""
-
-    def __init__(self, proposer_id: int, scenario: Scenario):
-        self.proposer_id = proposer_id
-        self.scenario = scenario
-        self._replies: dict[bytes, set[int]] = {}
-        self.accepted = 0
-
-    def build_command(self, seq: int) -> Command:
-        requests = b";".join(
-            b"req:%d:%d:%d" % (self.proposer_id, seq, i)
-            for i in range(self.scenario.batch_size)
-        )
-        return Command.create(self.proposer_id, seq, requests)
-
-    def on_reply(self, digest: bytes, node_id: int, f: int) -> None:
-        seen = self._replies.setdefault(digest, set())
-        if len(seen) <= f:
-            seen.add(node_id)
-            if len(seen) == f + 1:
-                self.accepted += 1
+def _build_command(scenario: Scenario, proposer_id: int, seq: int) -> Command:
+    """The client stub's command ``seq``: ``batch_size`` numbered requests."""
+    requests = b";".join(
+        b"req:%d:%d:%d" % (proposer_id, seq, i) for i in range(scenario.batch_size)
+    )
+    return Command.create(proposer_id, seq, requests)
 
 
 class _Node(Replica):
-    """A replica on the simulated network: event handlers, peer fetches and
-    Byzantine behavior around the :class:`Replica` pipeline."""
+    """A replica on the simulated network with its node's Byzantine
+    behaviour: a queue behaviour and a skewed stamp on each tick."""
 
     def __init__(self, node_id: int, scenario: Scenario, sim: "Simulation"):
         super().__init__(
             node_id, sim.auth, scenario.strategy,
             designated=min(scenario.byzantine, default=0),
             record_batches=sim.record_batches and node_id == sim.reference_node,
+            net=sim, resend_ms=scenario.resend_ms,
         )
-        self.scenario = scenario
-        self.sim = sim
         self.behavior = scenario.behavior(node_id)
-        self.is_leader = node_id == 0 and self.executor.uses_consensus
         self._shuffle_rng = random.Random(f"phalanx:{scenario.seed}:byz:{node_id}")
-        self._log_promises: dict[tuple[int, int], list[int]] = {}
-        self._cmd_promises: dict[bytes, list[int]] = {}
-        self._requested_cmds: set[bytes] = set()
-        self._replied_upto = 0
-
-    # -- event handlers -------------------------------------------------
-
-    def on_command(self, cmd: Command) -> None:
-        mempool = self.mempool
-        # With an earlier command still queued, the node woke for that one.
-        if (mempool.enqueue_command(cmd) and len(mempool.inbound) == 1
-                and mempool.has_room()):
-            self.sim.wake(self.node_id)
-        self._answer_cmd_promises(cmd)
-        self._maybe_unblock_executor(cmd.digest)
 
     def on_tick(self, now: int) -> bool:
-        """Pre-order, re-broadcast or snapshot a batch; False if it did none."""
-        if self.behavior.silent:
-            return False
+        """Apply the queue behaviour, then tick at the skewed stamp."""
         self._apply_queue_behavior()
         stamp = now + self.behavior.skew
         if stamp < 0:
             stamp = 0
-        msg = self.mempool.try_pre_order(stamp)
-        if msg is None:
-            msg = self.mempool.resend_pre_order(stamp, self.scenario.resend_ms)
-        if msg is not None:
-            self.sim.broadcast(self.node_id, msg, include_self=True)
-        if self.is_leader:
-            batch = self.consenter.make_order_batch()
-            if batch is not None:
-                self.sim.sequencer.submit(batch)
-                return True
-        return msg is not None
-
-    def on_message(self, msg, sender: int) -> None:
-        if isinstance(msg, PreOrderMessage):
-            if self.behavior.silent:
-                return
-            vote = self.mempool.handle_pre_order(msg, sender)
-            if vote is not None:
-                self.sim.send(self.node_id, sender, vote)
-        elif isinstance(msg, VoteMessage):
-            order = self.mempool.handle_vote(msg, sender)
-            if order is not None:
-                self.sim.broadcast(self.node_id, order, include_self=False)
-                if self.mempool.inbound:
-                    self.sim.wake(self.node_id)
-                self._log_stored(order.log.node_id, order.log.seq)
-        elif isinstance(msg, OrderMessage):
-            if self.mempool.handle_order(msg.log):
-                self._log_stored(msg.log.node_id, msg.log.seq)
-        elif isinstance(msg, FetchLogMessage):
-            log = self.mempool.fetch_log(msg.author, msg.seq)
-            if log is not None:
-                self.sim.send(self.node_id, sender, FetchLogResponse(log))
-            else:
-                self._log_promises.setdefault((msg.author, msg.seq), []).append(sender)
-        elif isinstance(msg, FetchLogResponse):
-            if self.mempool.handle_order(msg.log):
-                self._log_stored(msg.log.node_id, msg.log.seq)
-        elif isinstance(msg, FetchCommandMessage):
-            cmd = self.mempool.fetch_command(msg.digest)
-            if cmd is not None:
-                self.sim.send(self.node_id, sender, FetchCommandResponse(cmd))
-            else:
-                self._cmd_promises.setdefault(msg.digest, []).append(sender)
-        elif isinstance(msg, FetchCommandResponse):
-            if self.mempool.store_command(msg.command):
-                self._answer_cmd_promises(msg.command)
-                self._maybe_unblock_executor(msg.command.digest)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unhandled message {type(msg).__name__}")
-
-    # -- internals -------------------------------------------------------
+        return self.tick(stamp)
 
     def _apply_queue_behavior(self) -> None:
         mempool = self.mempool
@@ -289,87 +195,25 @@ class _Node(Replica):
             # tick that pre-orders rotates, so every pre-order takes the newest.
             queue.rotate(1)
 
-    def _log_stored(self, author: int, seq: int) -> None:
-        if self.is_leader:
-            # The leader's own batches hold only logs it stores, so only the
-            # handlers that call this can advance its latest-log vector.
-            self.sim.wake(self.node_id)
-        waiting = self._log_promises.pop((author, seq), None)
-        if waiting:
-            log = self.mempool.fetch_log(author, seq)
-            for requester in waiting:
-                self.sim.send(self.node_id, requester, FetchLogResponse(log))
-        self._resume(self.consenter.on_log_stored(author, seq))
 
-    def on_batch(self, index: int, batch: OrderBatch) -> None:
-        self._resume(self.consenter.on_delivered(index, batch))
+class _SilentNode(_Node):
+    """A silent node: it drops every pre-order it receives, so it never
+    votes, and counts as idle, so no run waits on it. It is never ticked."""
 
-    def _resume(self, missing: list[tuple[int, int]]) -> None:
-        """Fetch the logs the consenter still lacks, then pump the strategy."""
-        for author, seq in missing:
-            self.sim.broadcast(
-                self.node_id, FetchLogMessage(author, seq), include_self=False
-            )
-        if self.pump():
-            self._after_drain()
-
-    def _after_drain(self) -> None:
-        blocked = self.executor.blocked_on
-        if blocked:
-            for digest in sorted(blocked):
-                if digest not in self._requested_cmds:
-                    self._requested_cmds.add(digest)
-                    self.sim.broadcast(
-                        self.node_id, FetchCommandMessage(digest), include_self=False
-                    )
-        elif self.sim.client_replies:
-            self._send_replies(self.sim.send_reply)
-
-    def _send_replies(self, send) -> None:
-        """Reply to the proposer of each command committed since the last call."""
-        order = self.executor.committed_order
-        while self._replied_upto < len(order):
-            entry = order[self._replied_upto]
-            self._replied_upto += 1
-            send(self.node_id, entry.proposer_id, entry.digest)
-
-    def _maybe_unblock_executor(self, digest: bytes) -> None:
-        executor = self.executor
-        if digest in executor.blocked_on and executor.unblock(digest):
-            executor.drain()
-            self._after_drain()
-
-    def _answer_cmd_promises(self, cmd: Command) -> None:
-        waiting = self._cmd_promises.pop(cmd.digest, None)
-        if waiting:
-            for requester in waiting:
-                self.sim.send(self.node_id, requester, FetchCommandResponse(cmd))
-
-    # -- idleness ---------------------------------------------------------
+    def on_message(self, msg, sender: int) -> None:
+        if not isinstance(msg, PreOrderMessage):
+            super().on_message(msg, sender)
 
     def idle(self) -> bool:
-        if self.behavior.silent:
-            return True
-        mp = self.mempool
-        if mp.inbound or mp.outstanding:
-            return False
-        if self.consenter.pending_batches:
-            return False
-        if not self.executor.idle:
-            return False
-        if self.is_leader and self.consenter.make_order_batch() is not None:
-            return False
         return True
 
 
 class Simulation:
     """Seeded event loop driving proposers and nodes to quiescence."""
 
-    def __init__(self, scenario: Scenario, record_batches: bool = False,
-                 client_replies: bool = False):
+    def __init__(self, scenario: Scenario, record_batches: bool = False):
         self.scenario = scenario
         self.record_batches = record_batches
-        self.client_replies = client_replies
         self.auth = make_authenticator(
             scenario.auth_scheme, scenario.n, scenario.f,
             cluster_seed=b"phalanx:%d" % scenario.seed,
@@ -385,8 +229,10 @@ class Simulation:
         self._latency_k = self._latency_width.bit_length()
         honest = scenario.honest_ids()
         self.reference_node = honest[0] if honest else 0
-        self.nodes = [_Node(i, scenario, self) for i in range(scenario.n)]
-        self.proposers = [_Proposer(p, scenario) for p in range(scenario.proposers)]
+        self.nodes = [
+            (_SilentNode if scenario.behavior(i).silent else _Node)(i, scenario, self)
+            for i in range(scenario.n)
+        ]
         self.sequencer = SequencerBroadcast(self._transport_batch)
         self.now = 0
         # The node whose tick is running (-1 outside ticks), and the largest
@@ -498,13 +344,6 @@ class Simulation:
                 continue
             self.send(src, dst, msg)
 
-    def send_reply(self, node_id: int, proposer_id: int, digest: bytes) -> None:
-        self._post(node_id, self._proposer_rank + proposer_id, _EV_REPLY,
-                   proposer_id, (digest, node_id))
-
-    def _deliver_reply(self, node_id: int, proposer_id: int, digest: bytes) -> None:
-        self.proposers[proposer_id].on_reply(digest, node_id, self.scenario.f)
-
     def _transport_batch(self, index: int, batch: OrderBatch) -> None:
         leader = 0
         for dst in range(self.scenario.n):
@@ -575,17 +414,11 @@ class Simulation:
                     nodes[a].on_command(b)
                 elif kind == _EV_BATCH:
                     nodes[a].on_batch(b[0], b[1])
-                elif kind == _EV_PROPOSE:
-                    cmd = self.proposers[a].build_command(b)
+                else:  # _EV_PROPOSE
+                    cmd = _build_command(self.scenario, a, b)
                     rank = self._proposer_rank + a
                     for dst in range(self.scenario.n):
                         self._post(rank, dst, _EV_CMD, dst, cmd)
-                    continue
-                else:  # _EV_REPLY
-                    digest, node_id = b
-                    self._deliver_reply(node_id, a, digest)
-                    if len(heap) == self._tick_entries and self._all_idle():
-                        return self._end_at_next_tick()
                     continue
                 if len(heap) == self._tick_entries and self._all_idle():
                     return False
@@ -597,8 +430,8 @@ class Simulation:
         return all(node.idle() for node in self.nodes)
 
     def _end_at_next_tick(self) -> bool:
-        """Quiescent at an event that runs no check: the run ends at the next
-        grid tick of any node. Returns True if that is past ``max_sim_ms``."""
+        """Quiescent before the first event: the run ends at the next grid
+        tick of any node. Returns True if that is past ``max_sim_ms``."""
         when = min(self._next_grid_tick(i) for i in range(self.scenario.n))
         if when > self.scenario.max_sim_ms:
             return True
@@ -619,10 +452,6 @@ class Simulation:
         scenario = self.scenario
         for node in self.nodes:
             node.executor.flush()
-            # The timestamp and follow strategies commit only in this flush,
-            # after the event loop, so their replies are delivered here, at once.
-            if self.client_replies:
-                node._send_replies(self._deliver_reply)
         # With no honest node, the reference node's trace stands in.
         reporting = scenario.honest_ids() or [self.reference_node]
         traces = {i: list(self.nodes[i].executor.committed_order) for i in reporting}
@@ -648,14 +477,12 @@ class Simulation:
             total_proposed=total,
             non_quiescent=non_quiescent,
             leader_faults=leader_faults,
-            accepted_commands=sum(p.accepted for p in self.proposers),
             sim_time_ms=self.now,
             events_processed=self.events_processed,
             batch_trace=list(ref_node.consenter.batch_trace),
         )
 
 
-def run(scenario: Scenario, record_batches: bool = False,
-        client_replies: bool = False) -> ExperimentResult:
+def run(scenario: Scenario, record_batches: bool = False) -> ExperimentResult:
     """Execute one scenario to quiescence and measure it."""
-    return Simulation(scenario, record_batches, client_replies).run()
+    return Simulation(scenario, record_batches).run()

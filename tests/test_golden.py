@@ -13,7 +13,6 @@ from phalanx import (
 )
 from phalanx.golden import (
     _chain,
-    _deliver,
     _replica,
     run_all,
     run_anchor_handoff,
@@ -49,7 +48,7 @@ def test_run_all_reports_both():
 def test_delivery_consumes_every_log_set():
     chains = [_chain(AUTH, node, [(ONLY, node)]) for node in range(3)]
     replica = _replica(0, AUTH, "anchor", [ONLY], [chain[0] for chain in chains])
-    _deliver(replica, 0, (chains[0][0], chains[1][0], chains[2][0], None))
+    replica.on_batch(0, (chains[0][0], chains[1][0], chains[2][0], None))
     assert not replica.consenter.log_sets
     assert [e.digest for e in replica.executor.committed_order] == [ONLY.digest]
 
@@ -64,4 +63,4 @@ def test_harness_batch_with_a_gap_raises():
     chain = _chain(AUTH, 1, [(ONLY, 1), (Command.create(0, 2, b"next"), 2)])
     replica = _replica(0, AUTH, "anchor", [ONLY], [])
     with pytest.raises(ProtocolInvariantError):
-        _deliver(replica, 0, (None, chain[1], None, None))
+        replica.on_batch(0, (None, chain[1], None, None))

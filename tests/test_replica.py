@@ -1,15 +1,142 @@
-"""The replica pipeline and the interface every ordering strategy offers."""
+"""The replica pipeline, driven with no simulator, and the interface every
+ordering strategy offers."""
+
+import ast
+import dataclasses
+from collections import deque
+from pathlib import Path
 
 import pytest
 
-from phalanx import HmacAuthenticator, simnet
+import phalanx
+from phalanx import Command, HmacAuthenticator, NodeBehavior, simnet
+from phalanx.consensus import SequencerBroadcast
+from phalanx.mempool import REJECT_EQUIVOCATION
 from phalanx.replica import Replica
-from phalanx.scenario import FOLLOW, STRATEGIES
+from phalanx.scenario import ANCHOR, FOLLOW, STRATEGIES
+from phalanx.types import EMPTY_DIGEST, PartialOrderLog
+from phalanx.wire import FetchLogMessage, OrderMessage, PreOrderMessage, VoteMessage
 
 INTERFACE = ("feed", "drain", "flush", "blocked_on", "unblock", "idle",
              "committed_order", "alter_path_ratio", "uses_consensus")
-# Handlers the benchmark's tracer wraps on the node class's own namespace.
+# Handlers the benchmark's tracer wraps: it patches on_tick on the node
+# class itself and finds the others through the node class's MRO.
 NODE_HANDLERS = ("on_tick", "on_message", "on_batch", "on_command")
+# The only modules that may read a node's Byzantine behaviour.
+BEHAVIOUR_READERS = {"simnet.py", "scenario.py"}
+RESEND_MS = 100
+
+
+class Loopback:
+    """A replica port that queues every message and batch and delivers them
+    one at a time, in the order they were sent."""
+
+    def __init__(self):
+        auth = HmacAuthenticator(4, 1, cluster_seed=b"replica-test")
+        self.queue: deque = deque()
+        self.sequencer = SequencerBroadcast(
+            lambda index, batch: self.queue.append((0, None, (index, batch)))
+        )
+        self.replicas = [
+            Replica(i, auth, ANCHOR, net=self, resend_ms=RESEND_MS) for i in range(4)
+        ]
+
+    def send(self, src, dst, msg):
+        self.queue.append((src, dst, msg))
+
+    def broadcast(self, src, msg, include_self):
+        for dst in range(len(self.replicas)):
+            if dst != src or include_self:
+                self.send(src, dst, msg)
+
+    def wake(self, node_id):
+        pass  # the tests tick each replica by hand
+
+    def run(self, hold=lambda src, dst, msg: False) -> list:
+        """Deliver until nothing is queued; return what ``hold`` kept back."""
+        held = []
+        while self.queue:
+            src, dst, msg = self.queue.popleft()
+            if dst is None:
+                for replica in self.replicas:
+                    replica.on_batch(*msg)
+            elif hold(src, dst, msg):
+                held.append((src, dst, msg))
+            else:
+                self.replicas[dst].on_message(msg, src)
+        return held
+
+
+def command(seq: int) -> Command:
+    return Command.create(0, seq, b"cmd%d" % seq)
+
+
+def test_one_pre_order_certifies_on_every_replica():
+    net = Loopback()
+    author = net.replicas[1]
+    author.on_command(command(1))
+    assert author.tick(10)
+    net.run()
+    (log,) = {replica.mempool.fetch_log(1, 1) for replica in net.replicas}
+    assert log.command_digest == command(1).digest and log.timestamp == 10
+    assert net.replicas[0].mempool.is_certified(log)
+    assert all(replica.mempool.latest[1] is not None for replica in net.replicas)
+    assert not author.mempool.outstanding
+    assert author.idle() and not author.tick(20)
+
+
+def test_equivocation_is_refused_at_vote_time():
+    net = Loopback()
+    author = net.replicas[1]
+    author.on_command(command(1))
+    author.tick(10)
+    # A second log of author 1 at the same seq, sent right behind the first.
+    twin = PartialOrderLog.create(1, 1, 10, command(2).digest, EMPTY_DIGEST)
+    net.broadcast(1, PreOrderMessage(twin), include_self=False)
+    net.run()
+    assert [r.mempool.rejects[REJECT_EQUIVOCATION] for r in net.replicas] == [1, 0, 1, 1]
+    (log,) = {replica.mempool.fetch_log(1, 1) for replica in net.replicas}
+    assert log.command_digest == command(1).digest
+
+
+def test_rebroadcast_gets_an_identical_vote():
+    net = Loopback()
+    author = net.replicas[1]
+    author.on_command(command(1))
+    author.tick(10)
+    is_vote = lambda src, dst, msg: isinstance(msg, VoteMessage)  # noqa: E731
+    first = net.run(hold=is_vote)
+    assert len(first) == 4 and author.mempool.outstanding
+    assert not author.tick(10 + RESEND_MS - 1)
+    assert author.tick(10 + RESEND_MS)
+    assert net.run(hold=is_vote) == first
+    assert not any(replica.mempool.rejects for replica in net.replicas)
+
+
+def test_batch_missing_a_log_fetches_it_and_resumes():
+    net = Loopback()
+    commands = [command(1), command(2)]
+    for replica in net.replicas:
+        for cmd in commands:
+            replica.on_command(cmd)
+    for author in (0, 1, 3):
+        net.replicas[author].tick(10)
+        net.replicas[author].tick(20)
+    # Replica 2 never receives author 1's certified logs; the batch carries
+    # author 1's seq 2, so replica 2 lacks seq 1 below it.
+    net.run(hold=lambda src, dst, msg: (
+        dst == 2 and isinstance(msg, OrderMessage) and msg.log.node_id == 1))
+    target = net.replicas[2]
+    assert target.mempool.fetch_log(1, 1) is None
+    assert net.replicas[0].tick(30)  # the leader submits its batch
+    _, _, (index, batch) = net.queue.popleft()
+    assert batch[1].seq == 2
+    target.on_batch(index, batch)
+    assert target.consenter.blocked and target.executor.committed_order == []
+    assert list(net.queue) == [(2, dst, FetchLogMessage(1, 1)) for dst in (0, 1, 3)]
+    net.run()
+    assert not target.consenter.blocked
+    assert [e.digest for e in target.executor.committed_order] == [c.digest for c in commands]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -19,13 +146,20 @@ def test_strategy_offers_the_interface(strategy):
     assert type(executor).uses_consensus is (strategy != FOLLOW)
     assert executor.idle and not executor.blocked_on and executor.committed_order == []
     assert executor.alter_path_ratio() == 0.0
-    assert set(NODE_HANDLERS) <= vars(simnet._Node).keys()
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_pump_reports_whether_anything_was_fed(strategy):
-    replica = Replica(0, HmacAuthenticator(4, 1), strategy)
-    assert replica.pump() is False
-    replica.consenter.log_sets.extend([(), ()])
-    assert replica.pump() is True
-    assert not replica.consenter.log_sets
+def test_node_handlers_resolve_as_the_tracer_needs():
+    assert [name for name in NODE_HANDLERS if not hasattr(simnet._Node, name)] == []
+    assert "on_tick" in vars(simnet._Node)
+
+
+def test_only_the_simulator_reads_behaviour_flags():
+    flags = {"behavior"} | {field.name for field in dataclasses.fields(NodeBehavior)}
+    readers = []
+    for path in sorted(Path(phalanx.__file__).parent.glob("*.py")):
+        if path.name in BEHAVIOUR_READERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in flags:
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []

@@ -359,28 +359,6 @@ class TestTimestampStrategy:
         assert all(t == reference for t in digests.values())
 
 
-class TestClientReplies:
-    def test_every_command_reaches_quorum_acceptance(self):
-        result = run(small(commands_per_proposer=10), client_replies=True)
-        assert result.accepted_commands == 10
-
-    @pytest.mark.parametrize("strategy, byzantine", [
-        ("timestamp", {}), ("follow", {3: NodeBehavior(reverse=True)}),
-    ], ids=["timestamp", "follow"])
-    def test_commits_made_at_the_final_flush_are_replied(self, strategy, byzantine):
-        # Both strategies commit only in the end-of-run flush.
-        result = run(small(commands_per_proposer=10, strategy=strategy,
-                           byzantine=byzantine), client_replies=True)
-        assert result.committed == 10
-        assert result.accepted_commands == 10
-
-    def test_replies_survive_a_silent_node(self):
-        result = run(small(commands_per_proposer=10,
-                           byzantine={3: NodeBehavior(silent=True)}),
-                     client_replies=True)
-        assert result.accepted_commands == 10
-
-
 class TestPeerRetrieval:
     """Gap recovery: a node missing state pulls it from peers and resumes."""
 
