@@ -3,11 +3,16 @@
 The mempool turns received commands into certified, hash-chained
 partial-order logs through three steps:
 
-1. pre-order: pop the front command, stamp it with the next logical-clock
+1. pre-order: pop the front command, stamp it with the caller's clock
    value, chain it on this node's newest own log, certified or not, and
    broadcast the uncertified log. Up to ``PRE_ORDER_WINDOW`` own logs may
-   await votes at once (PBFT's low/high watermarks); a log starved of votes
-   is re-broadcast, the one whose re-broadcast fell due first;
+   await votes at once (PBFT's low/high watermarks), so one tick of the
+   caller may pre-order several; it stamps them ``stamp, stamp + 1, ...``
+   (:meth:`Replica.tick <phalanx.replica.Replica.tick>`), so an honest
+   author's stamps strictly increase along its chain: equal stamps would
+   leave the order of its logs to the digest tie-break of trusted
+   timestamps. A log starved of votes is re-broadcast, the one whose
+   re-broadcast fell due first;
 2. vote: a peer votes for an author's log whose seq lies above the author's
    certified head h and at most h + ``PRE_ORDER_WINDOW``, and that chains on
    the higher of that head and the newest log it voted for. It repeats its

@@ -16,10 +16,16 @@ so that a test may replace a method on the port object:
 * ``net.sequencer.submit(batch)`` hands an order-batch to the total-order
   broadcast, which delivers it to every node's ``on_batch``.
 
-The caller drives :meth:`Replica.tick` with the stamp to put on new logs;
-a tick re-broadcasts an own log once it has waited ``resend_ms`` for
-votes. Node 0 leads when the strategy uses consensus. No Byzantine behaviour is
-read here: the simulator's node wraps this class with the behaviour.
+The caller drives :meth:`Replica.tick` with the stamp to put on new logs.
+A tick pre-orders queued commands until the pre-order window is full, the
+queue is empty or it has used ``tick_ms`` stamps, stamping the k-th
+(k from 0) ``stamp + k``. A caller whose successive ticks' stamps lie at
+least ``tick_ms`` apart thus gets strictly increasing stamps along the
+node's chain. A tick that pre-orders nothing re-broadcasts an own log once
+it has waited ``resend_ms`` for votes. Node 0 leads when the strategy uses
+consensus. No Byzantine behaviour is read here: the simulator's node wraps
+this class with the behaviour, through the hook
+:meth:`Replica.before_pre_order`.
 
 The strategy is picked once, by name: ``anchor`` (:class:`Executor`),
 ``timestamp`` (:class:`TimestampExecutor`, the Pompē-style baseline) or
@@ -56,7 +62,7 @@ class Replica:
 
     def __init__(self, node_id: int, auth: Authenticator, strategy: str,
                  designated: int = 0, record_batches: bool = False,
-                 net=None, resend_ms: int = 0):
+                 net=None, resend_ms: int = 0, tick_ms: int = 1):
         self.node_id = node_id
         self.mempool = Mempool(node_id, auth)
         self.consenter = Consenter(node_id, self.mempool, record_batches)
@@ -69,6 +75,7 @@ class Replica:
             self.executor = Executor(auth.n, auth.f, self.mempool.fetch_command)
         self.net = net
         self.resend_ms = resend_ms
+        self.tick_ms = tick_ms
         self.is_leader = node_id == 0 and self.executor.uses_consensus
         self._log_promises: dict[tuple[int, int], list[int]] = {}
         self._cmd_promises: dict[bytes, list[int]] = {}
@@ -87,17 +94,30 @@ class Replica:
 
     def tick(self, stamp: int) -> bool:
         """Pre-order, re-broadcast or snapshot a batch; False if it did none."""
-        msg = self.mempool.try_pre_order(stamp)
-        if msg is None:
-            msg = self.mempool.resend_pre_order(stamp, self.resend_ms)
-        if msg is not None:
+        mempool = self.mempool
+        k = 0
+        while k < self.tick_ms:
+            self.before_pre_order()
+            msg = mempool.try_pre_order(stamp + k)
+            if msg is None:
+                break
             self.net.broadcast(self.node_id, msg, include_self=True)
+            k += 1
+        if not k:
+            msg = mempool.resend_pre_order(stamp, self.resend_ms)
+            if msg is not None:
+                self.net.broadcast(self.node_id, msg, include_self=True)
+                k = 1
         if self.is_leader:
             batch = self.consenter.make_order_batch()
             if batch is not None:
                 self.net.sequencer.submit(batch)
                 return True
-        return msg is not None
+        return k > 0
+
+    def before_pre_order(self) -> None:
+        """Called before each pre-order attempt of a tick; a subclass may
+        reorder the inbound queue here."""
 
     def on_message(self, msg, sender: int) -> None:
         if isinstance(msg, PreOrderMessage):

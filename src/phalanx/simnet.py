@@ -13,16 +13,20 @@ holds no protocol handler: it carries messages and batches, schedules
 ticks, and flushes every strategy at the end.
 
 Each node ticks on its own grid, ``phase + k * delta_o`` for k >= 1 with
-``phase = node_id * delta_o // n``: a tick starts at most one new
-pre-order when the mempool's pre-order window has room, or else
-re-broadcasts the starved log that fell due first, and, on the leader,
-snapshots an order-batch. A tick is scheduled only when it can act:
+``phase = node_id * delta_o // n``. A tick pre-orders queued commands until
+the mempool's pre-order window is full, the queue is empty or it has
+started ``delta_o`` pre-orders (the k-th, from 0, is stamped ``stamp + k``,
+so stamps stay below the next tick's); if it starts none, it re-broadcasts
+the starved log that fell due first. On the leader it also snapshots an
+order-batch. A tick is scheduled only when it can act:
 
-* after a tick that acted, the node ticks again ``delta_o`` later;
-* after a tick that did nothing, a node with logs awaiting votes sleeps
-  until the first grid tick at or after the earliest re-broadcast due time
-  among them, ``sent + resend_ms - skew`` for the log last sent earliest;
-  any other node sleeps with no timer;
+* after a tick that acted, the leader ticks again ``delta_o`` later;
+* after any other tick, a node that stopped at ``delta_o`` pre-orders with
+  room left ticks again ``delta_o`` later; otherwise a node with logs
+  awaiting votes sleeps until the first grid tick after this one at or
+  after the earliest re-broadcast due time among them, ``sent + resend_ms
+  - skew`` for the log last sent earliest (a tick re-broadcasts one log,
+  so another may be due already); any other node sleeps with no timer;
 * a sleeping node wakes at its next grid tick after the current event when
   a command is queued while the window has room, when a vote completes a
   certificate while commands are queued, or, on the leader, when a stored
@@ -50,13 +54,14 @@ cut short, at the last grid tick of any node at or before ``max_sim_ms``.
 
 Byzantine behaviors live here and in :mod:`~phalanx.scenario` only, never
 in the replica. They reorder a node's inbound queue, skew its reported log
-timestamps, or silence it entirely. :class:`_Node` applies the queue
-behaviour and the skewed stamp on each tick; a silent node is a
-:class:`_SilentNode`. A ``shuffle`` node makes one uniform draw over its
-queue on each tick that pre-orders with two or more commands queued, and
-pre-orders the drawn command; the rest keep their arrival order. A
-``reverse`` node moves its newest queued command to the front on each
-tick that pre-orders, so it always pre-orders newest-first.
+timestamps, or silence it entirely. :class:`_Node` applies the skewed stamp
+on each tick and the queue behaviour before each pre-order of a tick; a
+silent node is a :class:`_SilentNode`. A ``shuffle`` node makes one uniform
+draw over its queue before each pre-order that finds the window with room
+and two or more commands queued, and pre-orders the drawn command; the rest
+keep their arrival order. A ``reverse`` node moves its newest queued
+command to the front before each pre-order, so it always pre-orders
+newest-first.
 """
 
 from __future__ import annotations
@@ -162,27 +167,27 @@ class _Node(Replica):
             node_id, sim.auth, scenario.strategy,
             designated=min(scenario.byzantine, default=0),
             record_batches=sim.record_batches and node_id == sim.reference_node,
-            net=sim, resend_ms=scenario.resend_ms,
+            net=sim, resend_ms=scenario.resend_ms, tick_ms=scenario.delta_o,
         )
         self.behavior = scenario.behavior(node_id)
         self._shuffle_rng = random.Random(f"phalanx:{scenario.seed}:byz:{node_id}")
 
     def on_tick(self, now: int) -> bool:
-        """Apply the queue behaviour, then tick at the skewed stamp."""
-        self._apply_queue_behavior()
+        """Tick at the skewed stamp; the queue behaviour runs before each
+        pre-order of the tick."""
         stamp = now + self.behavior.skew
         if stamp < 0:
             stamp = 0
         return self.tick(stamp)
 
-    def _apply_queue_behavior(self) -> None:
+    def before_pre_order(self) -> None:
         mempool = self.mempool
         queue = mempool.inbound
         if len(queue) < 2:
             return
         if self.behavior.shuffle:
-            # Pre-order a uniformly drawn queued command. Only a tick that
-            # pre-orders draws, so there is one draw per pre-order, not per tick.
+            # Pre-order a uniformly drawn queued command. Only a pre-order
+            # draws, so there is one draw per pre-order, not per tick.
             if mempool.has_room():
                 j = self._shuffle_rng.randrange(len(queue))
                 if j:
@@ -192,7 +197,7 @@ class _Node(Replica):
         elif self.behavior.reverse and mempool.has_room():
             # Serve the local FIFO from the back: the newest command is
             # pre-ordered first, inverting the declared partial order. Only a
-            # tick that pre-orders rotates, so every pre-order takes the newest.
+            # pre-order rotates, so every pre-order takes the newest.
             queue.rotate(1)
 
 
@@ -324,15 +329,24 @@ class Simulation:
         heapq.heappush(self._heap, (when, node_id * 4 + 1, 0, _EV_TICK, node_id, None))
 
     def _sleep(self, node_id: int, now: int) -> None:
-        """Schedule the node after a tick that did nothing."""
+        """Schedule a non-leader node after its tick at ``now``, or any node
+        after a tick that did nothing."""
         node = self.nodes[node_id]
-        first = node.mempool.first_due()
+        mempool = node.mempool
+        if mempool.inbound and mempool.has_room():
+            # The tick used all its stamps: the next one pre-orders on.
+            self._schedule_tick(node_id, now + self._delta)
+            return
+        first = mempool.first_due()
         if first is None:
             self._tick_at[node_id] = _NO_TICK
             return
-        # The first grid tick whose stamp makes a log due a re-broadcast; it
-        # is later than ``now``, or this tick would have re-broadcast.
+        # The first grid tick after ``now`` whose stamp makes a log due a
+        # re-broadcast. A tick re-broadcasts one log, so another may have
+        # fallen due by ``now`` too.
         due = first.sent + self.scenario.resend_ms - node.behavior.skew
+        if due <= now:
+            due = now + 1
         self._schedule_tick(node_id, due + (now - due) % self._delta)
 
     def send(self, src: int, dst: int, msg) -> None:
@@ -378,6 +392,8 @@ class Simulation:
         max_sim_ms = self.scenario.max_sim_ms
         now, high = self.now, self._high_key
         processed = self.events_processed
+        # The node that keeps a follow-up tick after one that acted.
+        leader = 0 if nodes[0].is_leader else -1
         try:
             while heap:
                 time, key, _seqno, kind, a, b = heappop(heap)
@@ -403,7 +419,7 @@ class Simulation:
                     self._ticking = -1
                     # A tick that did nothing leaves the run as unfinished as
                     # the event before it; one that acted queued events.
-                    if acted:
+                    if acted and a == leader:
                         tick_at[a] = time + delta
                         heappush(heap, (time + delta, key, 0, kind, a, None))
                     else:

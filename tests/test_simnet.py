@@ -7,8 +7,8 @@ import pytest
 
 import phalanx.mempool
 from phalanx import Command, NodeBehavior, Scenario, Simulation, run
-from phalanx.wire import PreOrderMessage
-from prop_harness import random_scenario, wide_scenario
+from phalanx.wire import PreOrderMessage, VoteMessage
+from prop_harness import check_invariants, random_scenario, wide_scenario
 
 
 def small(**kw):
@@ -113,65 +113,77 @@ class TestLatencyDraw:
         assert sim.rng.getstate() == reference.getstate()
 
 
-def shuffler(commands: int):
-    """A shuffling node with ``commands`` queued, in arrival order."""
-    node = Simulation(small(byzantine={3: NodeBehavior(shuffle=True)})).nodes[3]
+def queued_node(node_id: int, commands: int, **kw):
+    """Node ``node_id`` of a small cluster with ``commands`` queued, in
+    arrival order."""
+    node = Simulation(small(**kw)).nodes[node_id]
     cmds = [Command.create(0, seq, b"c%d" % seq) for seq in range(1, commands + 1)]
     for cmd in cmds:
         node.on_command(cmd)
     return node, [cmd.digest for cmd in cmds]
 
 
-def pre_order(node, now: int = 50) -> bytes:
-    """Tick ``node`` into a pre-order; certify it at once; return its digest."""
+def shuffler(commands: int):
+    """A shuffling node with ``commands`` queued, in arrival order."""
+    return queued_node(3, commands, byzantine={3: NodeBehavior(shuffle=True)})
+
+
+def tick_pre_orders(node, now: int = 50) -> list[bytes]:
+    """Tick ``node``; certify its new pre-orders at once; return their
+    command digests in seq order."""
     mempool = node.mempool
     node.on_tick(now)
-    (entry,) = mempool.outstanding.values()
+    digests = [entry.log.command_digest for entry in mempool.outstanding.values()]
     mempool.outstanding.clear()
-    return entry.log.command_digest
+    return digests
 
 
 class TestShuffleDraws:
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 31, 32, 33, 64, 65, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 7, "phalanx:1:byz:3"])
     def test_matches_random_shuffle(self, length, seed):
-        # Draining a queue of `length` commands makes exactly the draws of
-        # random.Random.shuffle on `length` items: the pre-order that finds
-        # m >= 2 commands queued draws randrange(m) and takes the command at
-        # that index among those still queued, in arrival order.
+        # Draining a queue of `length` commands through ticks makes exactly
+        # the draws of random.Random.shuffle on `length` items: the pre-order
+        # that finds m >= 2 commands queued draws randrange(m) and takes the
+        # command at that index among those still queued, in arrival order.
         node, digests = shuffler(length)
         node._shuffle_rng = random.Random(seed)
         reference = random.Random(seed)
         expected = []
         for m in range(length, 0, -1):
             expected.append(digests.pop(reference.randrange(m) if m >= 2 else 0))
-        assert [pre_order(node) for _ in range(length)] == expected
+        drawn = []
+        now = 50
+        while node.mempool.inbound:
+            drawn += tick_pre_orders(node, now)
+            now += 50
+        assert drawn == expected
         shuffled = random.Random(seed)
         shuffled.shuffle(list(range(length)))
         assert node._shuffle_rng.getstate() == reference.getstate() == shuffled.getstate()
 
-    @pytest.mark.parametrize("queued", [0, 1, 2, 5])
+    @pytest.mark.parametrize("queued", [0, 1, 2, 5, 9])
     def test_tick_draws_only_for_two_or_more(self, queued):
-        # A pre-order tick makes one randrange(queued) draw with two or more
-        # queued, and none with fewer.
+        # Each pre-order of a tick makes one randrange(m) draw while the
+        # window has room and m >= 2 commands are queued, and none otherwise.
+        window = phalanx.mempool.PRE_ORDER_WINDOW
         node, _ = shuffler(queued)
         reference = random.Random()
         reference.setstate(node._shuffle_rng.getstate())
-        if queued >= 2:
-            reference.randrange(queued)
+        for m in range(queued, max(queued - window, 1), -1):
+            reference.randrange(m)
         node.on_tick(50)
-        assert len(node.mempool.outstanding) == min(queued, 1)
+        assert len(node.mempool.outstanding) == min(queued, window)
         assert node._shuffle_rng.getstate() == reference.getstate()
 
     def test_no_draw_while_awaiting_votes(self):
         # Once the window is full, ticks draw nothing until a log certifies.
         window = phalanx.mempool.PRE_ORDER_WINDOW
         node, _ = shuffler(window + 3)
-        for k in range(1, window + 1):
-            node.on_tick(50 * k)
+        node.on_tick(50)
         outstanding = list(node.mempool.outstanding)
         state = node._shuffle_rng.getstate()
-        for now in (300, 350, 2100):  # the last one re-sends the first log
+        for now in (100, 150, 2050):  # the last one re-sends the first log
             node.on_tick(now)
         assert list(node.mempool.outstanding) == outstanding
         assert len(outstanding) == window
@@ -188,7 +200,7 @@ class TestShuffleDraws:
             node._shuffle_rng = random.Random(seed)
             node.mempool.inbound.clear()
             node.mempool.inbound.extend(commands)
-            firsts[pre_order(node)] += 1
+            firsts[tick_pre_orders(node)[0]] += 1
         assert all(abs(count - 1000) <= 120 for count in firsts.values()), firsts
 
     def test_undrawn_keep_arrival_order(self):
@@ -196,11 +208,60 @@ class TestShuffleDraws:
         for seed in range(20):
             node, digests = shuffler(8)
             node._shuffle_rng = random.Random(seed)
-            drawn = pre_order(node)
-            moved += drawn != digests[0]
-            digests.remove(drawn)
+            drawn = tick_pre_orders(node)
+            moved += drawn != digests[:len(drawn)]
+            for digest in drawn:
+                digests.remove(digest)
             assert [cmd.digest for cmd in node.mempool.inbound] == digests
         assert moved > 10
+
+
+def chain_stamps(node) -> list[int]:
+    """Stamps of the node's own logs awaiting votes, in seq order."""
+    return [entry.log.timestamp for entry in node.mempool.outstanding.values()]
+
+
+class TestTickPreOrders:
+    @pytest.mark.parametrize("earlier", [0, 1, 3])
+    @pytest.mark.parametrize("queued", [0, 1, 2, 4, 7])
+    def test_fills_the_window_with_increasing_stamps(self, earlier, queued):
+        # One tick pre-orders min(queued, room) logs, stamped now, now + 1,
+        # ...: above every stamp an earlier tick put on the chain.
+        window = phalanx.mempool.PRE_ORDER_WINDOW
+        node, _ = queued_node(1, earlier)
+        assert node.on_tick(50) is (earlier > 0)
+        for seq in range(earlier + 1, earlier + queued + 1):
+            node.on_command(Command.create(0, seq, b"c%d" % seq))
+        acted = node.on_tick(100)
+        pre_ordered = min(queued, window - earlier)
+        assert acted is (pre_ordered > 0)
+        assert chain_stamps(node) == [50 + k for k in range(earlier)] + [
+            100 + k for k in range(pre_ordered)]
+        assert len(node.mempool.inbound) == queued - pre_ordered
+
+    def test_skewed_stamps_increase_within_a_tick(self):
+        node, _ = queued_node(3, 4, byzantine={3: NodeBehavior(skew=-7)})
+        node.on_tick(50)
+        assert chain_stamps(node) == [43, 44, 45, 46]
+
+    @pytest.mark.parametrize("delta_o", [1, 2, 3])
+    def test_tick_uses_at_most_delta_o_stamps(self, delta_o):
+        # Below the window, a tick stops at delta_o pre-orders, so the next
+        # grid tick's stamps still lie above this one's.
+        window = phalanx.mempool.PRE_ORDER_WINDOW
+        node, _ = queued_node(1, 9, delta_o=delta_o)
+        node.on_tick(50)
+        assert chain_stamps(node) == list(range(50, 50 + min(delta_o, window)))
+        node.on_tick(50 + delta_o)
+        assert chain_stamps(node) == list(range(50, 50 + min(2 * delta_o, window)))
+
+    def test_reverse_takes_the_newest_at_each_pre_order(self):
+        window = phalanx.mempool.PRE_ORDER_WINDOW
+        node, digests = queued_node(3, window + 2, byzantine={3: NodeBehavior(reverse=True)})
+        node.on_tick(50)
+        logs = [entry.log for entry in node.mempool.outstanding.values()]
+        assert [log.command_digest for log in logs] == digests[:1:-1]
+        assert [cmd.digest for cmd in node.mempool.inbound] == digests[:2]
 
 
 class TestDeterminism:
@@ -307,6 +368,42 @@ class TestTickScheduling:
             assert len(pre_orders) == 480
 
 
+    @pytest.mark.parametrize("resend_ms", [2000, 2010])
+    def test_logs_due_at_once_rebroadcast_one_per_grid_tick(self, resend_ms):
+        # Node 1 gets no votes, so the four logs of its first tick stay
+        # outstanding and fall due within one grid interval. Each later tick
+        # re-broadcasts one of them, on successive grid ticks; no tick of the
+        # node runs twice at one time.
+        sim = Simulation(small(commands_per_proposer=4, propose_interval=0,
+                               resend_ms=resend_ms, max_sim_ms=7000))
+        node = sim.nodes[1]
+        ticks, sends = [], []
+        original_tick, original_send = node.on_tick, sim.send
+
+        def on_tick(now):
+            ticks.append(now)
+            return original_tick(now)
+
+        def send(src, dst, msg):
+            if isinstance(msg, VoteMessage) and dst == 1:
+                return
+            if isinstance(msg, PreOrderMessage) and src == dst == 1:
+                sends.append((sim.now, msg.log.seq))
+            original_send(src, dst, msg)
+
+        node.on_tick, sim.send = on_tick, send
+        assert sim.run().non_quiescent
+        first, delta = ticks[0], sim._delta
+        assert sends[:4] == [(first, seq) for seq in range(1, 5)]
+        resends = sends[4:]
+        assert [when for when, _ in resends] == ticks[1:]
+        assert len(set(ticks)) == len(ticks)
+        due = first + resend_ms
+        start = due + (first - due) % delta
+        assert resends[:4] == [(start + k * delta, k + 1) for k in range(4)]
+        assert len(resends) > 4
+
+
 def every_grid_point(sim, node_id, now):
     """``Simulation._sleep`` for a loop that ticks every node on every grid
     point: a node never sleeps once it has ticked."""
@@ -343,6 +440,38 @@ class TestTickElision:
                 if outcome(scenario) != elided:
                     mismatches.append(index)
         assert mismatches == []
+
+
+class TestDeltaOBelowTheWindow:
+    """With delta_o under PRE_ORDER_WINDOW a tick stops at delta_o
+    pre-orders; the invariant battery holds and honest stamps strictly
+    increase along each chain."""
+
+    @pytest.mark.parametrize("delta_o", [1, 2, 3])
+    @pytest.mark.parametrize("index", range(4))
+    def test_invariants_hold(self, delta_o, index):
+        scenario = dataclasses.replace(random_scenario(random.Random(8100 + index)),
+                                       delta_o=delta_o)
+        assert check_invariants(scenario) == []
+        sim = Simulation(scenario)
+        sim.run()
+        store = sim.nodes[sim.reference_node].mempool.log_store
+        for author in scenario.honest_ids():
+            stamps = [store[(author, seq)].timestamp
+                      for seq in range(1, sim.nodes[author].mempool.seq + 1)]
+            assert stamps == sorted(set(stamps)), (author, stamps)
+
+    @pytest.mark.parametrize("delta_o", [1, 2, 3])
+    def test_matches_every_grid_point_loop(self, delta_o, monkeypatch):
+        # A tick that stopped at delta_o pre-orders with room left ticks
+        # again on the next grid point, as the every-grid-point loop does.
+        for index in range(4):
+            scenario = dataclasses.replace(random_scenario(random.Random(8100 + index)),
+                                           delta_o=delta_o)
+            elided = outcome(scenario)
+            with monkeypatch.context() as patched:
+                patched.setattr(Simulation, "_sleep", every_grid_point)
+                assert outcome(scenario) == elided, index
 
 
 class TestTimestampStrategy:
