@@ -1,11 +1,6 @@
 """Anchor-based Byzantine ordered consensus with a deterministic simulator."""
 
-from .authenticators import (
-    AggregationError,
-    Ed25519Authenticator,
-    HmacAuthenticator,
-    make_authenticator,
-)
+from .authenticators import AggregationError, HmacAuthenticator
 from .consensus import BatchInvalid, Consenter, MissingLogs
 from .executor import TraceEntry
 from .mempool import Mempool
@@ -33,7 +28,6 @@ __all__ = [
     "Command",
     "Consenter",
     "EMPTY_DIGEST",
-    "Ed25519Authenticator",
     "HmacAuthenticator",
     "Mempool",
     "MissingLogs",
@@ -49,7 +43,6 @@ __all__ = [
     "count_inversions",
     "digest_command",
     "digest_log",
-    "make_authenticator",
     "parse_scenario_text",
     "reordered_ratio",
     "run",

@@ -1,18 +1,19 @@
-"""Quorum-certificate authenticator schemes.
+"""Quorum-certificate authenticator: keyed-MAC shares, 2f+1 threshold.
 
-Two interchangeable implementations of the same 2f+1 threshold semantics:
+:class:`HmacAuthenticator` is a deterministic keyed-MAC scheme for
+reproducible simulation. Each node holds an HMAC key derived from a
+cluster seed; a certificate records the explicit signer set plus a
+binding hash over the shares. Each key's SHA-256 inner-pad and outer-pad
+states (RFC 2104) are hashed once at construction, so a MAC costs two
+state copies and two short updates; the bytes equal
+``hmac.new(key, msg, hashlib.sha256).digest()``.
 
-* :class:`HmacAuthenticator`: deterministic keyed-MAC scheme for
-  reproducible simulation. Each node holds an HMAC key derived from a
-  cluster seed; a certificate records the explicit signer set plus a
-  binding hash over the shares. Each key's SHA-256 inner-pad and
-  outer-pad states (RFC 2104) are hashed once at construction, so a MAC
-  costs two state copies and two short updates; the bytes equal
-  ``hmac.new(key, msg, hashlib.sha256).digest()``.
-* :class:`Ed25519Authenticator`: real asymmetric signatures (one keypair
-  per node); the certificate aggregates the individual signatures.
+It enforces: exactly 2f+1 shares, distinct signers, one event digest.
 
-Both enforce: exactly 2f+1 shares, distinct signers, one event digest.
+The quorum rules and the certificate cache live in :class:`Authenticator`,
+the key material and MAC arithmetic in :class:`HmacAuthenticator`. The
+split stays with one scheme: each half reads on its own, and the bench
+tracer (``perfbench``) patches each method on the class that defines it.
 
 A share is checked once, when it arrives: :meth:`Authenticator.combine`
 builds a certificate from shares the caller has already verified, without
@@ -143,56 +144,3 @@ class HmacAuthenticator(Authenticator):
             h.update(struct.pack(">H", signer))
             h.update(self._mac(signer, cert.event_digest))
         return hmac.compare_digest(h.digest(), cert.aggregate)
-
-
-class Ed25519Authenticator(Authenticator):
-    """Per-node Ed25519 keys; the certificate concatenates the quorum's signatures."""
-
-    SIG_SIZE = 64
-
-    def __init__(self, n: int, f: int, cluster_seed: bytes = b"phalanx-sim"):
-        super().__init__(n, f)
-        from cryptography.exceptions import InvalidSignature
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
-        self._invalid_signature = InvalidSignature
-        self._private = []
-        self._public = []
-        for i in range(n):
-            raw = hashlib.sha256(cluster_seed + b"|ed25519|" + struct.pack(">H", i)).digest()
-            sk = Ed25519PrivateKey.from_private_bytes(raw)
-            self._private.append(sk)
-            self._public.append(sk.public_key())
-
-    def partial_sign(self, signer: int, event_digest: Digest) -> PartialSignature:
-        return PartialSignature(signer, event_digest, self._private[signer].sign(event_digest))
-
-    def verify_partial(self, ps: PartialSignature) -> bool:
-        if not 0 <= ps.signer < self.n:
-            return False
-        try:
-            self._public[ps.signer].verify(ps.sig, ps.event_digest)
-            return True
-        except self._invalid_signature:
-            return False
-
-    def _combine(self, event_digest: Digest, shares: list[PartialSignature]) -> bytes:
-        return b"".join(ps.sig for ps in shares)
-
-    def _verify_aggregate(self, cert: Certificate) -> bool:
-        signers = cert.signers_sorted()
-        if len(cert.aggregate) != self.SIG_SIZE * len(signers):
-            return False
-        for idx, signer in enumerate(signers):
-            sig = cert.aggregate[idx * self.SIG_SIZE:(idx + 1) * self.SIG_SIZE]
-            if not self.verify_partial(PartialSignature(signer, cert.event_digest, sig)):
-                return False
-        return True
-
-
-def make_authenticator(scheme: str, n: int, f: int, cluster_seed: bytes = b"phalanx-sim") -> Authenticator:
-    if scheme == "hmac":
-        return HmacAuthenticator(n, f, cluster_seed)
-    if scheme == "ed25519":
-        return Ed25519Authenticator(n, f, cluster_seed)
-    raise ValueError(f"unknown authenticator scheme: {scheme!r}")

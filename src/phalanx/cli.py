@@ -95,7 +95,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.strategy is not None:
             overrides["strategy"] = args.strategy
         if overrides:
-            scenario = scenario.with_overrides(**overrides)
+            scenario = replace(scenario, **overrides)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -131,7 +131,7 @@ class Replica:
                 if self.mempool.inbound:
                     self.net.wake(self.node_id)
                 self._log_stored(order.log.node_id, order.log.seq)
-        elif isinstance(msg, OrderMessage):
+        elif isinstance(msg, (OrderMessage, FetchLogResponse)):
             if self.mempool.handle_order(msg.log):
                 self._log_stored(msg.log.node_id, msg.log.seq)
         elif isinstance(msg, FetchLogMessage):
@@ -140,9 +140,6 @@ class Replica:
                 self.net.send(self.node_id, sender, FetchLogResponse(log))
             else:
                 self._log_promises.setdefault((msg.author, msg.seq), []).append(sender)
-        elif isinstance(msg, FetchLogResponse):
-            if self.mempool.handle_order(msg.log):
-                self._log_stored(msg.log.node_id, msg.log.seq)
         elif isinstance(msg, FetchCommandMessage):
             cmd = self.mempool.fetch_command(msg.digest)
             if cmd is not None:

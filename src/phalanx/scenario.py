@@ -112,7 +112,6 @@ class Scenario:
     byzantine: dict[int, NodeBehavior] = field(default_factory=dict)
     max_sim_ms: int = 600_000
     resend_ms: int = 2_000
-    auth_scheme: str = "hmac"
 
     def __post_init__(self):
         if self.n != 3 * self.f + 1:
@@ -134,15 +133,18 @@ class Scenario:
             raise ScenarioError("need at least one proposer and >= 0 commands")
         if self.delta_o < 1:
             raise ScenarioError("delta_o must be >= 1 ms")
+        if self.batch_size < 1:
+            raise ScenarioError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key in ("propose_interval", "resend_ms", "max_sim_ms"):
+            value = getattr(self, key)
+            if value < 0:
+                raise ScenarioError(f"{key} must be >= 0 ms, got {value}")
 
     def behavior(self, node_id: int) -> NodeBehavior:
         return self.byzantine.get(node_id, HONEST)
 
     def honest_ids(self) -> list[int]:
         return [i for i in range(self.n) if i not in self.byzantine]
-
-    def with_overrides(self, **kwargs) -> "Scenario":
-        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         return {
@@ -159,7 +161,6 @@ class Scenario:
             "byzantine": {str(k): self.byzantine[k].tag() for k in sorted(self.byzantine)},
             "max_sim_ms": self.max_sim_ms,
             "resend_ms": self.resend_ms,
-            "auth_scheme": self.auth_scheme,
         }
 
 
@@ -173,10 +174,7 @@ def _parse_latency(value: str) -> tuple[int, int]:
     value = value.strip().lower()
     if value in LATENCY_PROFILES:
         return LATENCY_PROFILES[value]
-    sep = ".." if ".." in value else ("-" if "-" in value else None)
-    if sep is None:
-        raise ScenarioError(f"bad latency spec {value!r}")
-    lo, _, hi = value.partition(sep)
+    lo, _, hi = value.partition("..")
     try:
         return (int(lo), int(hi))
     except ValueError as exc:
@@ -230,7 +228,6 @@ _PARSERS = {
     "latency": _parse_latency,
     "strategy": str.lower,
     "byzantine": _parse_byzantine,
-    "auth_scheme": str.lower,
 }
 
 
@@ -293,7 +290,8 @@ class SweepSpec:
             }
             for strategy in self.strategies:
                 for rep in range(self.reps):
-                    out.append(self.base.with_overrides(
+                    out.append(replace(
+                        self.base,
                         byzantine=byzantine,
                         strategy=strategy,
                         seed=self.base_seed + rep,

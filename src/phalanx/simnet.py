@@ -72,7 +72,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .authenticators import make_authenticator
+from .authenticators import HmacAuthenticator
 from .consensus import OrderBatch, SequencerBroadcast
 from .executor import TraceEntry
 from .metrics import reordered_ratio, traces_consistent, traces_prefix_consistent
@@ -219,9 +219,8 @@ class Simulation:
     def __init__(self, scenario: Scenario, record_batches: bool = False):
         self.scenario = scenario
         self.record_batches = record_batches
-        self.auth = make_authenticator(
-            scenario.auth_scheme, scenario.n, scenario.f,
-            cluster_seed=b"phalanx:%d" % scenario.seed,
+        self.auth = HmacAuthenticator(
+            scenario.n, scenario.f, cluster_seed=b"phalanx:%d" % scenario.seed
         )
         self.rng = random.Random(f"phalanx:{scenario.seed}:latency")
         # Latency draws are rng.randint(lo, hi) inlined: CPython draws

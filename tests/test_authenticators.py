@@ -1,4 +1,4 @@
-"""Quorum-certificate semantics for both authenticator schemes."""
+"""Quorum-certificate semantics of the keyed-MAC authenticator."""
 
 import dataclasses
 import hashlib
@@ -10,10 +10,8 @@ import pytest
 from phalanx import (
     AggregationError,
     Certificate,
-    Ed25519Authenticator,
     HmacAuthenticator,
     digest_command,
-    make_authenticator,
 )
 
 N, F = 4, 1
@@ -22,9 +20,9 @@ EVENT = digest_command(1, 1, b"event")
 OTHER_EVENT = digest_command(1, 2, b"event")
 
 
-@pytest.fixture(params=["hmac", "ed25519"])
+@pytest.fixture(params=[HmacAuthenticator], ids=["hmac"])
 def auth(request):
-    return make_authenticator(request.param, N, F)
+    return request.param(N, F)
 
 
 def shares(auth, signers, event=EVENT):
@@ -162,16 +160,9 @@ class TestModelUnforgeability:
         forged = Certificate(EVENT, frozenset({0, 1, 2}), fake_aggregate)
         assert not auth.verify_certificate(forged)
 
-    def test_schemes_share_quorum_arithmetic(self):
-        for scheme, cls in (("hmac", HmacAuthenticator), ("ed25519", Ed25519Authenticator)):
-            built = make_authenticator(scheme, 7, 2)
-            assert isinstance(built, cls)
-            assert built.quorum == 5
+    def test_quorum_is_two_f_plus_one(self):
+        assert HmacAuthenticator(7, 2).quorum == 5
 
     def test_bad_cluster_shape_rejected(self):
         with pytest.raises(ValueError):
-            make_authenticator("hmac", 5, 1)
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            make_authenticator("bls", N, F)
+            HmacAuthenticator(5, 1)

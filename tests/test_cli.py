@@ -94,6 +94,19 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("propose_interval = -50", "propose_interval must be >= 0 ms"),
+        ("batch_size = 0", "batch_size must be >= 1"),
+        ("resend_ms = -1", "resend_ms must be >= 0 ms"),
+        ("max_sim_ms = -1", "max_sim_ms must be >= 0 ms"),
+        ("latency = 3-7", "bad latency spec"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(line + "\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_dump_batches(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         assert main(["run", str(scenario_file), "--out", str(out), "--dump-batches"]) == 0

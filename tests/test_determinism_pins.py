@@ -191,14 +191,14 @@ STOP_AND_WAIT_BATCH_PINS = {
 
 SCENARIO_ECHO = {
     "sweep16_timestamp": {
-        "auth_scheme": "hmac", "batch_size": 4,
+        "batch_size": 4,
         "byzantine": {str(i): "shuffle+skew:-100" for i in range(11, 16)},
         "commands_per_proposer": 40, "delta_o": 20, "f": 5, "latency": [1, 1200],
         "max_sim_ms": 600000, "n": 16, "propose_interval": 20, "proposers": 2,
         "resend_ms": 2000, "seed": 1, "strategy": "timestamp",
     },
     "alter16": {
-        "auth_scheme": "hmac", "batch_size": 4, "byzantine": {},
+        "batch_size": 4, "byzantine": {},
         "commands_per_proposer": 20, "delta_o": 20, "f": 5, "latency": [1, 1200],
         "max_sim_ms": 600000, "n": 16, "propose_interval": 5, "proposers": 4,
         "resend_ms": 2000, "seed": 9, "strategy": "anchor",

@@ -1,5 +1,7 @@
 """Scenario text format: parsing, validation, round-trip."""
 
+from dataclasses import replace
+
 import pytest
 
 from phalanx import NodeBehavior, Scenario, ScenarioError, parse_scenario_text
@@ -61,11 +63,24 @@ class TestParsing:
             "strategy = follow\n",                 # follow without byzantine
             "n 4\n",                               # missing equals
             "byzantine = 1:shuffle, 1:reverse\n",  # duplicate id
+            "propose_interval = -50\n",            # negative interval
+            "batch_size = 0\n",                    # empty payloads
+            "batch_size = -3\n",
+            "resend_ms = -1\n",                    # negative resend timer
+            "max_sim_ms = -1\n",                   # negative duration
+            "latency = 3-7\n",                     # only lo..hi is a range
+            "auth_scheme = hmac\n",                # removed key
         ],
     )
     def test_rejects_bad_configs(self, text):
         with pytest.raises(ScenarioError):
             parse_scenario_text(text)
+
+    def test_zero_intervals_accepted(self):
+        scenario = parse_scenario_text(
+            "propose_interval = 0\nresend_ms = 0\nmax_sim_ms = 0\n"
+        )
+        assert (scenario.propose_interval, scenario.resend_ms, scenario.max_sim_ms) == (0, 0, 0)
 
 
 class TestBehaviorParsing:
@@ -87,7 +102,7 @@ class TestBehaviorParsing:
 class TestScenarioInvariants:
     def test_seed_controls_everything(self):
         scenario = Scenario(seed=1)
-        assert scenario.with_overrides(seed=2).seed == 2
+        assert replace(scenario, seed=2).seed == 2
 
     def test_byzantine_count_within_n(self):
         with pytest.raises(ScenarioError):

@@ -588,20 +588,6 @@ class TestPeerRetrieval:
         ]
 
 
-class TestAuthenticatorSchemes:
-    def test_ed25519_scheme_end_to_end(self):
-        result = run(small(commands_per_proposer=8, auth_scheme="ed25519"))
-        assert result.uncommitted == 0
-        assert result.consistency
-
-    def test_schemes_agree_on_committed_order(self):
-        hmac_run = run(small(commands_per_proposer=8, auth_scheme="hmac"))
-        ed_run = run(small(commands_per_proposer=8, auth_scheme="ed25519"))
-        assert [e.digest for e in hmac_run.reference_trace] == [
-            e.digest for e in ed_run.reference_trace
-        ]
-
-
 class TestResultShape:
     def test_json_contains_schema_and_metrics(self):
         import json
