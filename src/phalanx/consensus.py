@@ -17,11 +17,16 @@ leader snapshots unchanged heads as the same objects, so most slots of a
 batch are skipped this way. Every other slot is checked before any of the
 batch is used: its author position, then ``Mempool.is_certified``, unless it
 equals the log the node already stores at that (author, seq) (see
-``Mempool.is_certified`` for why). Only the slots that advance an author's
+``Mempool.is_certified`` for why). Only the slots that move an author's
 frontier are stored with ``Mempool.store_certified`` (a fresh slot is thus
-verified once), gap-checked and expanded. A stalled batch keeps its
-advancing slots until the missing logs arrive; a refused batch never
-becomes the reference.
+verified once), gap-checked and expanded. A refused batch never becomes the
+reference.
+
+A batch whose committed range has a gap stalls: it stays at the head of the
+buffer, and the consenter remembers the missing (author, seq) pairs. When
+the last of them lands, the batch is committed again from the top. The
+stalled attempt stored its moving slots, so the retry does not verify them
+again; it repeats the gap check's log lookups.
 
 A harness sequencer stands in for the total-order broadcast: it assigns
 consecutive batch indices and every node consumes them in index order.
@@ -46,13 +51,11 @@ class BatchInvalid(ValueError):
 
 
 class MissingLogs(Exception):
-    """Commit needs logs not present locally; carries the gap list and the
-    positions of the slots that advance the frontier, for the resumed commit."""
+    """Commit needs logs not present locally; carries the gap list."""
 
-    def __init__(self, missing: list[tuple[int, int]], advancing: list[int]):
+    def __init__(self, missing: list[tuple[int, int]]):
         super().__init__(f"missing logs: {missing}")
         self.missing = missing
-        self.advancing = advancing
 
 
 def encode_order_batch(batch: OrderBatch) -> bytes:
@@ -95,8 +98,7 @@ class Consenter:
         self._next_index = 0
         # The last expanded batch: its slots were checked and are committed.
         self._expanded: OrderBatch = (None,) * self.n
-        # A batch waiting on missing logs, with its advancing slot positions.
-        self._stalled: Optional[tuple[OrderBatch, list[int]]] = None
+        # Logs the batch at the head of the buffer waits on.
         self._missing: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
@@ -118,34 +120,30 @@ class Consenter:
         """Buffer a delivered batch and commit as far as possible in index order.
 
         Returns the list of (author, seq) gaps that must be fetched from
-        peers before the pipeline can continue (empty when unblocked).
+        peers before the pipeline can continue (empty when none is missing).
         """
         self._buffer[index] = batch
         return self._advance()
 
     def on_log_stored(self, author: int, seq: int) -> list[tuple[int, int]]:
-        """Notify that a certified log landed in the mempool; resume if stalled."""
+        """Notify that a certified log landed in the mempool; retry if it was
+        the last one the stalled batch waits on."""
         if not self._missing:
             return []
         self._missing.discard((author, seq))
-        if self._missing:
-            return []
-        (batch, advancing), self._stalled = self._stalled, None
-        self._finish(batch, advancing)
-        self._next_index += 1
         return self._advance()
 
     def _advance(self) -> list[tuple[int, int]]:
-        while self._stalled is None and self._next_index in self._buffer:
-            batch = self._buffer.pop(self._next_index)
+        buffer = self._buffer
+        while not self._missing and self._next_index in buffer:
             try:
-                self.commit_order_batch(batch)
+                self.commit_order_batch(buffer[self._next_index])
             except BatchInvalid:
                 self.leader_faults += 1
             except MissingLogs as gap:
-                self._stalled = (batch, gap.advancing)
                 self._missing = set(gap.missing)
                 return gap.missing
+            del buffer[self._next_index]
             self._next_index += 1
         return []
 
@@ -161,7 +159,7 @@ class Consenter:
         stored = self.mempool.log_store
         committed = self.committed_seq
         expanded = self._expanded
-        advancing: list[int] = []
+        moving: list[int] = []  # slots that move an author's frontier
         fresh: set[int] = set()  # slots not already in the log store
         for j, slot in enumerate(batch):
             if slot is expanded[j] or slot is None:
@@ -174,9 +172,9 @@ class Consenter:
                     raise BatchInvalid(f"slot {j} fails certificate verification")
                 fresh.add(j)
             if slot.seq > committed[j]:
-                advancing.append(j)
+                moving.append(j)
         missing: list[tuple[int, int]] = []
-        for j in advancing:
+        for j in moving:
             slot = batch[j]
             if j in fresh and not self.mempool.store_certified(slot):
                 # A certified slot that forks the stored chain: possible only
@@ -186,20 +184,17 @@ class Consenter:
                 if self.mempool.fetch_log(j, seq) is None:
                     missing.append((j, seq))
         if missing:
-            raise MissingLogs(missing, advancing)
-        return self._finish(batch, advancing)
-
-    def _finish(self, batch: OrderBatch, advancing: list[int]) -> LogSet:
-        log_set = self._expand(batch, advancing)
+            raise MissingLogs(missing)
+        log_set = self._expand(batch, moving)
         self._expanded = batch
         self.log_sets.append(log_set)
         if self.record_batches:
             self.batch_trace.append(encode_order_batch(batch).hex())
         return log_set
 
-    def _expand(self, batch: OrderBatch, advancing: list[int]) -> LogSet:
+    def _expand(self, batch: OrderBatch, moving: list[int]) -> LogSet:
         collected: list[PartialOrderLog] = []
-        for j in advancing:
+        for j in moving:
             top = batch[j].seq
             for seq in range(self.committed_seq[j] + 1, top + 1):
                 log = self.mempool.fetch_log(j, seq)
@@ -209,14 +204,14 @@ class Consenter:
                     )
                 collected.append(log)
             self.committed_seq[j] = top
-        if len(advancing) > 1:  # one author's logs are already in seq order
+        if len(moving) > 1:  # one author's logs are already in seq order
             collected.sort(key=lambda log: (log.seq, log.node_id))
         return tuple(collected)
 
     @property
     def blocked(self) -> bool:
-        return self._stalled is not None
+        return bool(self._missing)
 
     @property
     def pending_batches(self) -> int:
-        return len(self._buffer) + (1 if self._stalled is not None else 0)
+        return len(self._buffer)

@@ -450,11 +450,19 @@ class Executor:
     def drain(self) -> None:
         """Ingest pending log sets and commit anchor sets until quiescent.
 
-        Leaves ``blocked_on`` non-empty when command bodies must be fetched;
-        call :meth:`unblock` once they are stored locally. Selection is
-        skipped while the state is settled (see the module docstring).
+        A set whose command bodies are not all stored is not committed: its
+        missing digests go to ``blocked_on``, and until every one of them
+        resolves, ``drain`` returns at once. Bodies arrive from their
+        proposers; the first ``drain`` after the last of them lands selects
+        again and commits the set. Selection is skipped while the state is
+        settled (see the module docstring).
         """
-        while not self.blocked_on:
+        blocked = self.blocked_on
+        if blocked:
+            if any(self._resolve(digest) is None for digest in blocked):
+                return
+            blocked.clear()
+        while True:
             if not self._settled:
                 members, path, anchors = self._select()
                 if members:
@@ -468,11 +476,6 @@ class Executor:
             if not self.pending_sets:
                 return
             self.ingest_log_set(self.pending_sets.popleft())
-
-    def unblock(self, digest: Digest) -> bool:
-        """Clear one awaited command body; returns True when fully unblocked."""
-        self.blocked_on.discard(digest)
-        return not self.blocked_on
 
     def flush(self) -> None:
         """Nothing is held back for the end of a run: sets commit as they form."""

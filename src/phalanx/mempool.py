@@ -116,7 +116,8 @@ class Mempool:
         return True
 
     def store_command(self, cmd: Command) -> bool:
-        """Store a command body without queueing it for ordering (fetch path).
+        """Store a command body without queueing it for ordering, as the golden
+        micro-scenarios do for bodies their logs already reference.
 
         A body that does not hash to its digest is dropped and returns False:
         it would otherwise commit under the real command's digest.

@@ -3,8 +3,10 @@
 The simulator's nodes and the golden micro-scenarios both run it. A
 replica pre-orders, votes and orders through its mempool, expands each
 delivered order-batch into log sets through its consenter, feeds those to
-the strategy and drains it, and fetches from peers the logs and command
-bodies it lacks, answering the same fetches from peers.
+the strategy and drains it, and fetches from peers the certified logs it
+lacks, answering the same fetches from peers. Command bodies come only
+from their proposers, which send each one to every node: a strategy
+waiting on a body drains again when :meth:`Replica.on_command` brings it.
 
 It reaches its peers only through a port, ``net``, looked up at each call
 so that a test may replace a method on the port object:
@@ -30,9 +32,9 @@ this class with the behaviour, through the hook
 The strategy is picked once, by name: ``anchor`` (:class:`Executor`),
 ``timestamp`` (:class:`TimestampExecutor`, the Pompē-style baseline) or
 ``follow`` (:class:`FollowExecutor`, the unprotected control). All three
-offer ``feed``, ``drain``, ``flush`` (end of run), ``blocked_on``,
-``unblock``, ``idle``, ``committed_order``, ``alter_path_ratio`` and the
-class constant ``uses_consensus`` (False: no order-batches, no leader),
+offer ``feed``, ``drain``, ``flush`` (end of run), ``blocked_on`` (the
+bodies it waits on), ``idle``, ``committed_order``, ``alter_path_ratio`` and
+the class constant ``uses_consensus`` (False: no order-batches, no leader),
 so no caller branches on the strategy.
 """
 
@@ -45,15 +47,7 @@ from .mempool import Mempool
 from .scenario import FOLLOW, TIMESTAMP
 from .tsorder import FollowExecutor, TimestampExecutor
 from .types import Command
-from .wire import (
-    FetchCommandMessage,
-    FetchCommandResponse,
-    FetchLogMessage,
-    FetchLogResponse,
-    OrderMessage,
-    PreOrderMessage,
-    VoteMessage,
-)
+from .wire import FetchLogMessage, FetchLogResponse, OrderMessage, PreOrderMessage, VoteMessage
 
 
 class Replica:
@@ -78,8 +72,6 @@ class Replica:
         self.tick_ms = tick_ms
         self.is_leader = node_id == 0 and self.executor.uses_consensus
         self._log_promises: dict[tuple[int, int], list[int]] = {}
-        self._cmd_promises: dict[bytes, list[int]] = {}
-        self._requested_cmds: set[bytes] = set()
 
     # -- handlers -----------------------------------------------------------
 
@@ -89,8 +81,8 @@ class Replica:
         if (mempool.enqueue_command(cmd) and len(mempool.inbound) == 1
                 and mempool.has_room()):
             self.net.wake(self.node_id)
-        self._answer_cmd_promises(cmd)
-        self._maybe_unblock_executor(cmd.digest)
+        if cmd.digest in self.executor.blocked_on:
+            self.executor.drain()
 
     def tick(self, stamp: int) -> bool:
         """Pre-order, re-broadcast or snapshot a batch; False if it did none."""
@@ -140,16 +132,6 @@ class Replica:
                 self.net.send(self.node_id, sender, FetchLogResponse(log))
             else:
                 self._log_promises.setdefault((msg.author, msg.seq), []).append(sender)
-        elif isinstance(msg, FetchCommandMessage):
-            cmd = self.mempool.fetch_command(msg.digest)
-            if cmd is not None:
-                self.net.send(self.node_id, sender, FetchCommandResponse(cmd))
-            else:
-                self._cmd_promises.setdefault(msg.digest, []).append(sender)
-        elif isinstance(msg, FetchCommandResponse):
-            if self.mempool.store_command(msg.command):
-                self._answer_cmd_promises(msg.command)
-                self._maybe_unblock_executor(msg.command.digest)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unhandled message {type(msg).__name__}")
 
@@ -181,30 +163,6 @@ class Replica:
             while log_sets:
                 executor.feed(log_sets.popleft())
             executor.drain()
-            self._fetch_blocked()
-
-    def _fetch_blocked(self) -> None:
-        """Ask peers once for each command body the strategy waits on."""
-        blocked = self.executor.blocked_on
-        if blocked:
-            for digest in sorted(blocked):
-                if digest not in self._requested_cmds:
-                    self._requested_cmds.add(digest)
-                    self.net.broadcast(
-                        self.node_id, FetchCommandMessage(digest), include_self=False
-                    )
-
-    def _maybe_unblock_executor(self, digest: bytes) -> None:
-        executor = self.executor
-        if digest in executor.blocked_on and executor.unblock(digest):
-            executor.drain()
-            self._fetch_blocked()
-
-    def _answer_cmd_promises(self, cmd: Command) -> None:
-        waiting = self._cmd_promises.pop(cmd.digest, None)
-        if waiting:
-            for requester in waiting:
-                self.net.send(self.node_id, requester, FetchCommandResponse(cmd))
 
     def idle(self) -> bool:
         mp = self.mempool

@@ -25,7 +25,7 @@ A sweep file adds ``sweep_byzantine = lo..hi``, ``sweep_behavior``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,7 +47,12 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class NodeBehavior:
-    """Byzantine behavior flags for one node."""
+    """Byzantine behavior flags for one node.
+
+    Each field is one behavior token: a bool field is a bare flag
+    (``shuffle``), an int field takes an argument (``skew:-40``). The
+    parser, :meth:`tag` and :attr:`is_byzantine` all read the fields.
+    """
 
     shuffle: bool = False
     reverse: bool = False
@@ -56,41 +61,37 @@ class NodeBehavior:
 
     @property
     def is_byzantine(self) -> bool:
-        return self.shuffle or self.reverse or self.silent or self.skew != 0
+        return any(getattr(self, name) for name in _BEHAVIOR_KINDS)
 
     def tag(self) -> str:
         parts = []
-        if self.shuffle:
-            parts.append("shuffle")
-        if self.reverse:
-            parts.append("reverse")
-        if self.silent:
-            parts.append("silent")
-        if self.skew:
-            parts.append(f"skew:{self.skew}")
-        return "+".join(parts) if parts else "honest"
+        for name, kind in _BEHAVIOR_KINDS.items():
+            value = getattr(self, name)
+            if value:
+                parts.append(name if kind is bool else f"{name}:{value}")
+        return "+".join(parts) or "honest"
 
     @classmethod
     def parse(cls, spec: str) -> "NodeBehavior":
-        shuffle = reverse = silent = False
-        skew = 0
+        values: dict[str, object] = {}
         for part in spec.split("+"):
             part = part.strip().lower()
-            if part == "shuffle":
-                shuffle = True
-            elif part == "reverse":
-                reverse = True
-            elif part == "silent":
-                silent = True
-            elif part.startswith("skew:"):
+            name, colon, arg = part.partition(":")
+            kind = _BEHAVIOR_KINDS.get(name)
+            if kind is bool and not colon:
+                values[name] = True
+            elif kind is int and colon:
                 try:
-                    skew = int(part.split(":", 1)[1])
+                    values[name] = int(arg)
                 except ValueError as exc:
-                    raise ScenarioError(f"bad skew delta in {spec!r}") from exc
+                    raise ScenarioError(f"bad {name} delta in {spec!r}") from exc
             else:
                 raise ScenarioError(f"unknown behavior {part!r}")
-        return cls(shuffle, reverse, silent, skew)
+        return cls(**values)
 
+
+# Behavior field -> bool (a flag) or int (takes an argument).
+_BEHAVIOR_KINDS = {field.name: type(field.default) for field in fields(NodeBehavior)}
 
 HONEST = NodeBehavior()
 
@@ -114,6 +115,8 @@ class Scenario:
     resend_ms: int = 2_000
 
     def __post_init__(self):
+        if self.f < 0:
+            raise ScenarioError(f"f must be >= 0, got {self.f}")
         if self.n != 3 * self.f + 1:
             raise ScenarioError(f"n must equal 3f+1 (n={self.n}, f={self.f})")
         if self.strategy not in STRATEGIES:
@@ -147,27 +150,14 @@ class Scenario:
         return [i for i in range(self.n) if i not in self.byzantine]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "f": self.f,
-            "proposers": self.proposers,
-            "commands_per_proposer": self.commands_per_proposer,
-            "batch_size": self.batch_size,
-            "delta_o": self.delta_o,
-            "latency": list(self.latency),
-            "propose_interval": self.propose_interval,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "byzantine": {str(k): self.byzantine[k].tag() for k in sorted(self.byzantine)},
-            "max_sim_ms": self.max_sim_ms,
-            "resend_ms": self.resend_ms,
-        }
+        out = {key.name: getattr(self, key.name) for key in fields(self)}
+        out["latency"] = list(self.latency)
+        out["byzantine"] = {str(k): self.byzantine[k].tag() for k in sorted(self.byzantine)}
+        return out
 
 
-_INT_KEYS = {
-    "n", "f", "proposers", "commands_per_proposer", "batch_size",
-    "delta_o", "propose_interval", "seed", "max_sim_ms", "resend_ms",
-}
+# The keys whose value is a plain integer.
+_INT_KEYS = {key.name for key in fields(Scenario) if type(key.default) is int}
 
 
 def _parse_latency(value: str) -> tuple[int, int]:
@@ -253,7 +243,7 @@ def parse_scenario_text(text: str) -> Scenario:
 def _read(path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {what} file: {exc}") from exc
 
 

@@ -73,16 +73,13 @@ class TimestampExecutor:
         for ts, digest, info in ready:
             cmd = self._resolve(digest)
             if cmd is None:
-                # Bodies arrive from proposers or peer fetch before quiescence.
+                # Proposers send every body to every node; one absent is skipped.
                 continue
             order.append(TraceEntry(len(order), cmd.proposer_id, cmd.seq, digest, ts, "-"))
             self.committed_digests.add(digest)
             info.drop_cache()
             committed.append(cmd)
         return committed
-
-    def unblock(self, digest: Digest) -> bool:
-        return True
 
     @property
     def idle(self) -> bool:
@@ -123,9 +120,6 @@ class FollowExecutor:
             if cmd is not None:
                 order.append(TraceEntry(len(order), cmd.proposer_id, cmd.seq,
                                         cmd.digest, log.timestamp, "-"))
-
-    def unblock(self, digest: Digest) -> bool:
-        return True
 
     def alter_path_ratio(self) -> float:
         return 0.0

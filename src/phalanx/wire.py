@@ -8,8 +8,9 @@ followed by the payload in the canonical big-endian encoding:
     3 ORDER       certified log broadcast
     4 FETCH_LOG   request for a certified log by (author, seq)
     5 FETCH_RESP  certified log answering a FETCH_LOG
-    6 FETCH_CMD   request for a command body by digest
-    7 FETCH_CMD_RESP  command body answering a FETCH_CMD
+
+No kind carries a command body: each proposer sends its commands to every
+node itself, so no node needs to fetch one from a peer.
 
 The simulator passes message objects by reference; the byte form is the
 stable external interface, written to batch dumps and counted by
@@ -22,15 +23,13 @@ import struct
 from dataclasses import dataclass
 from typing import Union
 
-from .types import Certificate, Command, Digest, PartialOrderLog, PartialSignature
+from .types import Certificate, Digest, PartialOrderLog, PartialSignature
 
 PRE_ORDER = 1
 VOTE = 2
 ORDER = 3
 FETCH_LOG = 4
 FETCH_RESP = 5
-FETCH_CMD = 6
-FETCH_CMD_RESP = 7
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,33 +59,17 @@ class FetchLogResponse:
     log: PartialOrderLog
 
 
-@dataclass(frozen=True, slots=True)
-class FetchCommandMessage:
-    digest: Digest
-
-
-@dataclass(frozen=True, slots=True)
-class FetchCommandResponse:
-    command: Command
-
-
 Message = Union[
     PreOrderMessage,
     VoteMessage,
     OrderMessage,
     FetchLogMessage,
     FetchLogResponse,
-    FetchCommandMessage,
-    FetchCommandResponse,
 ]
 
 
 class WireError(ValueError):
     """A value the wire encoding has no form for."""
-
-
-def encode_command(cmd: Command) -> bytes:
-    return struct.pack(">HQI", cmd.proposer_id, cmd.seq, len(cmd.payload)) + cmd.payload
 
 
 def encode_certificate(cert: Certificate) -> bytes:
@@ -131,8 +114,4 @@ def encode_message(msg: Message) -> bytes:
         return bytes([FETCH_LOG]) + struct.pack(">HQ", msg.author, msg.seq)
     if isinstance(msg, FetchLogResponse):
         return bytes([FETCH_RESP]) + encode_log(msg.log)
-    if isinstance(msg, FetchCommandMessage):
-        return bytes([FETCH_CMD]) + msg.digest
-    if isinstance(msg, FetchCommandResponse):
-        return bytes([FETCH_CMD_RESP]) + encode_command(msg.command)
     raise WireError(f"unknown message type {type(msg).__name__}")

@@ -94,6 +94,13 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n = 4\n# caf\xe9\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: cannot read scenario file:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("propose_interval = -50", "propose_interval must be >= 0 ms"),
         ("batch_size = 0", "batch_size must be >= 1"),
@@ -204,6 +211,14 @@ class TestSweep:
         sweep_file = tmp_path / "sweep.txt"
         sweep_file.write_text("n = 4\nf = 1\n")  # missing sweep_byzantine
         assert main(["sweep", str(sweep_file), "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_non_utf8_sweep_is_a_config_error(self, tmp_path, capsys):
+        sweep_file = tmp_path / "sweep.txt"
+        sweep_file.write_bytes(SWEEP.encode() + b"# \xff\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", str(sweep_file), "--out", str(out)]) == 2
+        assert "config error: cannot read sweep file:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_exits_2_before_simulating(self, tmp_path, capsys,
                                                       monkeypatch):

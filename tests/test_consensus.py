@@ -365,8 +365,10 @@ class TestExpandedBatchSkip:
         pool.handle_order(twos[1])
         calls.clear()
         assert consenter.on_log_stored(2, 2) == []
+        # The retry repeats the gap check's lookup, then expands; its slots
+        # were stored by the stalled attempt, so none is checked again.
         assert [call for call in calls if call[0] == "fetch_log"] == [
-            ("fetch_log", 2, 2), ("fetch_log", 2, 3), ("fetch_log", 3, 1)]
+            ("fetch_log", 2, 2), ("fetch_log", 2, 2), ("fetch_log", 2, 3), ("fetch_log", 3, 1)]
         assert self._checked(calls) == []
         assert consenter.log_sets[-1] == (threes[0], twos[1], twos[2])
         assert consenter.committed_seq == [0, 1, 3, 1]

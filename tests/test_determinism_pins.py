@@ -19,7 +19,9 @@ that keeps the trace but moves a count (``events_processed``,
 
 The tie-break pins hold runs whose order hangs on how a node's tick ranks
 against events at the same simulated time, and two run-end pins hold where a
-run stops: ``sim_time_ms`` feeds throughput, so it may not move either.
+run stops: ``sim_time_ms`` feeds throughput, so it may not move either. The
+stall pins hold two runs in which a consenter stalls on a missing log and
+retries its batch once the log lands.
 
 The pins hold at the default pre-order window (``PRE_ORDER_WINDOW`` = 4).
 The ``STOP_AND_WAIT_*`` tables hold the same pins with the window patched to
@@ -38,7 +40,8 @@ import pytest
 
 import phalanx.mempool
 from phalanx import NodeBehavior, Scenario, Simulation, parse_scenario_text, run
-from prop_harness import random_scenario
+from phalanx.consensus import Consenter
+from prop_harness import random_scenario, wide_scenario
 
 BURST4 = """\
 n = 4
@@ -426,3 +429,73 @@ def test_cut_short_run_ends_at_the_last_tick(scenario, sim_time_ms, monkeypatch)
         result = run(scenario)
         assert result.non_quiescent
         assert result.sim_time_ms == sim_time_ms
+
+
+# Runs in which consenters stall on a missing log, fetch it and retry the
+# stalled batch when it lands, at the default window; in each, one stalled
+# node also buffers a later batch behind its stall. No stalled node is the
+# reference node, so consistency and events_processed are pinned as well.
+# (generator, seed) -> (trace_sha256, batch-trace sha256, events_processed,
+# stalled nodes, nodes with a batch buffered behind a stall)
+STALL_SCENARIOS = {"wide": wide_scenario, "random": random_scenario}
+STALL_PINS = {
+    ("wide", 7160): (
+        "9dc3be6aa611034695e5a9ffd344cdd225ef671e60efcb9abfb2973658f363ac",
+        "835126069bd3797b76abf36bb32ccebf897672f5df8fb60b486abde58a868f44",
+        5501, {3}, {3},
+    ),
+    ("random", 9191): (
+        "e36acc6a5978e5ec8055296c9ac0c090d7dd548c7926d869a2112557117b3fb1",
+        "fcd85635304a0d26339d7a61b47a55aad4d469186b0efe4b0532dba76aa7b50d",
+        5243, {2, 3, 5}, {3},
+    ),
+}
+
+
+def stall_scenario(generator, seed):
+    return STALL_SCENARIOS[generator](random.Random(seed))
+
+
+def record_stalls(monkeypatch):
+    """Nodes whose consenter reported a gap, nodes that got a batch while
+    stalled, and nodes whose consenter committed a buffered batch as soon as
+    a fetched log landed."""
+    stalled, behind, retried = set(), set(), set()
+    on_delivered, on_log_stored = Consenter.on_delivered, Consenter.on_log_stored
+
+    def delivered(consenter, index, batch):
+        if consenter.blocked:
+            behind.add(consenter.node_id)
+        missing = on_delivered(consenter, index, batch)
+        if missing:
+            stalled.add(consenter.node_id)
+        return missing
+
+    def stored(consenter, author, seq):
+        pending = consenter.pending_batches
+        missing = on_log_stored(consenter, author, seq)
+        if missing:
+            stalled.add(consenter.node_id)
+        if consenter.pending_batches < pending:
+            retried.add(consenter.node_id)
+        return missing
+
+    monkeypatch.setattr(Consenter, "on_delivered", delivered)
+    monkeypatch.setattr(Consenter, "on_log_stored", stored)
+    return stalled, behind, retried
+
+
+@pytest.mark.parametrize("generator, seed", sorted(STALL_PINS),
+                         ids=[f"{g}-{i}" for g, i in sorted(STALL_PINS)])
+def test_stalled_batch_retried_when_its_log_lands(generator, seed, monkeypatch):
+    trace_pin, batch_pin, events, stalled_pin, behind_pin = STALL_PINS[generator, seed]
+    stalled, behind, retried = record_stalls(monkeypatch)
+    result = run(stall_scenario(generator, seed), record_batches=True)
+    assert (stalled, behind) == (stalled_pin, behind_pin)
+    assert retried == stalled  # each stall ends when its last log lands
+    assert result.reference_node not in stalled
+    assert not result.non_quiescent
+    assert result.consistency
+    assert result.events_processed == events
+    assert result.trace_sha256() == trace_pin
+    assert batch_sha256(result) == batch_pin

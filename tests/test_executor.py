@@ -378,9 +378,12 @@ class TestDrainDeterminism:
         executor.drain()
         assert CMD_B.digest in executor.blocked_on
         committed_before = len(executor.committed_order)
+        executor.drain()  # the body is still absent: nothing moves
+        assert CMD_B.digest in executor.blocked_on
+        assert len(executor.committed_order) == committed_before
         store[CMD_B.digest] = CMD_B
-        assert executor.unblock(CMD_B.digest)
         executor.drain()
+        assert not executor.blocked_on
         assert len(executor.committed_order) > committed_before
         assert executor.idle
 
@@ -433,9 +436,28 @@ class TestSettledDrain:
         assert executor.blocked_on == {CMD_A.digest}
         assert executor.committed_order == []
         executor.drain()  # still blocked: nothing changes
+        assert executor.blocked_on == {CMD_A.digest}
         assert executor.committed_order == []
         store[CMD_A.digest] = CMD_A
-        assert executor.unblock(CMD_A.digest)
         executor.drain()
         assert [e.digest for e in executor.committed_order] == [CMD_A.digest]
+        assert executor.idle
+
+    def test_blocked_drain_selects_nothing_until_the_body_resolves(self, monkeypatch):
+        chains = build_chains({i: [(CMD_A, i + 1), (CMD_B, i + 5)] for i in range(3)})
+        store = {}
+        executor = Executor(N, F, store.get)
+        calls = count_selections(executor, monkeypatch)
+        for seq in (0, 1):
+            executor.feed(log_set_of(*[chains[i][seq] for i in range(3)]))
+        executor.drain()
+        assert executor.blocked_on == {CMD_A.digest}
+        selections = len(calls)
+        store[CMD_B.digest] = CMD_B  # not the body the set waits on
+        executor.drain()
+        assert len(calls) == selections
+        assert len(executor.pending_sets) == 1  # nothing ingested while blocked
+        store[CMD_A.digest] = CMD_A
+        executor.drain()
+        assert [e.digest for e in executor.committed_order] == [CMD_A.digest, CMD_B.digest]
         assert executor.idle

@@ -17,8 +17,8 @@ from phalanx.scenario import ANCHOR, FOLLOW, STRATEGIES
 from phalanx.types import EMPTY_DIGEST, PartialOrderLog
 from phalanx.wire import FetchLogMessage, OrderMessage, PreOrderMessage, VoteMessage
 
-INTERFACE = ("feed", "drain", "flush", "blocked_on", "unblock", "idle",
-             "committed_order", "alter_path_ratio", "uses_consensus")
+INTERFACE = ("feed", "drain", "flush", "blocked_on", "idle", "committed_order",
+             "alter_path_ratio", "uses_consensus")
 # Handlers the benchmark's tracer wraps: it patches on_tick on the node
 # class itself and finds the others through the node class's MRO.
 NODE_HANDLERS = ("on_tick", "on_message", "on_batch", "on_command")

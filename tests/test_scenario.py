@@ -22,6 +22,12 @@ byzantine = 5:shuffle+skew:-30, 6:silent
 max_sim_ms = 120000
 """
 
+# Inputs of test_rejects_bad_configs refused for a reason that another check
+# would also give: the error must name the reason meant.
+REJECT_MESSAGES = {
+    "n = -2\nf = -1\n": "f must be >= 0, got -1",
+}
+
 
 class TestParsing:
     def test_full_roundtrip(self):
@@ -70,10 +76,11 @@ class TestParsing:
             "max_sim_ms = -1\n",                   # negative duration
             "latency = 3-7\n",                     # only lo..hi is a range
             "auth_scheme = hmac\n",                # removed key
+            "n = -2\nf = -1\n",                    # negative f
         ],
     )
     def test_rejects_bad_configs(self, text):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=REJECT_MESSAGES.get(text)):
             parse_scenario_text(text)
 
     def test_zero_intervals_accepted(self):

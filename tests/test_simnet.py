@@ -489,7 +489,8 @@ class TestTimestampStrategy:
 
 
 class TestPeerRetrieval:
-    """Gap recovery: a node missing state pulls it from peers and resumes."""
+    """Gap recovery: a node missing a certified log pulls it from peers, one
+    missing a command body waits for its proposer's copy; both then resume."""
 
     def _chain(self, sim, author, commands):
         from phalanx.types import EMPTY_DIGEST, PartialOrderLog
@@ -530,32 +531,8 @@ class TestPeerRetrieval:
             c.digest for c in commands
         ]
 
-    def test_missing_command_body_fetched_before_commit(self):
+    def test_missing_command_body_awaited_before_commit(self, monkeypatch):
         from phalanx import Command
-
-        sim = Simulation(small(commands_per_proposer=0))
-        secret = Command.create(0, 1, b"late body")
-        logs = {
-            author: self._chain(sim, author, [secret])[0] for author in (0, 1, 3)
-        }
-        target = sim.nodes[2]
-        for author, log in logs.items():
-            assert target.mempool.handle_order(log)
-        # Only node 3 knows the command body.
-        sim.nodes[3].mempool.store_command(secret)
-        batch = (logs[0], logs[1], None, logs[3])
-        target.on_batch(0, batch)
-        assert target.executor.blocked_on == {secret.digest}
-        sim.run()
-        assert not target.executor.blocked_on
-        assert [e.digest for e in target.executor.committed_order] == [secret.digest]
-
-    def test_forged_command_body_is_dropped(self, monkeypatch):
-        from dataclasses import replace
-
-        from phalanx import Command
-        from phalanx.mempool import REJECT_BAD_DIGEST
-        from phalanx.wire import FetchCommandMessage, FetchCommandResponse
 
         sim = Simulation(small(commands_per_proposer=0))
         secret = Command.create(0, 1, b"late body")
@@ -565,27 +542,16 @@ class TestPeerRetrieval:
         target = sim.nodes[2]
         for log in logs.values():
             assert target.mempool.handle_order(log)
-        target.on_batch(0, (logs[0], logs[1], None, logs[3]))
-        assert target.executor.blocked_on == {secret.digest}
-        # Node 1 asks node 2 for the body too, so node 2 owes it the answer.
-        target.on_message(FetchCommandMessage(secret.digest), 1)
         sent = []
         monkeypatch.setattr(sim, "send", lambda src, dst, msg: sent.append((dst, msg)))
-
-        # A body that keeps the real digest but not the fields it hashes.
-        forged = replace(secret, proposer_id=3, seq=7, payload=b"forged")
-        target.on_message(FetchCommandResponse(forged), 3)
-        assert target.mempool.fetch_command(secret.digest) is None
-        assert target.mempool.rejects[REJECT_BAD_DIGEST] == 1
-        assert sent == []
+        target.on_batch(0, (logs[0], logs[1], None, logs[3]))
         assert target.executor.blocked_on == {secret.digest}
         assert target.executor.committed_order == []
-
-        target.on_message(FetchCommandResponse(secret), 3)
-        assert sent == [(1, FetchCommandResponse(secret))]
-        assert [(e.proposer_id, e.proposer_seq) for e in target.executor.committed_order] == [
-            (0, 1)
-        ]
+        assert sent == []  # no peer is asked for the body
+        # The proposer's copy lands and the blocked set commits.
+        target.on_command(secret)
+        assert not target.executor.blocked_on
+        assert [e.digest for e in target.executor.committed_order] == [secret.digest]
 
 
 class TestResultShape:

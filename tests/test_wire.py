@@ -1,19 +1,25 @@
-"""Pinned bytes of the wire encoding.
+"""Pinned bytes of the wire encoding, and a guard that every kind is sent.
 
 Nothing decodes the encoding; batch dumps and perfbench's ``wire.bytes.*``
 metrics read it. These pins keep its byte format fixed: a change to any
 encoder shows here before it moves a batch-trace pin or a byte count.
+
+A message kind that no run sends is code only tests exercise, so the guard
+runs pinned scenarios and requires each kind of ``wire.Message`` on the
+simulated wire, and a byte pin for each.
 """
 
 import hashlib
+import typing
 
 import pytest
 
-from phalanx import Command, EMPTY_DIGEST, HmacAuthenticator, PartialOrderLog
+from phalanx import (
+    Command, EMPTY_DIGEST, HmacAuthenticator, PartialOrderLog, Simulation,
+    parse_scenario_text, wire,
+)
 from phalanx.consensus import encode_order_batch
 from phalanx.wire import (
-    FetchCommandMessage,
-    FetchCommandResponse,
     FetchLogMessage,
     FetchLogResponse,
     OrderMessage,
@@ -22,6 +28,7 @@ from phalanx.wire import (
     WireError,
     encode_message,
 )
+from test_determinism_pins import BATCH_PINS, PINS as TRACE_PINS, STALL_PINS, stall_scenario
 
 AUTH = HmacAuthenticator(4, 1)
 COMMAND = Command.create(0, 1, b"cmd")
@@ -57,14 +64,6 @@ PINS = {
         FetchLogResponse(LOG), 160,
         "4e50d13b47091c3551f10df92cf948c05cfde02d22a6adbe7af14452443555f5",
     ),
-    "fetch_cmd": (
-        FetchCommandMessage(COMMAND.digest), 33,
-        "a08759645c66710a5b00959e5696b736f1e5411f95a12f73f6fb64be697f6b09",
-    ),
-    "fetch_cmd_resp": (
-        FetchCommandResponse(Command.create(1, 7, b"payload")), 22,
-        "8b8744cd1d20c79b04f44e4fec57bc433196eac2c44bfea485c1c5ec0e6e27a3",
-    ),
 }
 
 
@@ -92,3 +91,23 @@ def test_order_batch_bytes_pinned():
 def test_unknown_kind_raises():
     with pytest.raises(WireError):
         encode_message(object())
+
+
+def test_every_message_kind_is_sent_and_pinned():
+    scenarios = [parse_scenario_text(BATCH_PINS["lan_smoke"][0]),
+                 parse_scenario_text(TRACE_PINS["reverse_silent7"][0])]
+    scenarios += [stall_scenario(*key) for key in sorted(STALL_PINS)]
+    sent: set[type] = set()
+    for scenario in scenarios:
+        sim = Simulation(scenario)
+        send = sim.send
+
+        def counted(src, dst, msg, send=send):
+            sent.add(type(msg))
+            send(src, dst, msg)
+
+        sim.send = counted
+        assert not sim.run().non_quiescent
+    kinds = set(typing.get_args(wire.Message))
+    assert sorted(k.__name__ for k in kinds - sent) == []
+    assert {type(pin[0]) for pin in PINS.values()} == kinds
