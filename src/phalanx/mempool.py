@@ -12,7 +12,15 @@ partial-order logs through three steps:
    author's stamps strictly increase along its chain: equal stamps would
    leave the order of its logs to the digest tie-break of trusted
    timestamps. A log starved of votes is re-broadcast, the one whose
-   re-broadcast fell due first;
+   re-broadcast fell due first. A log falls due once it has waited the
+   re-broadcast timeout since its last send: ``resend_ms`` until a round
+   trip is measured, then ``max(resend_ms, SRTT + 4 * RTTVAR)``
+   (:meth:`Mempool.resend_timeout`). Each certification of an own log
+   samples its vote round trip, from the log's first send to the
+   2f+1-th share, into SRTT and RTTVAR with RFC 6298's gains (1/8 and
+   1/4), in integer ms. A fixed timer fires before most votes return once
+   many logs are in flight, as link delays clamped behind earlier
+   messages push the round trip past ``resend_ms``;
 2. vote: a peer votes for an author's log whose seq lies above the author's
    certified head h and at most h + ``PRE_ORDER_WINDOW``, and that chains on
    the higher of that head and the newest log it voted for. It repeats its
@@ -60,12 +68,13 @@ CHAIN_BREAK = "chain_break"
 
 # Own logs a node may have awaiting votes at once, and how far above an
 # author's certified head a voter endorses.
-PRE_ORDER_WINDOW = 4
+PRE_ORDER_WINDOW = 12
 
 
 class Outstanding:
     """One own log awaiting votes: the log, its verified vote shares by
-    signer, and the stamp it was last broadcast at."""
+    signer, and the stamp it was last broadcast at. The stamp of its first
+    send is the log's own timestamp."""
 
     __slots__ = ("log", "shares", "sent")
 
@@ -102,6 +111,13 @@ class Mempool:
         self.log_store: dict[tuple[int, int], PartialOrderLog] = {}
         self.rejects: Counter[str] = Counter()
         self.chain_break_evidence: list[tuple[PartialOrderLog, PartialOrderLog]] = []
+        # Vote round-trip estimator (RFC 6298), in ms: SRTT (None before the
+        # first sample), RTTVAR, and SRTT + 4 * RTTVAR (0 before the first
+        # sample, so the timeout starts at resend_ms).
+        self.srtt: Optional[int] = None
+        self.rttvar = 0
+        self.rto = 0
+        self.rebroadcasts = 0
 
     # ------------------------------------------------------------------
     # command intake
@@ -151,13 +167,34 @@ class Mempool:
         last sent earliest, the lowest seq among equals; None if none."""
         return min(self.outstanding.values(), key=_SENT, default=None)
 
+    def resend_timeout(self, resend_ms: int) -> int:
+        """How long an own log waits for votes before it is re-broadcast:
+        ``resend_ms`` before the first round-trip sample, then
+        ``max(resend_ms, SRTT + 4 * RTTVAR)``."""
+        return max(resend_ms, self.rto)
+
     def resend_pre_order(self, now: int, resend_ms: int) -> Optional[PreOrderMessage]:
         """Re-broadcast the outstanding log that fell due first, if one is due."""
         entry = self.first_due()
-        if entry is None or now - entry.sent < resend_ms:
+        if entry is None or now - entry.sent < self.resend_timeout(resend_ms):
             return None
         entry.sent = now
+        self.rebroadcasts += 1
         return PreOrderMessage(entry.log)
+
+    def _sample_round_trip(self, rtt: int) -> None:
+        """Fold one vote round trip into SRTT and RTTVAR (RFC 6298 2.2-2.3):
+        the first sets SRTT = R and RTTVAR = R / 2; each later one sets
+        RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R|, then SRTT = 7/8 SRTT + 1/8 R,
+        rounded down to whole ms."""
+        srtt = self.srtt
+        if srtt is None:
+            srtt, rttvar = rtt, rtt // 2
+        else:
+            rttvar = (3 * self.rttvar + abs(srtt - rtt)) // 4
+            srtt = (7 * srtt + rtt) // 8
+        self.srtt, self.rttvar = srtt, rttvar
+        self.rto = srtt + 4 * rttvar
 
     # ------------------------------------------------------------------
     # step 2: vote
@@ -209,10 +246,11 @@ class Mempool:
     # ------------------------------------------------------------------
     # step 3: order
 
-    def handle_vote(self, vote: VoteMessage, sender: int) -> Optional[OrderMessage]:
+    def handle_vote(self, vote: VoteMessage, sender: int, now: int) -> Optional[OrderMessage]:
         """Keep a vote share that is verified over the digest of the
         outstanding log it names; at 2f+1 distinct signers, combine that
-        log's kept shares unchecked."""
+        log's kept shares unchecked and sample its round trip, ``now`` less
+        the stamp of its first send."""
         digest = vote.digest
         entry = self.outstanding.get(digest)
         if entry is None:
@@ -230,8 +268,12 @@ class Mempool:
         shares[partial.signer] = partial
         if len(shares) < self.auth.quorum:
             return None
-        completed = entry.log.with_certificate(self.auth.combine(digest, shares.values()))
+        log = entry.log
+        completed = log.with_certificate(self.auth.combine(digest, shares.values()))
         del self.outstanding[digest]
+        # A tick stamps its k-th log ``stamp + k``, so with no link delay the
+        # round trip can read up to k below 0.
+        self._sample_round_trip(max(0, now - log.timestamp))
         self._store_log(completed)
         return OrderMessage(completed)
 

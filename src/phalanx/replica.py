@@ -15,8 +15,11 @@ so that a test may replace a method on the port object:
   carry protocol messages, which arrive at ``on_message`` of each peer;
 * ``net.wake(node_id)`` asks for a tick at the node's next tick time, for
   when state changed so that a sleeping node's tick can act;
+* ``net.rearm(node_id)`` asks for a tick no later than the node's next
+  re-broadcast due time, for when that time moved earlier;
 * ``net.sequencer.submit(batch)`` hands an order-batch to the total-order
-  broadcast, which delivers it to every node's ``on_batch``.
+  broadcast, which delivers it to every node's ``on_batch``;
+* ``net.now`` is the current time, read only by :meth:`Replica.clock`.
 
 The caller drives :meth:`Replica.tick` with the stamp to put on new logs.
 A tick pre-orders queued commands until the pre-order window is full, the
@@ -24,10 +27,24 @@ queue is empty or it has used ``tick_ms`` stamps, stamping the k-th
 (k from 0) ``stamp + k``. A caller whose successive ticks' stamps lie at
 least ``tick_ms`` apart thus gets strictly increasing stamps along the
 node's chain. A tick that pre-orders nothing re-broadcasts an own log once
-it has waited ``resend_ms`` for votes. Node 0 leads when the strategy uses
-consensus. No Byzantine behaviour is read here: the simulator's node wraps
-this class with the behaviour, through the hook
-:meth:`Replica.before_pre_order`.
+it has waited the mempool's re-broadcast timeout for votes: ``resend_ms``
+until a vote round trip is measured, then the RFC 6298 estimate, never
+below ``resend_ms``.
+
+A vote that completes a certificate samples the log's round trip at
+:meth:`Replica.clock`, a hook like :meth:`Replica.before_pre_order`, not
+at ``net.now``: the sample is the clock at the 2f+1-th share less the
+log's first-send stamp, and a node's stamps are its skewed, clamped clock,
+which only the simulator's node knows. Reading ``net.now`` would offset a
+skewed node's every sample by its skew. When the sample lowers the
+timeout while nothing is queued, the node may be asleep until the old due
+time, so the replica asks the port to re-arm its timer; with commands
+queued it wakes at its next tick anyway.
+
+Node 0 leads when the strategy uses consensus. No Byzantine behaviour is
+read here: the simulator's node wraps this class with the behaviour,
+through the hooks :meth:`Replica.before_pre_order` and
+:meth:`Replica.clock`.
 
 The strategy is picked once, by name: ``anchor`` (:class:`Executor`),
 ``timestamp`` (:class:`TimestampExecutor`, the Pompē-style baseline) or
@@ -111,17 +128,25 @@ class Replica:
         """Called before each pre-order attempt of a tick; a subclass may
         reorder the inbound queue here."""
 
+    def clock(self) -> int:
+        """The stamp a tick would put on a log now; a subclass may skew it."""
+        return self.net.now
+
     def on_message(self, msg, sender: int) -> None:
         if isinstance(msg, PreOrderMessage):
             vote = self.mempool.handle_pre_order(msg, sender)
             if vote is not None:
                 self.net.send(self.node_id, sender, vote)
         elif isinstance(msg, VoteMessage):
-            order = self.mempool.handle_vote(msg, sender)
+            mempool = self.mempool
+            rto = mempool.rto
+            order = mempool.handle_vote(msg, sender, self.clock())
             if order is not None:
                 self.net.broadcast(self.node_id, order, include_self=False)
-                if self.mempool.inbound:
+                if mempool.inbound:
                     self.net.wake(self.node_id)
+                elif mempool.rto < rto:
+                    self.net.rearm(self.node_id)
                 self._log_stored(order.log.node_id, order.log.seq)
         elif isinstance(msg, (OrderMessage, FetchLogResponse)):
             if self.mempool.handle_order(msg.log):

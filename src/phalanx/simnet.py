@@ -24,13 +24,21 @@ order-batch. A tick is scheduled only when it can act:
 * after any other tick, a node that stopped at ``delta_o`` pre-orders with
   room left ticks again ``delta_o`` later; otherwise a node with logs
   awaiting votes sleeps until the first grid tick after this one at or
-  after the earliest re-broadcast due time among them, ``sent + resend_ms
+  after the earliest re-broadcast due time among them, ``sent + timeout
   - skew`` for the log last sent earliest (a tick re-broadcasts one log,
-  so another may be due already); any other node sleeps with no timer;
+  so another may be due already), where ``timeout`` is the mempool's
+  re-broadcast timeout, ``max(resend_ms, SRTT + 4 * RTTVAR)`` of the
+  node's measured vote round trips; any other node sleeps with no timer;
 * a sleeping node wakes at its next grid tick after the current event when
   a command is queued while the window has room, when a vote completes a
   certificate while commands are queued, or, on the leader, when a stored
   log advances its latest-log vector;
+* a vote that completes a certificate with nothing queued and lowers the
+  node's re-broadcast timeout re-arms its timer: the node then ticks at
+  the first of its grid ticks after the current event at or after the new
+  due time, if that comes before the tick it sleeps until. A timeout that
+  rises needs no re-arm: the tick at the old due time does nothing and
+  sleeps again;
 * a silent node never ticks.
 
 This skips only ticks that would have done nothing, so a run processes the
@@ -55,11 +63,12 @@ cut short, at the last grid tick of any node at or before ``max_sim_ms``.
 Byzantine behaviors live here and in :mod:`~phalanx.scenario` only, never
 in the replica. They reorder a node's inbound queue, skew its reported log
 timestamps, or silence it entirely. :class:`_Node` applies the skewed stamp
-on each tick and the queue behaviour before each pre-order of a tick; a
-silent node is a :class:`_SilentNode`. A ``shuffle`` node makes one uniform
-draw over its queue before each pre-order that finds the window with room
-and two or more commands queued, and pre-orders the drawn command; the rest
-keep their arrival order. A ``reverse`` node moves its newest queued
+on each tick and to the clock that times its vote round trips, and the
+queue behaviour before each pre-order of a tick; a silent node is a
+:class:`_SilentNode`. A ``shuffle`` node makes one uniform draw over its
+queue before each pre-order that finds the window with room and two or
+more commands queued, and pre-orders the drawn command; the rest keep
+their arrival order. A ``reverse`` node moves its newest queued
 command to the front before each pre-order, so it always pre-orders
 newest-first.
 """
@@ -117,6 +126,8 @@ class ExperimentResult:
     leader_faults: int
     sim_time_ms: int
     events_processed: int
+    # Pre-order re-broadcasts, summed over honest nodes.
+    rebroadcasts: int
     batch_trace: list[str] = field(default_factory=list)
 
     @property
@@ -143,6 +154,7 @@ class ExperimentResult:
             "leader_faults": self.leader_faults,
             "sim_time_ms": self.sim_time_ms,
             "events_processed": self.events_processed,
+            "rebroadcasts": self.rebroadcasts,
             "trace_sha256": self.trace_sha256(),
         }
 
@@ -175,10 +187,14 @@ class _Node(Replica):
     def on_tick(self, now: int) -> bool:
         """Tick at the skewed stamp; the queue behaviour runs before each
         pre-order of the tick."""
+        return self.tick(self._stamp(now))
+
+    def clock(self) -> int:
+        return self._stamp(self.net.now)
+
+    def _stamp(self, now: int) -> int:
         stamp = now + self.behavior.skew
-        if stamp < 0:
-            stamp = 0
-        return self.tick(stamp)
+        return stamp if stamp > 0 else 0
 
     def before_pre_order(self) -> None:
         mempool = self.mempool
@@ -330,23 +346,40 @@ class Simulation:
     def _sleep(self, node_id: int, now: int) -> None:
         """Schedule a non-leader node after its tick at ``now``, or any node
         after a tick that did nothing."""
-        node = self.nodes[node_id]
-        mempool = node.mempool
+        mempool = self.nodes[node_id].mempool
         if mempool.inbound and mempool.has_room():
             # The tick used all its stamps: the next one pre-orders on.
             self._schedule_tick(node_id, now + self._delta)
             return
+        # A tick re-broadcasts one log, so another may have fallen due by
+        # ``now`` too: then the next grid tick re-broadcasts it.
+        when = self._resend_tick(node_id, now + self._delta)
+        if when == _NO_TICK:
+            self._tick_at[node_id] = _NO_TICK
+        else:
+            self._schedule_tick(node_id, when)
+
+    def rearm(self, node_id: int) -> None:
+        """Tick ``node_id`` by its re-broadcast due time after the timeout
+        fell, unless a tick as early is queued."""
+        when = self._resend_tick(node_id, self._next_grid_tick(node_id))
+        if when < self._tick_at[node_id]:
+            self._schedule_tick(node_id, when)
+
+    def _resend_tick(self, node_id: int, grid: int) -> int:
+        """The node's first grid tick at or after its grid tick ``grid``
+        whose stamp makes an own log due a re-broadcast; ``_NO_TICK`` if no
+        log awaits votes."""
+        node = self.nodes[node_id]
+        mempool = node.mempool
         first = mempool.first_due()
         if first is None:
-            self._tick_at[node_id] = _NO_TICK
-            return
-        # The first grid tick after ``now`` whose stamp makes a log due a
-        # re-broadcast. A tick re-broadcasts one log, so another may have
-        # fallen due by ``now`` too.
-        due = first.sent + self.scenario.resend_ms - node.behavior.skew
-        if due <= now:
-            due = now + 1
-        self._schedule_tick(node_id, due + (now - due) % self._delta)
+            return _NO_TICK
+        due = (first.sent + mempool.resend_timeout(self.scenario.resend_ms)
+               - node.behavior.skew)
+        if due <= grid:
+            return grid
+        return due + (grid - due) % self._delta
 
     def send(self, src: int, dst: int, msg) -> None:
         self._post(src, dst, _EV_MSG, dst, msg)
@@ -478,6 +511,9 @@ class Simulation:
             for node in self.nodes
             if node.node_id in scenario.honest_ids()
         )
+        rebroadcasts = sum(
+            self.nodes[i].mempool.rebroadcasts for i in scenario.honest_ids()
+        )
         ref_node = self.nodes[self.reference_node]
         return ExperimentResult(
             scenario=scenario,
@@ -494,6 +530,7 @@ class Simulation:
             leader_faults=leader_faults,
             sim_time_ms=self.now,
             events_processed=self.events_processed,
+            rebroadcasts=rebroadcasts,
             batch_trace=list(ref_node.consenter.batch_trace),
         )
 

@@ -23,12 +23,13 @@ run stops: ``sim_time_ms`` feeds throughput, so it may not move either. The
 stall pins hold two runs in which a consenter stalls on a missing log and
 retries its batch once the log lands.
 
-The pins hold at the default pre-order window (``PRE_ORDER_WINDOW`` = 4).
+The pins hold at the default pre-order window (``PRE_ORDER_WINDOW`` = 12).
 The ``STOP_AND_WAIT_*`` tables hold the same pins with the window patched to
-1, one own log awaiting votes at a time, at their values from before the
-window existed: at that window a tick pre-orders at most one log, so every
-trace and batch trace is what it was. Only ``events_processed`` moved there,
-since a node that acted now sleeps until its tick can act again. Pins whose
+1, one own log awaiting votes at a time. Where no log waits for votes past
+``resend_ms`` (the LAN and 10..80 ms runs) they keep their values from
+before the window existed. The 1..1200 ms runs moved when the re-broadcast
+timer began to follow the measured vote round trip: their re-broadcasts
+fall due at other times, which moves every later latency draw. Pins whose
 value the window does not move are checked at both windows.
 """
 
@@ -136,40 +137,40 @@ strategy = anchor
 PINS = {
     "burst4": (
         BURST4,
-        "8e8f780baa74b9d3ffd9a7a944868fb92fc8a7c4568c3d0e66b0c4270a0abc17",
+        "737afce12f0f75631c5ae31b0067551240c74e1a64fb00d28230b3a558371b48",
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "f9cfba49861839a18bf758579617a1163ff45ad184b49b74a025e9b03352c70b",
+        "873f5c0fe1adffdf1fdec018ca264f5e6ece3e4d3a3778b8ecb9d2f487ece298",
     ),
     "sweep16_anchor": (
         SWEEP16.format(strategy="anchor"),
-        "5cdcbcf9c5e100006e610340aecf4d5f9dca4842adcdcae6d908d28aeeed6b04",
+        "55b8410b4886511db61c0420eb754dd330cae9c3094f3a3967b4251f6066e18d",
     ),
     # Alter-path sets closed under reliable order: reordered_ratio 0.
     "alter16": (
         ALTER16,
-        "700c667110fcd62f9a457fc7ce2427e8d24cd4e9546a7b66022a61ca8f66a159",
+        "ebeb093015a0c4218ef39bf71708f5c07ac3cee9fc5d599702aa7cd593d0f42f",
     ),
     "reverse_silent7": (
         REVERSE_SILENT7,
-        "7d67953357917ac2052b0a3eb16ea2a8248d191db137826b84ab834a6bd3576c",
+        "7f84b6fdd3129a152ee2fa8ef2226d22f7d3526be1de44d638379e5e929f6247",
     ),
     "follow_reverse4": (
         FOLLOW_REVERSE4,
-        "8241f4603d1484231c635e54c8983d45bdaf912d06a36f4df0cf0fb554103de3",
+        "86020a6cf8fc8f4cd207116b717602783be7b8ca4d2541b651875788024f3d25",
     ),
     "follow7": (
         FOLLOW7,
-        "52eecb31894ec9416b9941edee53432a41f2330a4f9fb51b5c9ac14a0da375c1",
+        "3644fa002f50dc9947a4a30e9e57aac72e855682433e552b68a43d714baf240e",
     ),
 }
 
 STOP_AND_WAIT_PINS = {
     "burst4": "6ba06b77d14462e282c326e092f6af903f7807c8f3243c74118c1538ca2928f6",
-    "sweep16_timestamp": "f7e2213397e9101d3441e34a57869f1384471b249a85d19c626613d1c298415e",
-    "sweep16_anchor": "854acc90a9fcdd00c7953b1a5df9cdcf005c7aeedba9fc48c096b71dec0f1bee",
-    "alter16": "09d7b54ded7135b76d14e3d04778f988796b35d2c9c13c5c1e7754a59b8d75dd",
+    "sweep16_timestamp": "8f5639fa6c3530905c8a16ea6d4ecf2da7f7bd2fa713949a1fd2ab4fed055620",
+    "sweep16_anchor": "2b5656d448487624255caa0e8ef4b795fd5d2eafdb0c54e95a8fde540d855ba7",
+    "alter16": "de55d883d81f458b12a148486fc5320a862691479cdc372b3cf4248f8c5873bb",
     "reverse_silent7": "b53773a8d09cc1e944a82003ba0529a14c173da07798bac273d719f3fda7382d",
     "follow_reverse4": "0451a30b5c1aff23b47a11000875b2ced0216e48fccaf97cae88c929abda207e",
     "follow7": "06c606399d9e30c3bfd8a92c6fb5d8a7023b4f8108eb42e352fc462cc5d03689",
@@ -182,13 +183,13 @@ BATCH_PINS = {
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "e9ba15579af9ccc044f0d582ceb36440b9265606d98b025c4d4d8b71f85fa7df",
+        "a1f230e75f2bb7a7454eefba34b387250cce0dc56571a2b08f79b423337f4103",
     ),
 }
 
 STOP_AND_WAIT_BATCH_PINS = {
     "lan_smoke": "bb2608fe929a2720a3d632862cf6116e95fab9e062a6ca3617e1c02874330f98",
-    "sweep16_timestamp": "ab7c01969159119b385bdf024c69bdbcc7579c253d99cc25d971b57c21a05dd0",
+    "sweep16_timestamp": "00a27e223048074ef4519173de2e99f0f840c31e55ec4a4895aa3da1f6cf3ac8",
 }
 
 
@@ -212,19 +213,21 @@ SCENARIO_ECHO = {
 RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
-        "consistency": True, "events_processed": 79574, "leader_faults": 0,
+        "consistency": True, "events_processed": 69811, "leader_faults": 0,
+        "rebroadcasts": 1,
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
-        "reordered_ratio": 0.014743589743589743, "schema_version": 1,
-        "sim_time_ms": 41124, "total_proposed": 80, "uncommitted": 0,
+        "reordered_ratio": 0.01858974358974359, "schema_version": 1,
+        "sim_time_ms": 17237, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": PINS["sweep16_timestamp"][1],
         "scenario": SCENARIO_ECHO["sweep16_timestamp"],
     },
     "alter16": {
-        "alter_path_ratio": 0.4444444444444444, "committed": 80,
-        "consistency": True, "events_processed": 79011, "leader_faults": 0,
+        "alter_path_ratio": 0.48148148148148145, "committed": 80,
+        "consistency": True, "events_processed": 70078, "leader_faults": 0,
+        "rebroadcasts": 3,
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
-        "sim_time_ms": 41091, "total_proposed": 80, "uncommitted": 0,
+        "sim_time_ms": 16979, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": PINS["alter16"][1],
         "scenario": SCENARIO_ECHO["alter16"],
     },
@@ -233,19 +236,21 @@ RESULT_PINS = {
 STOP_AND_WAIT_RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
-        "consistency": True, "events_processed": 83508, "leader_faults": 0,
+        "consistency": True, "events_processed": 83278, "leader_faults": 0,
+        "rebroadcasts": 0,
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
-        "reordered_ratio": 0.021153846153846155, "schema_version": 1,
-        "sim_time_ms": 139367, "total_proposed": 80, "uncommitted": 0,
+        "reordered_ratio": 0.019230769230769232, "schema_version": 1,
+        "sim_time_ms": 139458, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": STOP_AND_WAIT_PINS["sweep16_timestamp"],
         "scenario": SCENARIO_ECHO["sweep16_timestamp"],
     },
     "alter16": {
-        "alter_path_ratio": 0.6, "committed": 80,
-        "consistency": True, "events_processed": 83567, "leader_faults": 0,
+        "alter_path_ratio": 0.5217391304347826, "committed": 80,
+        "consistency": True, "events_processed": 83351, "leader_faults": 0,
+        "rebroadcasts": 2,
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
-        "sim_time_ms": 139248, "total_proposed": 80, "uncommitted": 0,
+        "sim_time_ms": 140315, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": STOP_AND_WAIT_PINS["alter16"],
         "scenario": SCENARIO_ECHO["alter16"],
     },
@@ -261,16 +266,16 @@ TIE_BREAK_PINS = {
         "ff7dd0458142c9c1a6fad170875294f9f5305ebafe939f1a14b8ec0ff2c0788e",
     ),
     ("anchor", 26): (
-        "df29d90696b9eb2d06046e33ab3a8217428abdd2ae6d95ecf55039a478ad222a",
-        "fba9531aa601922abf2fcaa11d7ba15a7dfe6f6132fc43530257c0d970c2d244",
+        "f85ab8b659c364c9d6a03db036bddca52252c73a6da7a7a4add3f43fc40dcfb1",
+        "5220adb4f2bd3cb6ac2d3ae5cfc08e6fdd2e20d376f64cb399913b10ea155cba",
     ),
     ("anchor", 30): (
-        "fff89f72ed112bda051339372b7b2871cf701f9f9b5e649a873fad1984108e5c",
-        "cf28f6d496fb0f73228d406a9c332426c0ac0bb757092e2efbb0fecad219412d",
+        "42f7c3d35da1d45b94195b0329e67a9e85e0d80ea15087137735083c7861e4ec",
+        "8c64624d9add7d388adbde8ec801f4b8194af3d6fc4175cb9d3573f0288a24fb",
     ),
     ("timestamp", 30): (
-        "baff5476f5ef2b6cc640fbbf9c61d5a9fb41e1b4eb5b7c73d54ef439eca5a674",
-        "cf28f6d496fb0f73228d406a9c332426c0ac0bb757092e2efbb0fecad219412d",
+        "1276e087b46dd77aad7a325ff3452fb6f50deb4a805d8e6997986baef3f8adba",
+        "8c64624d9add7d388adbde8ec801f4b8194af3d6fc4175cb9d3573f0288a24fb",
     ),
 }
 
@@ -396,6 +401,8 @@ ZERO_LATENCY_PINS = {
         "0a5521901630b268585fe2935254f5b0914e62bc4fb2cf22c7e927838f4441d9"),
     4: ("aa660b60660dff1a7477d2568c13d97de349c3ad0f2d3178383d9979058861ac",
         "950544375acc2e7c29d9ecb2039a51cac06c3d5e0310d5a967cf5a578aac337e"),
+    12: ("bb8a993ffdec4daa6fa01221f68f32fb69c1bca99b9e68b436ad7026ee4ca739",
+         "2b4d3aa55219db8cdb02b64b40f7764442a0baf880ee1c3459c5af3b3523c1d5"),
 }
 
 
@@ -424,7 +431,7 @@ def test_zero_latency_order_pinned(monkeypatch):
 def test_cut_short_run_ends_at_the_last_tick(scenario, sim_time_ms, monkeypatch):
     # Cut at max_sim_ms while nodes still wait: the run's clock stops at the
     # last grid tick any node, silent or not, has at or before the limit.
-    for window in (1, 4):
+    for window in (1, 4, 12):
         monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
         result = run(scenario)
         assert result.non_quiescent
@@ -439,15 +446,15 @@ def test_cut_short_run_ends_at_the_last_tick(scenario, sim_time_ms, monkeypatch)
 # stalled nodes, nodes with a batch buffered behind a stall)
 STALL_SCENARIOS = {"wide": wide_scenario, "random": random_scenario}
 STALL_PINS = {
-    ("wide", 7160): (
-        "9dc3be6aa611034695e5a9ffd344cdd225ef671e60efcb9abfb2973658f363ac",
-        "835126069bd3797b76abf36bb32ccebf897672f5df8fb60b486abde58a868f44",
-        5501, {3}, {3},
+    ("wide", 7144): (
+        "9362b7d9940ef876bba213d7a64436777493d53aa0dacad49b69dccd33c9aa36",
+        "9e6e8da69aa72822a5c77781ec388c1a6b907a1f228c8e13b6ab8510a45be2f0",
+        653, {3}, {3},
     ),
-    ("random", 9191): (
-        "e36acc6a5978e5ec8055296c9ac0c090d7dd548c7926d869a2112557117b3fb1",
-        "fcd85635304a0d26339d7a61b47a55aad4d469186b0efe4b0532dba76aa7b50d",
-        5243, {2, 3, 5}, {3},
+    ("random", 9252): (
+        "777aa2ece21b8c568cb854456a5250aec4ae097833b183dacbf0b132a0bc9f35",
+        "270b8c2a98b17a30cf3c406afa6322bf4616235c15d635e1f24b4d822832cb2c",
+        3084, {4}, {4},
     ),
 }
 

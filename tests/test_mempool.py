@@ -38,13 +38,14 @@ def cmd(seq, payload=None):
     return Command.create(0, seq, payload or b"payload-%d" % seq)
 
 
-def certify(pool, auth, log):
-    """Deliver 2f+1 votes for the author's outstanding ``log``; return the
-    certified log."""
+def certify(pool, auth, log, now=None):
+    """Deliver 2f+1 votes for the author's outstanding ``log`` at ``now``
+    (default: the log's own stamp); return the certified log."""
+    now = log.timestamp if now is None else now
     order = None
     for voter in range(QUORUM):
         vote = VoteMessage(log.cur_digest, auth.partial_sign(voter, log.cur_digest))
-        result = pool.handle_vote(vote, voter)
+        result = pool.handle_vote(vote, voter, now)
         if result is not None:
             order = result
     assert order is not None
@@ -83,7 +84,7 @@ class TestPreOrder:
         assert log.certificate is None
         assert [entry.log for entry in pool.outstanding.values()] == [log]
 
-    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("window", [1, 4, 12])
     def test_window_caps_outstanding_logs(self, pool, auth, window, monkeypatch):
         monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
         for i in range(1, window + 3):
@@ -140,6 +141,59 @@ class TestPreOrder:
         assert pool.resend_pre_order(160, resend_ms=60).log is logs[0]
         assert pool.resend_pre_order(160, resend_ms=60).log is logs[2]
         assert pool.resend_pre_order(160, resend_ms=60) is None
+
+
+class TestRoundTripEstimator:
+    """The re-broadcast timeout follows the vote round trip, RFC 6298 style:
+    ``max(resend_ms, SRTT + 4 * RTTVAR)`` once a round trip is sampled."""
+
+    def test_first_sample_sets_srtt_and_half_of_it_as_variance(self, pool, auth):
+        pool.enqueue_command(cmd(1))
+        pool.enqueue_command(cmd(2))
+        certify(pool, auth, pool.try_pre_order(100).log, now=1100)
+        assert (pool.srtt, pool.rttvar) == (1000, 500)
+        assert pool.resend_timeout(500) == 1000 + 4 * 500
+        # The next log waits that timeout, not resend_ms.
+        pool.try_pre_order(2000)
+        assert pool.resend_pre_order(4999, resend_ms=500) is None
+        assert pool.resend_pre_order(5000, resend_ms=500) is not None
+
+    def test_second_sample_follows_rfc_6298(self, pool, auth):
+        # R1 = 1000, then R2 = 1800 (RFC 6298 2.3, RTTVAR first):
+        #   RTTVAR = 3/4 * 500 + 1/4 * |1000 - 1800| = 375 + 200 = 575
+        #   SRTT   = 7/8 * 1000 + 1/8 * 1800 = 875 + 225 = 1100
+        # then R3 = 1101, rounded down to whole ms:
+        #   RTTVAR = 3/4 * 575 + 1/4 * 1 = 431.5 -> 431
+        #   SRTT   = 7/8 * 1100 + 1/8 * 1101 = 1100.125 -> 1100
+        for i in (1, 2, 3):
+            pool.enqueue_command(cmd(i))
+        logs = [pool.try_pre_order(now).log for now in (0, 10, 20)]
+        certify(pool, auth, logs[0], now=1000)
+        certify(pool, auth, logs[1], now=1810)
+        assert (pool.srtt, pool.rttvar) == (1100, 575)
+        assert pool.resend_timeout(2000) == 1100 + 4 * 575
+        certify(pool, auth, logs[2], now=1121)
+        assert (pool.srtt, pool.rttvar) == (1100, 431)
+
+    def test_timeout_never_below_resend_ms(self, pool, auth):
+        assert pool.resend_timeout(500) == 500  # no sample yet
+        for i in (1, 2):
+            pool.enqueue_command(cmd(i))
+        certify(pool, auth, pool.try_pre_order(0).log, now=10)
+        assert pool.srtt + 4 * pool.rttvar == 30
+        assert pool.resend_timeout(500) == 500
+        pool.try_pre_order(100)
+        assert pool.resend_pre_order(599, resend_ms=500) is None
+        assert pool.resend_pre_order(600, resend_ms=500) is not None
+
+    def test_rebroadcast_log_samples_from_its_first_send(self, pool, auth):
+        pool.enqueue_command(cmd(1))
+        log = pool.try_pre_order(100).log
+        assert pool.resend_pre_order(2100, resend_ms=2000).log is log
+        assert pool.first_due().sent == 2100
+        certify(pool, auth, log, now=2700)
+        assert (pool.srtt, pool.rttvar) == (2600, 1300)
+        assert pool.rebroadcasts == 1
 
 
 def author_chain(length, author=1, payload=b"c"):
@@ -300,8 +354,8 @@ class TestOrder:
         pool.enqueue_command(cmd(1))
         pre = pool.try_pre_order(0)
         vote = VoteMessage(pre.log.cur_digest, auth.partial_sign(1, pre.log.cur_digest))
-        assert pool.handle_vote(vote, 1) is None
-        assert pool.handle_vote(vote, 1) is None
+        assert pool.handle_vote(vote, 1, 0) is None
+        assert pool.handle_vote(vote, 1, 0) is None
         assert len(pool.outstanding[pre.log.cur_digest].shares) == 1
 
     def test_stale_vote_ignored(self, pool, auth):
@@ -310,7 +364,7 @@ class TestOrder:
         old = certify_own_log(pool, auth, now=0)
         stale = VoteMessage(old.cur_digest, auth.partial_sign(3, old.cur_digest))
         pool.try_pre_order(50)
-        assert pool.handle_vote(stale, 3) is None
+        assert pool.handle_vote(stale, 3, 0) is None
         assert pool.rejects[STALE_VOTE] >= 1
 
     def test_votes_go_to_the_log_they_name(self, pool, auth):
@@ -320,7 +374,7 @@ class TestOrder:
         second = pool.try_pre_order(50).log
         for voter in (0, 1):
             vote = VoteMessage(second.cur_digest, auth.partial_sign(voter, second.cur_digest))
-            assert pool.handle_vote(vote, voter) is None
+            assert pool.handle_vote(vote, voter, 0) is None
         assert len(pool.outstanding[first.cur_digest].shares) == 0
         assert len(pool.outstanding[second.cur_digest].shares) == 2
 
@@ -362,19 +416,20 @@ class TestOrder:
         pool.enqueue_command(cmd(1))
         pre = pool.try_pre_order(0)
         vote = VoteMessage(pre.log.cur_digest, auth.partial_sign(1, pre.log.cur_digest))
-        assert pool.handle_vote(vote, 2) is None
+        assert pool.handle_vote(vote, 2, 0) is None
 
     def test_share_over_other_digest_refused(self, pool, auth):
         pool.enqueue_command(cmd(1))
         pre = pool.try_pre_order(0)
         digest = pre.log.cur_digest
         for voter in (0, 1):
-            assert pool.handle_vote(VoteMessage(digest, auth.partial_sign(voter, digest)), voter) is None
+            share = auth.partial_sign(voter, digest)
+            assert pool.handle_vote(VoteMessage(digest, share), voter, 0) is None
         other = cmd(9).digest
-        assert pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, other)), 2) is None
+        assert pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, other)), 2, 0) is None
         assert pool.rejects[INVALID_PARTIAL] == 1
         assert pool.outstanding[digest].log is pre.log
-        order = pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, digest)), 2)
+        order = pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, digest)), 2, 0)
         assert order is not None
         assert auth.verify_certificate(order.log.certificate)
 

@@ -28,7 +28,7 @@ def test_wide_scenario_invariants(index):
     assert not failures, f"{scenario.to_dict()}: {failures}"
 
 
-@pytest.mark.parametrize("window", [2, 8])
+@pytest.mark.parametrize("window", [2, 8, 24])
 @pytest.mark.parametrize("index", range(BATCH))
 def test_wide_scenario_invariants_at_window(index, window, monkeypatch):
     # The same scenarios with other pre-order windows than the default.

@@ -49,6 +49,10 @@ class Loopback:
             if dst != src or include_self:
                 self.send(src, dst, msg)
 
+    # The clock that times vote round trips stands still, so the
+    # re-broadcast timeout stays resend_ms and never asks for a re-arm.
+    now = 0
+
     def wake(self, node_id):
         pass  # the tests tick each replica by hand
 

@@ -348,9 +348,13 @@ class TestTickScheduling:
 
     def test_resends_survive_sleeping_between_ticks(self, monkeypatch):
         # Links slower than resend_ms: a sleeping node still re-broadcasts its
-        # outstanding pre-orders as often as one that ticks every delta_o.
-        # Votes return after each log's third send, at either window.
-        for window in (1, 4):
+        # outstanding pre-orders on time. Votes return after a log's third
+        # send while the timeout is resend_ms; the first certification
+        # teaches each node the 5-6 s round trip, so every later log goes out
+        # once. Each log of the first tick, ``min(window, 10)`` of them, is
+        # thus sent three times and each other log once, by four nodes to
+        # four nodes.
+        for window in (1, 4, 12):
             monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
             sim = Simulation(small(commands_per_proposer=10, latency=(2500, 3000), seed=3))
             pre_orders = []
@@ -365,8 +369,49 @@ class TestTickScheduling:
             result = sim.run()
             assert result.committed == 10
             assert not result.non_quiescent
-            assert len(pre_orders) == 480
+            first = min(window, 10)
+            assert len(pre_orders) == (3 * first + 10 - first) * 16
 
+    def test_certification_that_lowers_the_timeout_rearms_a_sleeping_node(self):
+        # Node 1 pre-orders three logs at its first tick, 62, stamped 62, 63
+        # and 64; every vote to it takes 1 ms but those named below. Seq 1's
+        # votes land at 463, R = 401: SRTT 401, RTTVAR 200, timeout 1201. The
+        # node's tick at 562 (resend_ms after the first send) finds nothing
+        # due, so it sleeps until seq 2 and 3 fall due, the grid tick 1312.
+        # Seq 2's votes land at 593, R = 530:
+        #   RTTVAR = (3 * 200 + |401 - 530|) // 4 = 182
+        #   SRTT = (7 * 401 + 530) // 8 = 417
+        # so the timeout falls to 417 + 4 * 182 = 1145. Seq 3, still without
+        # votes, is due at 64 + 1145 = 1209: the re-armed node re-broadcasts
+        # it at grid tick 1212, as a node ticking every grid point does.
+        delays = {1: 400, 2: 530, 3: 2000}
+
+        def pre_order_sends(sleep=None):
+            sim = Simulation(small(commands_per_proposer=3, propose_interval=0,
+                                   latency=(0, 2000), resend_ms=500))
+            if sleep is not None:
+                sim._sleep = lambda node_id, now: sleep(sim, node_id, now)
+            seqs, sends, delay = {}, [], [1]
+            sim._latency_bits = lambda k: delay[0]
+            original = sim.send
+
+            def send(src, dst, msg):
+                if isinstance(msg, PreOrderMessage) and src == dst == 1:
+                    seqs[msg.log.cur_digest] = msg.log.seq
+                    sends.append((sim.now, msg.log.seq))
+                if isinstance(msg, VoteMessage) and dst == 1 != src:
+                    delay[0] = delays[seqs[msg.digest]]
+                original(src, dst, msg)
+                delay[0] = 1
+
+            sim.send = send
+            assert sim.run().committed == 3
+            mempool = sim.nodes[1].mempool
+            return sends, (mempool.srtt, mempool.rttvar)
+
+        sends, estimate = pre_order_sends()
+        assert sends == [(62, 1), (62, 2), (62, 3), (1212, 3)]
+        assert pre_order_sends(every_grid_point) == (sends, estimate)
 
     @pytest.mark.parametrize("resend_ms", [2000, 2010])
     def test_logs_due_at_once_rebroadcast_one_per_grid_tick(self, resend_ms):
@@ -423,7 +468,7 @@ class TestTickElision:
     """Ticking only when a tick can act changes no output: runs match a loop
     that ticks every node on every grid point."""
 
-    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("window", [1, 4, 12])
     @pytest.mark.parametrize("generator, base", [(random_scenario, 5000),
                                                  (wide_scenario, 6000)],
                              ids=["random", "wide"])
