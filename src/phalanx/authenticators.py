@@ -17,8 +17,8 @@ tracer (``perfbench``) patches each method on the class that defines it.
 
 A share is checked once, when it arrives: :meth:`Authenticator.combine`
 builds a certificate from shares the caller has already verified, without
-checking them again. :meth:`Authenticator.aggregate` is the checked entry
-point for shares of unknown origin; it verifies each share, then combines.
+checking them again. Tests and the bench tracer use the checked entry
+point, :meth:`Authenticator.aggregate`, which verifies each share first.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class Authenticator(ABC):
     def _verify_aggregate(self, cert: Certificate) -> bool: ...
 
     def aggregate(self, event_digest: Digest, partials: Iterable[PartialSignature]) -> Certificate:
-        """Certificate over ``partials`` after checking every share: the entry
-        point for certificates built outside the vote path, such as the golden
-        fixtures; the vote path checks shares on arrival and uses :meth:`combine`."""
+        """Certificate over ``partials`` after checking every share: the checked
+        entry point that tests and the bench tracer use. The vote path checks
+        shares on arrival and uses :meth:`combine`."""
         shares = list(partials)
         signers = {ps.signer for ps in shares}
         if len(shares) != self.quorum or len(signers) != self.quorum:

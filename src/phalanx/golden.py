@@ -10,24 +10,28 @@ without the network simulator:
   timestamp baseline invert a same-proposer pair that the anchor executor
   commits in proposal order.
 
-Every replica is the simulator's :class:`~phalanx.replica.Replica`, and
-each batch is delivered through :meth:`~phalanx.replica.Replica.on_batch`
-as the simulator delivers it; the expected committed sequences are
-asserted on all of them. A golden replica holds every log and command
-body its batches need, so its port refuses the fetch broadcast that a
-gap would make.
+Every replica is the simulator's :class:`~phalanx.replica.Replica`, four
+to a :class:`FifoPort`. A scenario runs in phases: in each, every node
+receives its scripted commands through ``on_command`` and ticks once; with
+``tick_ms = 3`` that tick pre-orders the node's whole phase, stamped
+``stamp, stamp + 1, ...``. The port then delivers the pre-orders, votes,
+certified logs and the batch the leader's tick cut, until nothing is
+queued. After its last tick each replica receives every body it never
+logged from the proposer; a strategy waiting on one commits once it lands.
+The leader's batch slot seqs and the committed sequences are asserted.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
-from .authenticators import HmacAuthenticator
+from .authenticators import Authenticator, HmacAuthenticator
+from .consensus import OrderBatch, SequencerBroadcast
 from .executor import ALTER_PATH, NORMAL_PATH
 from .replica import Replica
 from .scenario import ANCHOR, TIMESTAMP
-from .types import Command, Digest, EMPTY_DIGEST, PartialOrderLog, ProtocolInvariantError
-
+from .types import Command, Digest
 
 @dataclass
 class GoldenOutcome:
@@ -40,48 +44,78 @@ class GoldenOutcome:
         return f"[{status}] {self.name}"
 
 
-def _certified(auth: HmacAuthenticator, node_id: int, seq: int, ts: int,
-               cmd_digest: Digest, prev: Digest) -> PartialOrderLog:
-    log = PartialOrderLog.create(node_id, seq, ts, cmd_digest, prev)
-    partials = [auth.partial_sign(s, log.cur_digest) for s in range(auth.quorum)]
-    return log.with_certificate(auth.aggregate(log.cur_digest, partials))
+class FifoPort:
+    """A replica port with no network: it queues every message and batch and
+    delivers them one at a time, in the order they were sent. Its clock
+    ``now`` stays 0."""
 
+    now = 0
 
-def _chain(auth: HmacAuthenticator, node_id: int,
-           entries: list[tuple[Command, int]]) -> list[PartialOrderLog]:
-    """Certified logs for one node: [(command, timestamp), ...] in local order."""
-    logs = []
-    prev = EMPTY_DIGEST
-    for seq, (cmd, ts) in enumerate(entries, start=1):
-        log = _certified(auth, node_id, seq, ts, cmd.digest, prev)
-        logs.append(log)
-        prev = log.cur_digest
-    return logs
+    def __init__(self, auth: Authenticator, strategy: str, **options):
+        # (src, dst, message); a batch for every replica is (0, None, (index, batch)).
+        self.queue: deque = deque()
+        self.batches: list[OrderBatch] = []
+        self.sequencer = SequencerBroadcast(self._submit)
+        self.replicas = [Replica(i, auth, strategy, net=self, **options) for i in range(auth.n)]
 
+    def _submit(self, index: int, batch: OrderBatch) -> None:
+        self.batches.append(batch)
+        self.queue.append((0, None, (index, batch)))
 
-class _NoPeers:
-    """The port of a golden replica, which has no peer to fetch from."""
+    def send(self, src: int, dst: int, msg) -> None:
+        self.queue.append((src, dst, msg))
 
     def broadcast(self, src: int, msg, include_self: bool) -> None:
-        raise ProtocolInvariantError(f"harness replica {src} had to fetch: {msg}")
+        for dst in range(len(self.replicas)):
+            if dst != src or include_self:
+                self.send(src, dst, msg)
 
+    def wake(self, node_id: int) -> None:
+        """Nothing to schedule: the caller ticks each replica by hand."""
 
-def _replica(node_id: int, auth: HmacAuthenticator, strategy: str,
-             commands: list[Command], logs: list[PartialOrderLog]) -> Replica:
-    """A replica whose mempool already holds every command body and log."""
-    replica = Replica(node_id, auth, strategy, net=_NoPeers())
-    for cmd in commands:
-        replica.mempool.store_command(cmd)
-    for log in logs:
-        if not replica.mempool.handle_order(log):
-            raise ProtocolInvariantError(f"harness log rejected: {log}")
-    return replica
+    rearm = wake
+
+    def run(self) -> None:
+        """Deliver until nothing is queued."""
+        while self.queue:
+            self.deliver(*self.queue.popleft())
+
+    def deliver(self, src: int, dst, msg) -> None:
+        if dst is None:
+            for replica in self.replicas:
+                replica.on_batch(*msg)
+        else:
+            self.replicas[dst].on_message(msg, src)
 
 
 def _committed(replica: Replica) -> list[Digest]:
-    if replica.consenter.leader_faults:
-        raise ProtocolInvariantError(f"replica {replica.node_id} refused a harness batch")
     return [entry.digest for entry in replica.executor.committed_order]
+
+
+def _play(auth: Authenticator, strategy: str, phases: list[dict]):
+    """Run the phases, each {node: (first stamp, commands)}, on a fresh port;
+    return it, the leader's batch slot seqs and replica 0's committed
+    digests after each phase."""
+    port = FifoPort(auth, strategy, tick_ms=3)
+    after = []
+    for phase in phases:
+        for replica in port.replicas:
+            stamp, commands = phase.get(replica.node_id, (0, []))
+            for cmd in commands:
+                replica.on_command(cmd)
+            replica.tick(stamp)
+        port.run()
+        after.append(_committed(port.replicas[0]))
+    seqs = [[slot and slot.seq for slot in batch] for batch in port.batches]
+    return port, seqs, after
+
+
+def _hand_over(port: FifoPort, commands: list[Command]) -> None:
+    """Each replica receives from the proposer every body it lacks."""
+    for replica in port.replicas:
+        for cmd in commands:
+            if replica.mempool.fetch_command(cmd.digest) is None:
+                replica.on_command(cmd)
 
 
 def _check(details: list[str], ok: bool, label: str) -> bool:
@@ -91,103 +125,73 @@ def _check(details: list[str], ok: bool, label: str) -> bool:
 
 def run_anchor_handoff() -> GoldenOutcome:
     """Normal -> alter -> normal anchor progression over three batches."""
-    n, f = 4, 1
-    auth = HmacAuthenticator(n, f, cluster_seed=b"golden-handoff")
+    auth = HmacAuthenticator(4, 1, cluster_seed=b"golden-handoff")
     red = Command.create(0, 1, b"red")
     yellow = Command.create(0, 2, b"yellow")
     green = Command.create(0, 3, b"green")
     white = Command.create(0, 4, b"white")
-    commands = [red, yellow, green, white]
-
-    chains = {
-        0: _chain(auth, 0, [(red, 1), (green, 2), (yellow, 3)]),
-        1: _chain(auth, 1, [(white, 1), (red, 2), (yellow, 3)]),
-        2: _chain(auth, 2, [(red, 1), (yellow, 2), (green, 3)]),
-        3: _chain(auth, 3, [(yellow, 1), (green, 2)]),
-    }
-    all_logs = [log for chain in chains.values() for log in chain]
-
-    batches = [
-        (chains[0][0], chains[1][0], None, None),
-        (chains[0][2], chains[1][2], chains[2][1], None),
-        (chains[0][2], chains[1][2], chains[2][2], chains[3][1]),
-    ]
-
-    replicas = [_replica(i, auth, ANCHOR, commands, all_logs) for i in range(n)]
+    # Chains n0 red green yellow, n1 white red yellow, n2 red yellow green,
+    # n3 yellow green; the last phase is the leader's tick that cuts batch 3.
+    port, seqs, after = _play(auth, ANCHOR, [
+        {0: (1, [red]), 1: (1, [white])},
+        {0: (2, [green, yellow]), 1: (2, [red, yellow]), 2: (1, [red, yellow])},
+        {2: (3, [green]), 3: (1, [yellow, green])},
+        {},
+    ])
     details: list[str] = []
-    passed = True
-
-    first = replicas[0]
-    first.on_batch(0, batches[0])
-    passed &= _check(details, _committed(first) == [],
-                     "no anchor after the first batch")
-    first.on_batch(1, batches[1])
-    passed &= _check(details, _committed(first) == [red.digest, yellow.digest],
+    passed = _check(details, seqs == [[1, 1, None, None], [3, 3, 2, None], [3, 3, 3, 2]],
+                    "leader's batches carry slot seqs [1,1,-,-] [3,3,2,-] [3,3,3,2]")
+    passed &= _check(details, after[1] == [], "no anchor after the first batch")
+    passed &= _check(details, after[2] == [red.digest, yellow.digest],
                      "second batch commits red then yellow")
-    first.on_batch(2, batches[2])
     expected = [red.digest, yellow.digest, green.digest]
-    passed &= _check(details, _committed(first) == expected,
-                     "third batch commits green")
-    tags = [entry.path_tag for entry in first.executor.committed_order]
+    passed &= _check(details, after[3] == expected, "third batch commits green")
+    tags = [entry.path_tag for entry in port.replicas[0].executor.committed_order]
     passed &= _check(details, tags == [NORMAL_PATH, ALTER_PATH, NORMAL_PATH],
                      "trace tags normal/alter/normal: yellow is the alter-path anchor")
-    passed &= _check(details, white.digest not in _committed(first),
+    passed &= _check(details, white.digest not in after[3],
                      "under-supported command stays uncommitted")
-
-    for replica in replicas[1:]:
-        for index, batch in enumerate(batches):
-            replica.on_batch(index, batch)
-        passed &= _check(
-            details,
-            _committed(replica) == expected,
-            f"replica {replica.node_id} commits the identical order",
-        )
+    blocked = [replica.executor.blocked_on for replica in port.replicas]
+    passed &= _check(details, blocked == [set(), {green.digest}, set(), {red.digest}],
+                     "replicas 1 and 3 wait on the one body each never logged")
+    _hand_over(port, [red, yellow, green, white])
+    for replica in port.replicas[1:]:
+        passed &= _check(details, _committed(replica) == expected,
+                         f"replica {replica.node_id} commits the identical order")
     return GoldenOutcome("anchor-handoff", passed, details)
 
 
 def run_median_inversion() -> GoldenOutcome:
     """One skewed reporter flips the timestamp baseline but not the anchors."""
-    n, f = 4, 1
-    auth = HmacAuthenticator(n, f, cluster_seed=b"golden-median")
+    auth = HmacAuthenticator(4, 1, cluster_seed=b"golden-median")
     early = Command.create(0, 1, b"first")
     late = Command.create(0, 2, b"second")
-    commands = [early, late]
-
-    chains = {
-        0: _chain(auth, 0, [(early, 0), (late, 1)]),
-        1: _chain(auth, 1, [(early, 3), (late, 4)]),
-        2: _chain(auth, 2, [(late, 2), (early, 3)]),
-    }
-    all_logs = [log for chain in chains.values() for log in chain]
-    batch = (chains[0][1], chains[1][1], chains[2][1], None)
-
     details: list[str] = []
     passed = True
-
-    anchor_traces = []
-    ts_traces = []
-    for node_id in range(n):
-        anchor = _replica(node_id, auth, ANCHOR, commands, all_logs)
-        anchor.on_batch(0, batch)
-        anchor.executor.flush()
-        anchor_traces.append(_committed(anchor))
-        baseline = _replica(node_id, auth, TIMESTAMP, commands, all_logs)
-        baseline.on_batch(0, batch)
-        baseline.executor.flush()
-        ts_traces.append(_committed(baseline))
-        if node_id == 0:
-            trusted = {
-                entry.digest: entry.trusted_timestamp
-                for entry in baseline.executor.committed_order
-            }
-            passed &= _check(details, trusted[early.digest] == 3,
-                             "trusted timestamp of the earlier command is 3")
-            passed &= _check(details, trusted[late.digest] == 2,
-                             "trusted timestamp of the later command is 2")
-
-    passed &= _check(details, all(t == [early.digest, late.digest] for t in anchor_traces),
+    traces = {}
+    for strategy in (ANCHOR, TIMESTAMP):
+        # Node 2 reports the pair inverted, node 3 logs nothing; the second
+        # phase is the leader's tick that cuts the batch.
+        port, seqs, _ = _play(auth, strategy, [
+            {0: (0, [early, late]), 1: (3, [early, late]), 2: (2, [late, early])},
+            {},
+        ])
+        passed &= _check(details, seqs == [[2, 2, 2, None]],
+                         f"{strategy}: the leader's batch carries slot seqs [2,2,2,-]")
+        _hand_over(port, [early, late])
+        for replica in port.replicas:
+            replica.executor.flush()
+        traces[strategy] = [_committed(replica) for replica in port.replicas]
+    # The port left from the loop is the timestamp baseline's.
+    trusted = {entry.digest: entry.trusted_timestamp
+               for entry in port.replicas[0].executor.committed_order}
+    passed &= _check(details, trusted.get(early.digest) == 3,
+                     "trusted timestamp of the earlier command is 3")
+    passed &= _check(details, trusted.get(late.digest) == 2,
+                     "trusted timestamp of the later command is 2")
+    passed &= _check(details, all(t == [early.digest, late.digest] for t in traces[ANCHOR]),
                      "anchor strategy preserves proposal order on every node")
-    passed &= _check(details, all(t == [late.digest, early.digest] for t in ts_traces),
+    passed &= _check(details, all(t == [late.digest, early.digest] for t in traces[TIMESTAMP]),
                      "timestamp baseline inverts the pair on every node")
     return GoldenOutcome("median-inversion", passed, details)
 

@@ -65,6 +65,8 @@ STALE_VOTE = "stale_vote"
 INVALID_PARTIAL = "invalid_partial"
 INVALID_CERT = "invalid_cert"
 CHAIN_BREAK = "chain_break"
+REJECT_REASONS = (DUPLICATE_COMMAND, REJECT_BAD_DIGEST, REJECT_BAD_AUTHOR, REJECT_GAP,
+                  REJECT_EQUIVOCATION, STALE_VOTE, INVALID_PARTIAL, INVALID_CERT, CHAIN_BREAK)
 
 # Own logs a node may have awaiting votes at once, and how far above an
 # author's certified head a voter endorses.
@@ -129,19 +131,6 @@ class Mempool:
             return False
         self.command_store[cmd.digest] = cmd
         self.inbound.append(cmd)
-        return True
-
-    def store_command(self, cmd: Command) -> bool:
-        """Store a command body without queueing it for ordering, as the golden
-        micro-scenarios do for bodies their logs already reference.
-
-        A body that does not hash to its digest is dropped and returns False:
-        it would otherwise commit under the real command's digest.
-        """
-        if not cmd.verify_digest():
-            self.rejects[REJECT_BAD_DIGEST] += 1
-            return False
-        self.command_store.setdefault(cmd.digest, cmd)
         return True
 
     # ------------------------------------------------------------------

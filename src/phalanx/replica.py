@@ -1,7 +1,8 @@
 """One node's protocol state machine: mempool, consenter, ordering strategy.
 
-The simulator's nodes and the golden micro-scenarios both run it. A
-replica pre-orders, votes and orders through its mempool, expands each
+The simulator's nodes and the golden micro-scenarios both run it; golden
+wires its replicas through :class:`~phalanx.golden.FifoPort`. A replica
+pre-orders, votes and orders through its mempool, expands each
 delivered order-batch into log sets through its consenter, feeds those to
 the strategy and drains it, and fetches from peers the certified logs it
 lacks, answering the same fetches from peers. Command bodies come only

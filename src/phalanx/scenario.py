@@ -197,6 +197,8 @@ _Line = tuple[int, str, str]  # (line number, lower-case key, value)
 
 
 def _lines(text: str) -> Iterator[_Line]:
+    """The ``key = value`` lines; a key may appear once."""
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -204,7 +206,11 @@ def _lines(text: str) -> Iterator[_Line]:
         key, eq, value = line.partition("=")
         if not eq:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        yield lineno, key.strip().lower(), value.strip()
+        key = key.strip().lower()
+        if key in seen:
+            raise ScenarioError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        yield lineno, key, value.strip()
 
 
 def _int(lineno: int, key: str, value: str) -> int:

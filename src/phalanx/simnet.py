@@ -84,6 +84,7 @@ from dataclasses import dataclass, field
 from .authenticators import HmacAuthenticator
 from .consensus import OrderBatch, SequencerBroadcast
 from .executor import TraceEntry
+from .mempool import REJECT_REASONS
 from .metrics import reordered_ratio, traces_consistent, traces_prefix_consistent
 from .replica import Replica
 from .scenario import Scenario
@@ -128,6 +129,8 @@ class ExperimentResult:
     events_processed: int
     # Pre-order re-broadcasts, summed over honest nodes.
     rebroadcasts: int
+    # Mempool.rejects of the honest nodes summed, by reason, zeros included.
+    rejects: dict[str, int]
     batch_trace: list[str] = field(default_factory=list)
 
     @property
@@ -155,6 +158,7 @@ class ExperimentResult:
             "sim_time_ms": self.sim_time_ms,
             "events_processed": self.events_processed,
             "rebroadcasts": self.rebroadcasts,
+            "rejects": self.rejects,
             "trace_sha256": self.trace_sha256(),
         }
 
@@ -506,14 +510,11 @@ class Simulation:
         honest_traces = [traces[i] for i in sorted(traces)]
         reference = traces.get(self.reference_node, [])
         total = scenario.proposers * scenario.commands_per_proposer
-        leader_faults = sum(
-            node.consenter.leader_faults
-            for node in self.nodes
-            if node.node_id in scenario.honest_ids()
-        )
-        rebroadcasts = sum(
-            self.nodes[i].mempool.rebroadcasts for i in scenario.honest_ids()
-        )
+        honest = [self.nodes[i] for i in scenario.honest_ids()]
+        leader_faults = sum(node.consenter.leader_faults for node in honest)
+        rebroadcasts = sum(node.mempool.rebroadcasts for node in honest)
+        rejects = {reason: sum(node.mempool.rejects[reason] for node in honest)
+                   for reason in REJECT_REASONS}
         ref_node = self.nodes[self.reference_node]
         return ExperimentResult(
             scenario=scenario,
@@ -531,6 +532,7 @@ class Simulation:
             sim_time_ms=self.now,
             events_processed=self.events_processed,
             rebroadcasts=rebroadcasts,
+            rejects=rejects,
             batch_trace=list(ref_node.consenter.batch_trace),
         )
 

@@ -82,9 +82,6 @@ class Command:
     def create(cls, proposer_id: int, seq: int, payload: bytes) -> "Command":
         return cls(proposer_id, seq, payload, digest_command(proposer_id, seq, payload))
 
-    def verify_digest(self) -> bool:
-        return self.digest == digest_command(self.proposer_id, self.seq, self.payload)
-
 
 @dataclass(frozen=True, slots=True)
 class PartialSignature:

@@ -1,4 +1,5 @@
-"""Shared machinery for randomized protocol-invariant checking.
+"""Shared machinery for randomized protocol-invariant checking, and the
+tests' one way to certify a hand-built log.
 
 Runs a scenario, then audits the final cluster state against the
 protocol's structural guarantees:
@@ -20,8 +21,26 @@ from __future__ import annotations
 
 import random
 
-from phalanx import NodeBehavior, ProtocolInvariantError, Scenario, Simulation
+from phalanx import (
+    EMPTY_DIGEST, NodeBehavior, PartialOrderLog, ProtocolInvariantError, Scenario, Simulation,
+)
 from phalanx.scenario import ANCHOR
+
+
+def certify_log(auth, log: PartialOrderLog) -> PartialOrderLog:
+    """``log`` with a certificate aggregated from the shares of signers 0..2f."""
+    shares = [auth.partial_sign(s, log.cur_digest) for s in range(auth.quorum)]
+    return log.with_certificate(auth.aggregate(log.cur_digest, shares))
+
+
+def certified_chain(auth, author: int, entries) -> list[PartialOrderLog]:
+    """Certified, hash-chained logs of ``author``, one per (command, timestamp)."""
+    logs, prev = [], EMPTY_DIGEST
+    for seq, (command, ts) in enumerate(entries, start=1):
+        log = PartialOrderLog.create(author, seq, ts, command.digest, prev)
+        logs.append(certify_log(auth, log))
+        prev = logs[-1].cur_digest
+    return logs
 
 
 def random_scenario(rng: random.Random, strategy: str = ANCHOR) -> Scenario:

@@ -114,6 +114,13 @@ class TestRun:
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("byzantine = 3:shuffle\nseed = 1\nbyzantine = 2:silent\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: line 3: key 'byzantine' repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_dump_batches(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         assert main(["run", str(scenario_file), "--out", str(out), "--dump-batches"]) == 0
@@ -239,8 +246,11 @@ class TestSweep:
         (SWEEP_HEAD + "strategies = follow\n", "follow strategy needs"),
         (SWEEP_HEAD + "reps = -1\n", "reps must be >= 1"),
         (SWEEP_HEAD + "reps = 1\n# tail\nbogus = 3\n", "line 6: unknown key 'bogus'"),
+        (SWEEP_HEAD + "reps = 2\nreps = 1\n", "line 5: key 'reps' repeats line 4"),
+        (SWEEP_HEAD + "n = 7\n", "line 4: key 'n' repeats line 1"),
     ], ids=["reps-not-int", "base-seed-not-int", "unknown-strategy",
-            "follow-without-byzantine", "negative-reps", "unknown-key-line"])
+            "follow-without-byzantine", "negative-reps", "unknown-key-line",
+            "repeated-sweep-key", "repeated-base-key"])
     def test_bad_sweep_field_is_a_config_error(self, tmp_path, capsys, text, message):
         sweep_file = tmp_path / "sweep.txt"
         sweep_file.write_text(text)

@@ -8,13 +8,14 @@ from phalanx import (
     BatchInvalid,
     Command,
     Consenter,
-    EMPTY_DIGEST,
     HmacAuthenticator,
     Mempool,
     MissingLogs,
     PartialOrderLog,
     ProtocolInvariantError,
 )
+
+from prop_harness import certified_chain, certify_log
 
 N, F = 4, 1
 QUORUM = 2 * F + 1
@@ -25,20 +26,18 @@ def auth():
     return HmacAuthenticator(N, F)
 
 
-def certified(auth, node_id, seq, prev, payload=None, ts=None):
-    command = Command.create(0, 100 * node_id + seq, payload or b"c%d-%d" % (node_id, seq))
-    log = PartialOrderLog.create(node_id, seq, ts if ts is not None else seq, command.digest, prev)
-    shares = [auth.partial_sign(s, log.cur_digest) for s in range(QUORUM)]
-    return log.with_certificate(auth.aggregate(log.cur_digest, shares))
+def command(node_id, seq):
+    return Command.create(0, 100 * node_id + seq, b"c%d-%d" % (node_id, seq))
+
+
+def certified(auth, node_id, seq, prev):
+    log = PartialOrderLog.create(node_id, seq, seq, command(node_id, seq).digest, prev)
+    return certify_log(auth, log)
 
 
 def chain(auth, node_id, length):
-    logs, prev = [], EMPTY_DIGEST
-    for seq in range(1, length + 1):
-        log = certified(auth, node_id, seq, prev)
-        logs.append(log)
-        prev = log.cur_digest
-    return logs
+    return certified_chain(
+        auth, node_id, [(command(node_id, seq), seq) for seq in range(1, length + 1)])
 
 
 @pytest.fixture

@@ -209,12 +209,20 @@ SCENARIO_ECHO = {
     },
 }
 
+# result.json's ``rejects`` with every reason at zero.
+NO_REJECTS = {
+    "chain_break": 0, "duplicate_command": 0, "invalid_cert": 0, "invalid_partial": 0,
+    "reject_bad_author": 0, "reject_bad_digest": 0, "reject_equivocation": 0,
+    "reject_gap": 0, "stale_vote": 0,
+}
+
 # Every result.json field of two reference scenarios, scenario echo included.
 RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
         "consistency": True, "events_processed": 69811, "leader_faults": 0,
         "rebroadcasts": 1,
+        "rejects": {**NO_REJECTS, "stale_vote": 4415},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.01858974358974359, "schema_version": 1,
         "sim_time_ms": 17237, "total_proposed": 80, "uncommitted": 0,
@@ -225,6 +233,7 @@ RESULT_PINS = {
         "alter_path_ratio": 0.48148148148148145, "committed": 80,
         "consistency": True, "events_processed": 70078, "leader_faults": 0,
         "rebroadcasts": 3,
+        "rejects": {**NO_REJECTS, "stale_vote": 6445},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
         "sim_time_ms": 16979, "total_proposed": 80, "uncommitted": 0,
@@ -238,6 +247,7 @@ STOP_AND_WAIT_RESULT_PINS = {
         "alter_path_ratio": 0.0, "committed": 80,
         "consistency": True, "events_processed": 83278, "leader_faults": 0,
         "rebroadcasts": 0,
+        "rejects": {**NO_REJECTS, "stale_vote": 4400},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.019230769230769232, "schema_version": 1,
         "sim_time_ms": 139458, "total_proposed": 80, "uncommitted": 0,
@@ -248,6 +258,7 @@ STOP_AND_WAIT_RESULT_PINS = {
         "alter_path_ratio": 0.5217391304347826, "committed": 80,
         "consistency": True, "events_processed": 83351, "leader_faults": 0,
         "rebroadcasts": 2,
+        "rejects": {**NO_REJECTS, "stale_vote": 6430},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
         "sim_time_ms": 140315, "total_proposed": 80, "uncommitted": 0,

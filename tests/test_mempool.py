@@ -20,6 +20,8 @@ from phalanx.mempool import (
 )
 from phalanx.wire import PreOrderMessage, VoteMessage
 
+from prop_harness import certify_log
+
 N, F = 4, 1
 QUORUM = 2 * F + 1
 
@@ -216,7 +218,7 @@ class TestVote:
     def test_head_plus_window_plus_one_refused(self, pool, auth, head):
         chain = author_chain(head + PRE_ORDER_WINDOW + 1)
         for log in chain[:head]:
-            assert pool.handle_order(with_cert(auth, log))
+            assert pool.handle_order(certify_log(auth, log))
         for log in chain[head:-1]:
             assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
         assert pool.handle_pre_order(PreOrderMessage(chain[-1]), 1) is None
@@ -253,7 +255,7 @@ class TestVote:
         assert pool.rejects[REJECT_GAP] == 1
         # Seq 3 stored above a gap: the head stays, and seq 4 still chains
         # on the voted seq 3.
-        assert pool.handle_order(with_cert(auth, chain[2]))
+        assert pool.handle_order(certify_log(auth, chain[2]))
         assert pool.latest[1] is None
         assert pool.handle_pre_order(PreOrderMessage(chain[3]), 1) is not None
 
@@ -264,7 +266,7 @@ class TestVote:
         chain = author_chain(PRE_ORDER_WINDOW + 1)
         for log in chain[:-1]:
             assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
-        assert pool.handle_order(with_cert(auth, chain[-2]))
+        assert pool.handle_order(certify_log(auth, chain[-2]))
         assert pool.fetch_log(1, PRE_ORDER_WINDOW) is not None
         assert pool.latest[1] is None
         assert Consenter(0, pool).make_order_batch() is None
@@ -274,7 +276,7 @@ class TestVote:
         assert sorted(pool.voted[1]) == list(range(1, PRE_ORDER_WINDOW + 1))
         # Once the gap fills, in any order, the head reaches the top.
         for log in reversed(chain[:-2]):
-            assert pool.handle_order(with_cert(auth, log))
+            assert pool.handle_order(certify_log(auth, log))
         assert pool.latest[1].seq == PRE_ORDER_WINDOW
         assert pool.voted[1] == {}
         assert Consenter(0, pool).make_order_batch()[1].seq == PRE_ORDER_WINDOW
@@ -284,10 +286,10 @@ class TestVote:
         # seq 1 must still get this voter's vote.
         chain = author_chain(2)
         votes = [pool.handle_pre_order(PreOrderMessage(log), 1) for log in chain]
-        assert pool.handle_order(with_cert(auth, chain[1]))
+        assert pool.handle_order(certify_log(auth, chain[1]))
         assert pool.latest[1] is None
         assert pool.handle_pre_order(PreOrderMessage(chain[0]), 1) == votes[0]
-        assert pool.handle_order(with_cert(auth, chain[0]))
+        assert pool.handle_order(certify_log(auth, chain[0]))
         assert pool.latest[1].seq == 2
 
     def test_voter_state_bounded_and_emptied_by_stores(self, pool, auth):
@@ -297,12 +299,12 @@ class TestVote:
         stored = 0
         for log in chain:
             while pool.handle_pre_order(PreOrderMessage(log), 1) is None:
-                assert pool.handle_order(with_cert(auth, chain[stored]))
+                assert pool.handle_order(certify_log(auth, chain[stored]))
                 stored += 1
             assert len(pool.voted[1]) <= PRE_ORDER_WINDOW
         assert len(pool.voted[1]) == PRE_ORDER_WINDOW
         for log in chain[stored:]:
-            assert pool.handle_order(with_cert(auth, log))
+            assert pool.handle_order(certify_log(auth, log))
         assert pool.voted == [{} for _ in range(N)]
 
     def test_valid_first_log_gets_vote(self, pool, auth):
@@ -443,13 +445,8 @@ class TestOrder:
         assert sorted(ps.signer for ps in checked) == sorted(log.certificate.signer_set)
 
 
-def with_cert(auth, log):
-    shares = [auth.partial_sign(s, log.cur_digest) for s in range(QUORUM)]
-    return log.with_certificate(auth.aggregate(log.cur_digest, shares))
-
-
 def make_certified(auth, node_id, seq, command, prev, ts=0):
-    return with_cert(auth, PartialOrderLog.create(node_id, seq, ts, command.digest, prev))
+    return certify_log(auth, PartialOrderLog.create(node_id, seq, ts, command.digest, prev))
 
 
 class TestHandleOrder:
@@ -555,7 +552,7 @@ class TestHandleOrder:
         hashed = []
         monkeypatch.setattr(phalanx.types, "digest_log", lambda *a: hashed.append(a))
         for log in reversed(chain):
-            assert pool.handle_order(with_cert(auth, log))
+            assert pool.handle_order(certify_log(auth, log))
         assert hashed == []
         assert [pool.fetch_log(1, seq).cur_digest for seq in range(1, len(chain) + 1)] == [
             log.cur_digest for log in chain

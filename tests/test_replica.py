@@ -3,14 +3,13 @@ ordering strategy offers."""
 
 import ast
 import dataclasses
-from collections import deque
 from pathlib import Path
 
 import pytest
 
 import phalanx
 from phalanx import Command, HmacAuthenticator, NodeBehavior, simnet
-from phalanx.consensus import SequencerBroadcast
+from phalanx.golden import FifoPort
 from phalanx.mempool import REJECT_EQUIVOCATION
 from phalanx.replica import Replica
 from phalanx.scenario import ANCHOR, FOLLOW, STRATEGIES
@@ -27,47 +26,23 @@ BEHAVIOUR_READERS = {"simnet.py", "scenario.py"}
 RESEND_MS = 100
 
 
-class Loopback:
-    """A replica port that queues every message and batch and delivers them
-    one at a time, in the order they were sent."""
+class Loopback(FifoPort):
+    """The golden port over four anchor replicas, whose ``run`` can hold
+    messages back."""
 
     def __init__(self):
-        auth = HmacAuthenticator(4, 1, cluster_seed=b"replica-test")
-        self.queue: deque = deque()
-        self.sequencer = SequencerBroadcast(
-            lambda index, batch: self.queue.append((0, None, (index, batch)))
-        )
-        self.replicas = [
-            Replica(i, auth, ANCHOR, net=self, resend_ms=RESEND_MS) for i in range(4)
-        ]
-
-    def send(self, src, dst, msg):
-        self.queue.append((src, dst, msg))
-
-    def broadcast(self, src, msg, include_self):
-        for dst in range(len(self.replicas)):
-            if dst != src or include_self:
-                self.send(src, dst, msg)
-
-    # The clock that times vote round trips stands still, so the
-    # re-broadcast timeout stays resend_ms and never asks for a re-arm.
-    now = 0
-
-    def wake(self, node_id):
-        pass  # the tests tick each replica by hand
+        super().__init__(HmacAuthenticator(4, 1, cluster_seed=b"replica-test"), ANCHOR,
+                         resend_ms=RESEND_MS, tick_ms=1)
 
     def run(self, hold=lambda src, dst, msg: False) -> list:
         """Deliver until nothing is queued; return what ``hold`` kept back."""
         held = []
         while self.queue:
-            src, dst, msg = self.queue.popleft()
-            if dst is None:
-                for replica in self.replicas:
-                    replica.on_batch(*msg)
-            elif hold(src, dst, msg):
-                held.append((src, dst, msg))
+            item = self.queue.popleft()
+            if item[1] is not None and hold(*item):
+                held.append(item)
             else:
-                self.replicas[dst].on_message(msg, src)
+                self.deliver(*item)
         return held
 
 

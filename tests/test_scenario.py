@@ -83,6 +83,15 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=REJECT_MESSAGES.get(text)):
             parse_scenario_text(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("byzantine = 3:shuffle\nbyzantine = 2:silent\n",
+         "line 2: key 'byzantine' repeats line 1"),
+        ("n = 7\n# comment\nf = 2\nN = 4\n", "line 4: key 'n' repeats line 1"),
+    ], ids=["byzantine", "n-case-folded"])
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario_text(text)
+
     def test_zero_intervals_accepted(self):
         scenario = parse_scenario_text(
             "propose_interval = 0\nresend_ms = 0\nmax_sim_ms = 0\n"

@@ -8,7 +8,7 @@ import pytest
 import phalanx.mempool
 from phalanx import Command, NodeBehavior, Scenario, Simulation, run
 from phalanx.wire import PreOrderMessage, VoteMessage
-from prop_harness import check_invariants, random_scenario, wide_scenario
+from prop_harness import certified_chain, check_invariants, random_scenario, wide_scenario
 
 
 def small(**kw):
@@ -538,15 +538,8 @@ class TestPeerRetrieval:
     missing a command body waits for its proposer's copy; both then resume."""
 
     def _chain(self, sim, author, commands):
-        from phalanx.types import EMPTY_DIGEST, PartialOrderLog
-
-        logs, prev = [], EMPTY_DIGEST
-        for seq, cmd in enumerate(commands, start=1):
-            log = PartialOrderLog.create(author, seq, 10 * seq, cmd.digest, prev)
-            shares = [sim.auth.partial_sign(s, log.cur_digest) for s in range(3)]
-            logs.append(log.with_certificate(sim.auth.aggregate(log.cur_digest, shares)))
-            prev = logs[-1].cur_digest
-        return logs
+        return certified_chain(
+            sim.auth, author, [(cmd, 10 * seq) for seq, cmd in enumerate(commands, start=1)])
 
     def test_missing_log_fetched_from_peers(self):
         from phalanx import Command
@@ -556,7 +549,7 @@ class TestPeerRetrieval:
         chains = {author: self._chain(sim, author, commands) for author in (0, 1, 3)}
         for node in sim.nodes:
             for cmd in commands:
-                node.mempool.store_command(cmd)
+                node.mempool.command_store[cmd.digest] = cmd
         all_logs = [log for chain in chains.values() for log in chain]
         for node_id in (0, 1, 3):
             for log in all_logs:

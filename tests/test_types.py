@@ -153,7 +153,6 @@ class TestChainSoundness:
 class TestCommandType:
     def test_create_fills_matching_digest(self):
         cmd = Command.create(3, 7, b"body")
-        assert cmd.verify_digest()
         assert cmd.digest == digest_command(3, 7, b"body")
 
     def test_commands_are_frozen(self):

@@ -28,6 +28,7 @@ from phalanx.wire import (
     WireError,
     encode_message,
 )
+from prop_harness import certify_log
 from test_determinism_pins import BATCH_PINS, PINS as TRACE_PINS, STALL_PINS, stall_scenario
 
 AUTH = HmacAuthenticator(4, 1)
@@ -35,9 +36,7 @@ COMMAND = Command.create(0, 1, b"cmd")
 
 
 def certified_log(node_id=2, seq=1, ts=17):
-    log = PartialOrderLog.create(node_id, seq, ts, COMMAND.digest, EMPTY_DIGEST)
-    shares = [AUTH.partial_sign(s, log.cur_digest) for s in range(3)]
-    return log.with_certificate(AUTH.aggregate(log.cur_digest, shares))
+    return certify_log(AUTH, PartialOrderLog.create(node_id, seq, ts, COMMAND.digest, EMPTY_DIGEST))
 
 
 LOG = certified_log()
