@@ -73,8 +73,6 @@ class FifoPort:
     def wake(self, node_id: int) -> None:
         """Nothing to schedule: the caller ticks each replica by hand."""
 
-    rearm = wake
-
     def run(self) -> None:
         """Deliver until nothing is queued."""
         while self.queue:

@@ -92,9 +92,10 @@ _SENT = attrgetter("sent")
 class Mempool:
     """Single-threaded ordering state machine for one node."""
 
-    def __init__(self, node_id: int, authenticator: Authenticator):
+    def __init__(self, node_id: int, authenticator: Authenticator, resend_ms: int = 0):
         self.node_id = node_id
         self.auth = authenticator
+        self.resend_ms = resend_ms
         self.n = authenticator.n
         self.seq = 0
         # Digest of this node's newest own log, certified or not.
@@ -156,16 +157,16 @@ class Mempool:
         last sent earliest, the lowest seq among equals; None if none."""
         return min(self.outstanding.values(), key=_SENT, default=None)
 
-    def resend_timeout(self, resend_ms: int) -> int:
+    def resend_timeout(self) -> int:
         """How long an own log waits for votes before it is re-broadcast:
         ``resend_ms`` before the first round-trip sample, then
         ``max(resend_ms, SRTT + 4 * RTTVAR)``."""
-        return max(resend_ms, self.rto)
+        return max(self.resend_ms, self.rto)
 
-    def resend_pre_order(self, now: int, resend_ms: int) -> Optional[PreOrderMessage]:
+    def resend_pre_order(self, now: int) -> Optional[PreOrderMessage]:
         """Re-broadcast the outstanding log that fell due first, if one is due."""
         entry = self.first_due()
-        if entry is None or now - entry.sent < self.resend_timeout(resend_ms):
+        if entry is None or now - entry.sent < self.resend_timeout():
             return None
         entry.sent = now
         self.rebroadcasts += 1

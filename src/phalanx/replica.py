@@ -14,10 +14,9 @@ so that a test may replace a method on the port object:
 
 * ``net.send(src, dst, msg)`` and ``net.broadcast(src, msg, include_self)``
   carry protocol messages, which arrive at ``on_message`` of each peer;
-* ``net.wake(node_id)`` asks for a tick at the node's next tick time, for
-  when state changed so that a sleeping node's tick can act;
-* ``net.rearm(node_id)`` asks for a tick no later than the node's next
-  re-broadcast due time, for when that time moved earlier;
+* ``net.wake(node_id)`` says the node's state changed so that its tick may
+  act sooner: a command was queued, an own log certified or, on the
+  leader, a log was stored. When the node ticks is the port's call;
 * ``net.sequencer.submit(batch)`` hands an order-batch to the total-order
   broadcast, which delivers it to every node's ``on_batch``;
 * ``net.now`` is the current time, read only by :meth:`Replica.clock`.
@@ -37,10 +36,7 @@ A vote that completes a certificate samples the log's round trip at
 at ``net.now``: the sample is the clock at the 2f+1-th share less the
 log's first-send stamp, and a node's stamps are its skewed, clamped clock,
 which only the simulator's node knows. Reading ``net.now`` would offset a
-skewed node's every sample by its skew. When the sample lowers the
-timeout while nothing is queued, the node may be asleep until the old due
-time, so the replica asks the port to re-arm its timer; with commands
-queued it wakes at its next tick anyway.
+skewed node's every sample by its skew.
 
 Node 0 leads when the strategy uses consensus. No Byzantine behaviour is
 read here: the simulator's node wraps this class with the behaviour,
@@ -76,7 +72,7 @@ class Replica:
                  designated: int = 0, record_batches: bool = False,
                  net=None, resend_ms: int = 0, tick_ms: int = 1):
         self.node_id = node_id
-        self.mempool = Mempool(node_id, auth)
+        self.mempool = Mempool(node_id, auth, resend_ms)
         self.consenter = Consenter(node_id, self.mempool, record_batches)
         self.executor: Executor | TimestampExecutor | FollowExecutor
         if strategy == FOLLOW:
@@ -86,7 +82,6 @@ class Replica:
         else:
             self.executor = Executor(auth.n, auth.f, self.mempool.fetch_command)
         self.net = net
-        self.resend_ms = resend_ms
         self.tick_ms = tick_ms
         self.is_leader = node_id == 0 and self.executor.uses_consensus
         self._log_promises: dict[tuple[int, int], list[int]] = {}
@@ -94,10 +89,7 @@ class Replica:
     # -- handlers -----------------------------------------------------------
 
     def on_command(self, cmd: Command) -> None:
-        mempool = self.mempool
-        # With an earlier command still queued, the node woke for that one.
-        if (mempool.enqueue_command(cmd) and len(mempool.inbound) == 1
-                and mempool.has_room()):
+        if self.mempool.enqueue_command(cmd):
             self.net.wake(self.node_id)
         if cmd.digest in self.executor.blocked_on:
             self.executor.drain()
@@ -114,7 +106,7 @@ class Replica:
             self.net.broadcast(self.node_id, msg, include_self=True)
             k += 1
         if not k:
-            msg = mempool.resend_pre_order(stamp, self.resend_ms)
+            msg = mempool.resend_pre_order(stamp)
             if msg is not None:
                 self.net.broadcast(self.node_id, msg, include_self=True)
                 k = 1
@@ -139,15 +131,10 @@ class Replica:
             if vote is not None:
                 self.net.send(self.node_id, sender, vote)
         elif isinstance(msg, VoteMessage):
-            mempool = self.mempool
-            rto = mempool.rto
-            order = mempool.handle_vote(msg, sender, self.clock())
+            order = self.mempool.handle_vote(msg, sender, self.clock())
             if order is not None:
                 self.net.broadcast(self.node_id, order, include_self=False)
-                if mempool.inbound:
-                    self.net.wake(self.node_id)
-                elif mempool.rto < rto:
-                    self.net.rearm(self.node_id)
+                self.net.wake(self.node_id)
                 self._log_stored(order.log.node_id, order.log.seq)
         elif isinstance(msg, (OrderMessage, FetchLogResponse)):
             if self.mempool.handle_order(msg.log):

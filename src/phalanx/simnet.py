@@ -7,10 +7,10 @@ of randomness derives from the scenario seed, so a scenario reruns to a
 byte-identical result.
 
 Each node is a :class:`~phalanx.replica.Replica` whose port is the
-:class:`Simulation` itself (``send``, ``broadcast``, ``wake`` and
-``sequencer``), so this module never branches on the ordering strategy and
-holds no protocol handler: it carries messages and batches, schedules
-ticks, and flushes every strategy at the end.
+:class:`Simulation` itself (``send``, ``broadcast``, ``wake``,
+``sequencer`` and ``now``), so this module never branches on the ordering
+strategy and holds no protocol handler: it carries messages and batches,
+schedules ticks, and flushes every strategy at the end.
 
 Each node ticks on its own grid, ``phase + k * delta_o`` for k >= 1 with
 ``phase = node_id * delta_o // n``. A tick pre-orders queued commands until
@@ -18,28 +18,20 @@ the mempool's pre-order window is full, the queue is empty or it has
 started ``delta_o`` pre-orders (the k-th, from 0, is stamped ``stamp + k``,
 so stamps stay below the next tick's); if it starts none, it re-broadcasts
 the starved log that fell due first. On the leader it also snapshots an
-order-batch. A tick is scheduled only when it can act:
-
-* after a tick that acted, the leader ticks again ``delta_o`` later;
-* after any other tick, a node that stopped at ``delta_o`` pre-orders with
-  room left ticks again ``delta_o`` later; otherwise a node with logs
-  awaiting votes sleeps until the first grid tick after this one at or
-  after the earliest re-broadcast due time among them, ``sent + timeout
-  - skew`` for the log last sent earliest (a tick re-broadcasts one log,
-  so another may be due already), where ``timeout`` is the mempool's
-  re-broadcast timeout, ``max(resend_ms, SRTT + 4 * RTTVAR)`` of the
-  node's measured vote round trips; any other node sleeps with no timer;
-* a sleeping node wakes at its next grid tick after the current event when
-  a command is queued while the window has room, when a vote completes a
-  certificate while commands are queued, or, on the leader, when a stored
-  log advances its latest-log vector;
-* a vote that completes a certificate with nothing queued and lowers the
-  node's re-broadcast timeout re-arms its timer: the node then ticks at
-  the first of its grid ticks after the current event at or after the new
-  due time, if that comes before the tick it sleeps until. A timeout that
-  rises needs no re-arm: the tick at the old due time does nothing and
-  sleeps again;
-* a silent node never ticks.
+order-batch. One rule, :meth:`Simulation._next_tick`, decides when a node
+ticks: its first grid tick at or after a given one at which its tick can
+act. That is the given tick itself if commands are queued while the
+pre-order window has room, or if the node leads and would cut an
+order-batch; otherwise the first grid tick at or after the earliest
+re-broadcast due time among its logs awaiting votes, ``sent + timeout -
+skew`` for the log last sent earliest, where ``timeout`` is the mempool's
+re-broadcast timeout, ``max(resend_ms, SRTT + 4 * RTTVAR)`` of the node's
+measured vote round trips; otherwise none, and the node sleeps with no
+timer. The rule is applied from the next grid point after each tick, and
+from the next grid tick after the current event whenever the replica calls
+``wake``: when a command is queued, when an own log certifies, and, on the
+leader, when a log is stored. Those are the only events that can move the
+rule's answer earlier. A silent node never ticks.
 
 This skips only ticks that would have done nothing, so a run processes the
 same events in the same order as a loop that ticks every node on every grid
@@ -331,56 +323,38 @@ class Simulation:
         return when
 
     def wake(self, node_id: int) -> None:
-        """Tick ``node_id`` at its next grid tick unless one as early is queued."""
+        """Queue ``node_id``'s first tick that can act, from its next grid
+        tick on, unless one as early is queued."""
         at = self._tick_at[node_id]
         if at - self.now < self._delta:
             # A tick queued under delta_o from now is the next grid tick
             # already, as grid ticks are delta_o apart; _SILENT passes too.
             return
-        when = self._next_grid_tick(node_id)
+        when = self._next_tick(node_id, self._next_grid_tick(node_id))
         if when < at:
             self._schedule_tick(node_id, when)
 
     def _schedule_tick(self, node_id: int, when: int) -> None:
         # A later entry already queued for the node is left to be skipped.
         self._tick_at[node_id] = when
-        self._tick_entries += 1
-        heapq.heappush(self._heap, (when, node_id * 4 + 1, 0, _EV_TICK, node_id, None))
+        if when != _NO_TICK:
+            self._tick_entries += 1
+            heapq.heappush(self._heap, (when, node_id * 4 + 1, 0, _EV_TICK, node_id, None))
 
-    def _sleep(self, node_id: int, now: int) -> None:
-        """Schedule a non-leader node after its tick at ``now``, or any node
-        after a tick that did nothing."""
-        mempool = self.nodes[node_id].mempool
-        if mempool.inbound and mempool.has_room():
-            # The tick used all its stamps: the next one pre-orders on.
-            self._schedule_tick(node_id, now + self._delta)
-            return
-        # A tick re-broadcasts one log, so another may have fallen due by
-        # ``now`` too: then the next grid tick re-broadcasts it.
-        when = self._resend_tick(node_id, now + self._delta)
-        if when == _NO_TICK:
-            self._tick_at[node_id] = _NO_TICK
-        else:
-            self._schedule_tick(node_id, when)
-
-    def rearm(self, node_id: int) -> None:
-        """Tick ``node_id`` by its re-broadcast due time after the timeout
-        fell, unless a tick as early is queued."""
-        when = self._resend_tick(node_id, self._next_grid_tick(node_id))
-        if when < self._tick_at[node_id]:
-            self._schedule_tick(node_id, when)
-
-    def _resend_tick(self, node_id: int, grid: int) -> int:
-        """The node's first grid tick at or after its grid tick ``grid``
-        whose stamp makes an own log due a re-broadcast; ``_NO_TICK`` if no
-        log awaits votes."""
+    def _next_tick(self, node_id: int, grid: int) -> int:
+        """The node's first grid tick at or after its grid tick ``grid`` at
+        which its tick can act; ``_NO_TICK`` if none can until its state
+        changes."""
         node = self.nodes[node_id]
         mempool = node.mempool
+        if ((mempool.inbound and mempool.has_room())
+                or (node.is_leader and node.consenter.make_order_batch() is not None)):
+            return grid
+        # A tick re-broadcasts one log, so another may be due by ``grid``.
         first = mempool.first_due()
         if first is None:
             return _NO_TICK
-        due = (first.sent + mempool.resend_timeout(self.scenario.resend_ms)
-               - node.behavior.skew)
+        due = first.sent + mempool.resend_timeout() - node.behavior.skew
         if due <= grid:
             return grid
         return due + (grid - due) % self._delta
@@ -410,9 +384,8 @@ class Simulation:
                 self._seqno += 1
                 heapq.heappush(heap, (scenario.propose_interval * k, key, self._seqno,
                                       _EV_PROPOSE, p, k + 1))
-        for node in self.nodes:
-            if not node.idle():  # state set up before the run
-                self.wake(node.node_id)
+        for node_id in range(scenario.n):  # state may be set up before the run
+            self.wake(node_id)
         if len(heap) == self._tick_entries and self._all_idle():
             non_quiescent = self._end_at_next_tick()
         else:
@@ -424,12 +397,10 @@ class Simulation:
     def _loop(self) -> bool:
         """Process events until the run ends; True if it ends non-quiescent."""
         heap, nodes, tick_at, delta = self._heap, self.nodes, self._tick_at, self._delta
-        heappop, heappush = heapq.heappop, heapq.heappush
+        heappop = heapq.heappop
         max_sim_ms = self.scenario.max_sim_ms
         now, high = self.now, self._high_key
         processed = self.events_processed
-        # The node that keeps a follow-up tick after one that acted.
-        leader = 0 if nodes[0].is_leader else -1
         try:
             while heap:
                 time, key, _seqno, kind, a, b = heappop(heap)
@@ -451,16 +422,12 @@ class Simulation:
                         self._tick_entries -= 1
                         continue
                     self._ticking = a
-                    acted = nodes[a].on_tick(time)
+                    nodes[a].on_tick(time)
                     self._ticking = -1
+                    self._tick_entries -= 1
+                    self._schedule_tick(a, self._next_tick(a, time + delta))
                     # A tick that did nothing leaves the run as unfinished as
                     # the event before it; one that acted queued events.
-                    if acted and a == leader:
-                        tick_at[a] = time + delta
-                        heappush(heap, (time + delta, key, 0, kind, a, None))
-                    else:
-                        self._tick_entries -= 1
-                        self._sleep(a, time)
                     continue
                 elif kind == _EV_CMD:
                     nodes[a].on_command(b)

@@ -122,76 +122,82 @@ class TestPreOrder:
         assert msg.log.seq == 2
         assert msg.log.prev_digest == first.cur_digest
 
-    def test_resend_after_interval(self, pool):
+    def test_resend_after_interval(self, auth):
+        pool = Mempool(0, auth, resend_ms=500)
         pool.enqueue_command(cmd(1))
         original = pool.try_pre_order(0)
-        assert pool.resend_pre_order(100, resend_ms=500) is None
-        resent = pool.resend_pre_order(600, resend_ms=500)
+        assert pool.resend_pre_order(100) is None
+        resent = pool.resend_pre_order(600)
         assert resent is not None
         assert resent.log == original.log
 
-    def test_resend_takes_the_log_due_first(self, pool):
+    def test_resend_takes_the_log_due_first(self, auth):
+        pool = Mempool(0, auth, resend_ms=60)
         for i in (1, 2, 3):
             pool.enqueue_command(cmd(i))
         logs = [pool.try_pre_order(now).log for now in (0, 50, 100)]
-        assert pool.resend_pre_order(60, resend_ms=60).log is logs[0]
+        assert pool.resend_pre_order(60).log is logs[0]
         # Log 2 (last sent at 50) now falls due before log 1 (re-sent at 60).
         assert pool.first_due().log is logs[1]
-        assert pool.resend_pre_order(109, resend_ms=60) is None
-        assert pool.resend_pre_order(110, resend_ms=60).log is logs[1]
+        assert pool.resend_pre_order(109) is None
+        assert pool.resend_pre_order(110).log is logs[1]
         # One log per call; log 1 (sent at 60) before log 3 (sent at 100).
-        assert pool.resend_pre_order(160, resend_ms=60).log is logs[0]
-        assert pool.resend_pre_order(160, resend_ms=60).log is logs[2]
-        assert pool.resend_pre_order(160, resend_ms=60) is None
+        assert pool.resend_pre_order(160).log is logs[0]
+        assert pool.resend_pre_order(160).log is logs[2]
+        assert pool.resend_pre_order(160) is None
 
 
 class TestRoundTripEstimator:
     """The re-broadcast timeout follows the vote round trip, RFC 6298 style:
     ``max(resend_ms, SRTT + 4 * RTTVAR)`` once a round trip is sampled."""
 
-    def test_first_sample_sets_srtt_and_half_of_it_as_variance(self, pool, auth):
+    def test_first_sample_sets_srtt_and_half_of_it_as_variance(self, auth):
+        pool = Mempool(0, auth, resend_ms=500)
         pool.enqueue_command(cmd(1))
         pool.enqueue_command(cmd(2))
         certify(pool, auth, pool.try_pre_order(100).log, now=1100)
         assert (pool.srtt, pool.rttvar) == (1000, 500)
-        assert pool.resend_timeout(500) == 1000 + 4 * 500
+        assert pool.resend_timeout() == 1000 + 4 * 500
         # The next log waits that timeout, not resend_ms.
         pool.try_pre_order(2000)
-        assert pool.resend_pre_order(4999, resend_ms=500) is None
-        assert pool.resend_pre_order(5000, resend_ms=500) is not None
+        assert pool.resend_pre_order(4999) is None
+        assert pool.resend_pre_order(5000) is not None
 
-    def test_second_sample_follows_rfc_6298(self, pool, auth):
+    def test_second_sample_follows_rfc_6298(self, auth):
         # R1 = 1000, then R2 = 1800 (RFC 6298 2.3, RTTVAR first):
         #   RTTVAR = 3/4 * 500 + 1/4 * |1000 - 1800| = 375 + 200 = 575
         #   SRTT   = 7/8 * 1000 + 1/8 * 1800 = 875 + 225 = 1100
         # then R3 = 1101, rounded down to whole ms:
         #   RTTVAR = 3/4 * 575 + 1/4 * 1 = 431.5 -> 431
         #   SRTT   = 7/8 * 1100 + 1/8 * 1101 = 1100.125 -> 1100
+        pool = Mempool(0, auth, resend_ms=2000)
         for i in (1, 2, 3):
             pool.enqueue_command(cmd(i))
         logs = [pool.try_pre_order(now).log for now in (0, 10, 20)]
         certify(pool, auth, logs[0], now=1000)
         certify(pool, auth, logs[1], now=1810)
         assert (pool.srtt, pool.rttvar) == (1100, 575)
-        assert pool.resend_timeout(2000) == 1100 + 4 * 575
+        assert pool.resend_timeout() == 1100 + 4 * 575
         certify(pool, auth, logs[2], now=1121)
         assert (pool.srtt, pool.rttvar) == (1100, 431)
 
-    def test_timeout_never_below_resend_ms(self, pool, auth):
-        assert pool.resend_timeout(500) == 500  # no sample yet
+    def test_timeout_never_below_resend_ms(self, auth):
+        pool = Mempool(0, auth, resend_ms=500)
+        assert pool.resend_timeout() == 500  # no sample yet
         for i in (1, 2):
             pool.enqueue_command(cmd(i))
         certify(pool, auth, pool.try_pre_order(0).log, now=10)
         assert pool.srtt + 4 * pool.rttvar == 30
-        assert pool.resend_timeout(500) == 500
+        assert pool.resend_timeout() == 500
         pool.try_pre_order(100)
-        assert pool.resend_pre_order(599, resend_ms=500) is None
-        assert pool.resend_pre_order(600, resend_ms=500) is not None
+        assert pool.resend_pre_order(599) is None
+        assert pool.resend_pre_order(600) is not None
 
-    def test_rebroadcast_log_samples_from_its_first_send(self, pool, auth):
+    def test_rebroadcast_log_samples_from_its_first_send(self, auth):
+        pool = Mempool(0, auth, resend_ms=2000)
         pool.enqueue_command(cmd(1))
         log = pool.try_pre_order(100).log
-        assert pool.resend_pre_order(2100, resend_ms=2000).log is log
+        assert pool.resend_pre_order(2100).log is log
         assert pool.first_due().sent == 2100
         certify(pool, auth, log, now=2700)
         assert (pool.srtt, pool.rttvar) == (2600, 1300)
@@ -407,7 +413,7 @@ class TestOrder:
                             lambda *a: hashed.append(a[:2]) or digest_log(*a))
         assert pool.handle_pre_order(own, 0) is not None
         assert hashed == []
-        assert pool.handle_pre_order(pool.resend_pre_order(5000, resend_ms=10), 0) is not None
+        assert pool.handle_pre_order(pool.resend_pre_order(5000), 0) is not None
         assert hashed == []
         # An equal copy that is not the outstanding object is hashed, like a peer's log.
         assert pool.handle_pre_order(PreOrderMessage(dataclasses.replace(own.log)), 0)

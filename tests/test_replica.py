@@ -23,6 +23,8 @@ INTERFACE = ("feed", "drain", "flush", "blocked_on", "idle", "committed_order",
 NODE_HANDLERS = ("on_tick", "on_message", "on_batch", "on_command")
 # The only modules that may read a node's Byzantine behaviour.
 BEHAVIOUR_READERS = {"simnet.py", "scenario.py"}
+# All a replica may use of its port; when a node ticks is the port's call.
+PORT = {"send", "broadcast", "wake", "sequencer", "now"}
 RESEND_MS = 100
 
 
@@ -142,3 +144,11 @@ def test_only_the_simulator_reads_behaviour_flags():
             if isinstance(node, ast.Attribute) and node.attr in flags:
                 readers.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert readers == []
+
+
+def test_replica_reads_only_the_port_contract():
+    source = Path(phalanx.__file__).parent / "replica.py"
+    read = {node.attr for node in ast.walk(ast.parse(source.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "net"}
+    assert read == PORT

@@ -6,8 +6,8 @@ import random
 import pytest
 
 import phalanx.mempool
-from phalanx import Command, NodeBehavior, Scenario, Simulation, run
-from phalanx.wire import PreOrderMessage, VoteMessage
+from phalanx import Command, NodeBehavior, Scenario, Simulation, run, simnet
+from phalanx.wire import OrderMessage, PreOrderMessage, VoteMessage
 from prop_harness import certified_chain, check_invariants, random_scenario, wide_scenario
 
 
@@ -346,6 +346,22 @@ class TestTickScheduling:
         assert result.committed == 10
         assert calls == []
 
+    def test_leader_stays_asleep_until_a_stored_log_lets_it_batch(self):
+        # A certified log stored above a gap leaves the certified head where
+        # it was, so the leader's tick could cut no batch and none is queued;
+        # the log that fills the gap moves the head and queues the next grid
+        # tick.
+        sim = Simulation(small(commands_per_proposer=0))
+        leader = sim.nodes[0]
+        cmds = [Command.create(0, seq, b"c%d" % seq) for seq in (1, 2)]
+        first, second = certified_chain(sim.auth, 1, [(cmd, 10) for cmd in cmds])
+        leader.on_message(OrderMessage(second), 1)
+        assert leader.mempool.latest[1] is None
+        assert sim._tick_at[0] == simnet._NO_TICK
+        leader.on_message(OrderMessage(first), 1)
+        assert leader.mempool.latest[1] is second
+        assert sim._tick_at[0] == sim._next_grid_tick(0) == sim._first_tick[0]
+
     def test_resends_survive_sleeping_between_ticks(self, monkeypatch):
         # Links slower than resend_ms: a sleeping node still re-broadcasts its
         # outstanding pre-orders on time. Votes return after a log's third
@@ -382,15 +398,16 @@ class TestTickScheduling:
         #   RTTVAR = (3 * 200 + |401 - 530|) // 4 = 182
         #   SRTT = (7 * 401 + 530) // 8 = 417
         # so the timeout falls to 417 + 4 * 182 = 1145. Seq 3, still without
-        # votes, is due at 64 + 1145 = 1209: the re-armed node re-broadcasts
-        # it at grid tick 1212, as a node ticking every grid point does.
+        # votes, is due at 64 + 1145 = 1209: woken by the certification, the
+        # node re-broadcasts it at grid tick 1212, as a node ticking every
+        # grid point does.
         delays = {1: 400, 2: 530, 3: 2000}
 
-        def pre_order_sends(sleep=None):
+        def pre_order_sends(next_tick=None):
             sim = Simulation(small(commands_per_proposer=3, propose_interval=0,
                                    latency=(0, 2000), resend_ms=500))
-            if sleep is not None:
-                sim._sleep = lambda node_id, now: sleep(sim, node_id, now)
+            if next_tick is not None:
+                sim._next_tick = lambda node_id, grid: next_tick(sim, node_id, grid)
             seqs, sends, delay = {}, [], [1]
             sim._latency_bits = lambda k: delay[0]
             original = sim.send
@@ -449,10 +466,10 @@ class TestTickScheduling:
         assert len(resends) > 4
 
 
-def every_grid_point(sim, node_id, now):
-    """``Simulation._sleep`` for a loop that ticks every node on every grid
-    point: a node never sleeps once it has ticked."""
-    sim._schedule_tick(node_id, now + sim._delta)
+def every_grid_point(sim, node_id, grid):
+    """``Simulation._next_tick`` for a loop that ticks every node on every
+    grid point: every grid tick can act."""
+    return grid
 
 
 def outcome(scenario):
@@ -481,7 +498,7 @@ class TestTickElision:
                                            max_sim_ms=20_000)
             elided = outcome(scenario)
             with monkeypatch.context() as patched:
-                patched.setattr(Simulation, "_sleep", every_grid_point)
+                patched.setattr(Simulation, "_next_tick", every_grid_point)
                 if outcome(scenario) != elided:
                     mismatches.append(index)
         assert mismatches == []
@@ -515,7 +532,7 @@ class TestDeltaOBelowTheWindow:
                                            delta_o=delta_o)
             elided = outcome(scenario)
             with monkeypatch.context() as patched:
-                patched.setattr(Simulation, "_sleep", every_grid_point)
+                patched.setattr(Simulation, "_next_tick", every_grid_point)
                 assert outcome(scenario) == elided, index
 
 
