@@ -7,8 +7,6 @@ Subcommands:
 * ``diff-traces`` : compare two committed-order trace files
 * ``golden``      : run the built-in micro-scenarios with frozen outcomes
 
-Set ``PHALANX_LOG=debug`` (or info/warning) for protocol-level logging.
-
 Exit codes: 0 success, 1 runtime failure (non-quiescent run, divergent
 traces, failed golden), 2 unusable input (config parse, IO), 3 consistency
 violation among honest nodes (a protocol bug, never expected), 4 a run
@@ -20,8 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,8 +34,6 @@ from .scenario import (
 )
 from .simnet import ExperimentResult, run
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -55,12 +49,6 @@ CSV_COLUMNS = [
 # A run "resists" manipulation when under half a percent of same-proposer
 # pairs commit out of order.
 RESIST_THRESHOLD = 0.005
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("PHALANX_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _output_ok(step) -> bool:
@@ -270,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -1,7 +1,8 @@
 """Consensus layer: order-batch generation and deterministic expansion.
 
 The leader snapshots its mempool's latest certified log per node into an
-order-batch and submits it to a total-order broadcast. Every node expands
+order-batch, once some head moved since the last batch it cut, and submits
+it to a total-order broadcast. Every node expands
 the delivered batch stream into a common FIFO queue of log sets: for each
 batch entry that advances an author's committed frontier, the node pulls
 the intervening logs from its mempool (fetching any gap from peers),
@@ -100,18 +101,23 @@ class Consenter:
         self._expanded: OrderBatch = (None,) * self.n
         # Logs the batch at the head of the buffer waits on.
         self._missing: set[tuple[int, int]] = set()
+        # The last batch this node cut as leader.
+        self._cut: OrderBatch = (None,) * self.n
 
     # ------------------------------------------------------------------
     # leader side
 
+    def has_batch(self) -> bool:
+        """True if some author's head moved since the last batch this node
+        cut: a head only moves up, to a new object."""
+        return any(head is not cut for head, cut in zip(self.mempool.latest, self._cut))
+
     def make_order_batch(self) -> Optional[OrderBatch]:
-        """Snapshot the mempool's latest-log vector if any author advanced."""
-        latest = self.mempool.latest
-        for j in range(self.n):
-            head = latest[j]
-            if head is not None and head.seq > self.committed_seq[j]:
-                return tuple(latest)
-        return None
+        """Snapshot the mempool's latest-log vector if :meth:`has_batch`."""
+        if not self.has_batch():
+            return None
+        self._cut = tuple(self.mempool.latest)
+        return self._cut
 
     # ------------------------------------------------------------------
     # delivery side

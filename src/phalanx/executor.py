@@ -131,22 +131,20 @@ class IndexedInfo(CommandInfo):
 
 
 def record_log(infos: dict[Digest, CommandInfo], log: PartialOrderLog,
-               kind: type[CommandInfo] = CommandInfo) -> CommandInfo:
-    """File ``log`` under its command's entry, creating a ``kind`` on first sight.
+               kind: type[CommandInfo] = CommandInfo) -> Optional[CommandInfo]:
+    """File ``log`` under its command's entry, creating a ``kind`` on first
+    sight; None, filing nothing, if its author logged the command before.
 
-    Delivery upstream is exactly-once, so one author never logs a command
-    at two sequence numbers.
+    An honest author logs a command once (``Mempool.enqueue_command`` drops
+    a repeated digest), but a faulty one can get it certified at two seqs.
+    Every node ingests the same stream, so every node keeps the same first
+    log and skips the same later ones.
     """
     info = infos.get(log.command_digest)
     if info is None:
         info = infos[log.command_digest] = kind(log.command_digest)
-    else:
-        prior = info.logs.get(log.node_id)
-        if prior is not None and prior.seq != log.seq:
-            raise ProtocolInvariantError(
-                f"author {log.node_id} logged {log.command_digest.hex()[:8]} "
-                f"at seq {prior.seq} and {log.seq}"
-            )
+    elif log.node_id in info.logs:
+        return None
     info.add_log(log)
     return info
 
@@ -222,8 +220,8 @@ class Executor:
         for log in log_set:
             info = record_log(self.command_infos, log, IndexedInfo)
             digest = log.command_digest
-            if digest in committed:
-                continue  # a queue entry for it would only be popped
+            if info is None or digest in committed:
+                continue  # a repeat, or a queue entry that would only be popped
             author = log.node_id
             queue = self.author_queues[author]
             new_front = not queue

@@ -44,7 +44,6 @@ consensus and executor layers.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter, deque
 from operator import attrgetter
 from typing import Optional
@@ -52,8 +51,6 @@ from typing import Optional
 from .authenticators import Authenticator
 from .types import Command, Digest, EMPTY_DIGEST, PartialOrderLog, PartialSignature
 from .wire import OrderMessage, PreOrderMessage, VoteMessage
-
-logger = logging.getLogger(__name__)
 
 # Rejection / anomaly reasons, tallied in Mempool.rejects for metrics.
 DUPLICATE_COMMAND = "duplicate_command"
@@ -210,9 +207,6 @@ class Mempool:
         if prior is not None:
             if prior.cur_digest != log.cur_digest:
                 self.rejects[REJECT_EQUIVOCATION] += 1
-                logger.debug(
-                    "node %d: equivocation by %d at seq %d", self.node_id, sender, seq
-                )
                 return None
             # Same log re-broadcast: repeat the identical vote.
         else:
@@ -230,28 +224,23 @@ class Mempool:
                 self.rejects[REJECT_GAP] += 1
                 return None
             voted[seq] = log
-        partial = self.auth.partial_sign(self.node_id, log.cur_digest)
-        return VoteMessage(log.cur_digest, partial)
+        return VoteMessage(self.auth.partial_sign(self.node_id, log.cur_digest))
 
     # ------------------------------------------------------------------
     # step 3: order
 
     def handle_vote(self, vote: VoteMessage, sender: int, now: int) -> Optional[OrderMessage]:
-        """Keep a vote share that is verified over the digest of the
-        outstanding log it names; at 2f+1 distinct signers, combine that
-        log's kept shares unchecked and sample its round trip, ``now`` less
-        the stamp of its first send."""
-        digest = vote.digest
+        """Keep a verified vote share toward the outstanding log whose digest
+        it signs; at 2f+1 distinct signers, combine that log's kept shares
+        unchecked and sample its round trip, ``now`` less the stamp of its
+        first send."""
+        partial = vote.partial
+        digest = partial.event_digest
         entry = self.outstanding.get(digest)
         if entry is None:
             self.rejects[STALE_VOTE] += 1
             return None
-        partial = vote.partial
-        if (
-            partial.signer != sender
-            or partial.event_digest != digest
-            or not self.auth.verify_partial(partial)
-        ):
+        if partial.signer != sender or not self.auth.verify_partial(partial):
             self.rejects[INVALID_PARTIAL] += 1
             return None
         shares = entry.shares
@@ -369,9 +358,6 @@ class Mempool:
         # Cannot happen with <= f faults; recorded as Byzantine evidence only.
         self.rejects[CHAIN_BREAK] += 1
         self.chain_break_evidence.append((a, b))
-        logger.warning(
-            "node %d: conflicting certified logs for author %d", self.node_id, b.node_id
-        )
 
     # ------------------------------------------------------------------
     # lookups

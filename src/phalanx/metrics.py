@@ -2,41 +2,26 @@
 
 The reordered-command ratio is a Kendall-tau style statistic: over all
 pairs of commands from the same proposer, the fraction committed against
-their proposal order. Inversions are counted per proposer with a
-merge-sort pass; tests cross-check against a quadratic counter.
+their proposal order. Inversions are counted per proposer by inserting
+each value into a sorted list with ``bisect``; tests cross-check against a
+quadratic counter.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .executor import TraceEntry
 
 
 def count_inversions(values: list[int]) -> int:
     """Number of index pairs (i, j) with i < j and values[i] > values[j]."""
-    if len(values) < 2:
-        return 0
-    work = list(values)
-    buffer = [0] * len(work)
-    return _merge_count(work, buffer, 0, len(work))
-
-
-def _merge_count(work: list[int], buffer: list[int], lo: int, hi: int) -> int:
-    if hi - lo < 2:
-        return 0
-    mid = (lo + hi) // 2
-    count = _merge_count(work, buffer, lo, mid) + _merge_count(work, buffer, mid, hi)
-    i, j, k = lo, mid, lo
-    while i < mid and j < hi:
-        if work[i] <= work[j]:
-            buffer[k] = work[i]
-            i += 1
-        else:
-            buffer[k] = work[j]
-            count += mid - i
-            j += 1
-        k += 1
-    buffer[k:hi] = work[i:mid] if i < mid else work[j:hi]
-    work[lo:hi] = buffer[lo:hi]
+    seen: list[int] = []  # the values so far, sorted
+    count = 0
+    for value in values:
+        at = bisect_right(seen, value)
+        count += len(seen) - at  # earlier values above this one
+        seen.insert(at, value)
     return count
 
 

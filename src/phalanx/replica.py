@@ -5,7 +5,10 @@ wires its replicas through :class:`~phalanx.golden.FifoPort`. A replica
 pre-orders, votes and orders through its mempool, expands each
 delivered order-batch into log sets through its consenter, feeds those to
 the strategy and drains it, and fetches from peers the certified logs it
-lacks, answering the same fetches from peers. Command bodies come only
+lacks. It answers a peer's fetch with the log itself, as an
+:class:`~phalanx.wire.OrderMessage`, and ignores a fetch for a log it
+lacks: the stalled node asks every peer, the leader among them, and the
+leader stores every log its batches commit. Command bodies come only
 from their proposers, which send each one to every node: a strategy
 waiting on a body drains again when :meth:`Replica.on_command` brings it.
 
@@ -61,7 +64,7 @@ from .mempool import Mempool
 from .scenario import FOLLOW, TIMESTAMP
 from .tsorder import FollowExecutor, TimestampExecutor
 from .types import Command
-from .wire import FetchLogMessage, FetchLogResponse, OrderMessage, PreOrderMessage, VoteMessage
+from .wire import FetchLogMessage, OrderMessage, PreOrderMessage, VoteMessage
 
 
 class Replica:
@@ -84,7 +87,6 @@ class Replica:
         self.net = net
         self.tick_ms = tick_ms
         self.is_leader = node_id == 0 and self.executor.uses_consensus
-        self._log_promises: dict[tuple[int, int], list[int]] = {}
 
     # -- handlers -----------------------------------------------------------
 
@@ -98,12 +100,9 @@ class Replica:
         """Pre-order, re-broadcast or snapshot a batch; False if it did none."""
         mempool = self.mempool
         k = 0
-        while k < self.tick_ms:
+        while k < self.tick_ms and mempool.inbound and mempool.has_room():
             self.before_pre_order()
-            msg = mempool.try_pre_order(stamp + k)
-            if msg is None:
-                break
-            self.net.broadcast(self.node_id, msg, include_self=True)
+            self.net.broadcast(self.node_id, mempool.try_pre_order(stamp + k), include_self=True)
             k += 1
         if not k:
             msg = mempool.resend_pre_order(stamp)
@@ -118,8 +117,9 @@ class Replica:
         return k > 0
 
     def before_pre_order(self) -> None:
-        """Called before each pre-order attempt of a tick; a subclass may
-        reorder the inbound queue here."""
+        """Called before each pre-order of a tick, with a command queued and
+        room in the pre-order window; a subclass may reorder the inbound
+        queue here."""
 
     def clock(self) -> int:
         """The stamp a tick would put on a log now; a subclass may skew it."""
@@ -136,15 +136,13 @@ class Replica:
                 self.net.broadcast(self.node_id, order, include_self=False)
                 self.net.wake(self.node_id)
                 self._log_stored(order.log.node_id, order.log.seq)
-        elif isinstance(msg, (OrderMessage, FetchLogResponse)):
+        elif isinstance(msg, OrderMessage):
             if self.mempool.handle_order(msg.log):
                 self._log_stored(msg.log.node_id, msg.log.seq)
         elif isinstance(msg, FetchLogMessage):
             log = self.mempool.fetch_log(msg.author, msg.seq)
             if log is not None:
-                self.net.send(self.node_id, sender, FetchLogResponse(log))
-            else:
-                self._log_promises.setdefault((msg.author, msg.seq), []).append(sender)
+                self.net.send(self.node_id, sender, OrderMessage(log))
         else:  # pragma: no cover - defensive
             raise TypeError(f"unhandled message {type(msg).__name__}")
 
@@ -158,11 +156,6 @@ class Replica:
             # The leader's own batches hold only logs it stores, so only the
             # handlers that call this can advance its latest-log vector.
             self.net.wake(self.node_id)
-        waiting = self._log_promises.pop((author, seq), None)
-        if waiting:
-            log = self.mempool.fetch_log(author, seq)
-            for requester in waiting:
-                self.net.send(self.node_id, requester, FetchLogResponse(log))
         self._resume(self.consenter.on_log_stored(author, seq))
 
     def _resume(self, missing: list[tuple[int, int]]) -> None:
@@ -185,6 +178,4 @@ class Replica:
             return False
         if not self.executor.idle:
             return False
-        if self.is_leader and self.consenter.make_order_batch() is not None:
-            return False
-        return True
+        return not (self.is_leader and self.consenter.has_batch())

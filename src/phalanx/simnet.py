@@ -21,8 +21,11 @@ the starved log that fell due first. On the leader it also snapshots an
 order-batch. One rule, :meth:`Simulation._next_tick`, decides when a node
 ticks: its first grid tick at or after a given one at which its tick can
 act. That is the given tick itself if commands are queued while the
-pre-order window has room, or if the node leads and would cut an
-order-batch; otherwise the first grid tick at or after the earliest
+pre-order window has room, or if the node leads and some author's
+certified head moved since the last order-batch it cut
+(:meth:`~phalanx.consensus.Consenter.has_batch`: the batch just cut counts,
+though the leader's consenter only expands it after the tick); otherwise
+the first grid tick at or after the earliest
 re-broadcast due time among its logs awaiting votes, ``sent + timeout -
 skew`` for the log last sent earliest, where ``timeout`` is the mempool's
 re-broadcast timeout, ``max(resend_ms, SRTT + 4 * RTTVAR)`` of the node's
@@ -193,20 +196,18 @@ class _Node(Replica):
         return stamp if stamp > 0 else 0
 
     def before_pre_order(self) -> None:
-        mempool = self.mempool
-        queue = mempool.inbound
+        queue = self.mempool.inbound
         if len(queue) < 2:
             return
         if self.behavior.shuffle:
             # Pre-order a uniformly drawn queued command. Only a pre-order
             # draws, so there is one draw per pre-order, not per tick.
-            if mempool.has_room():
-                j = self._shuffle_rng.randrange(len(queue))
-                if j:
-                    cmd = queue[j]
-                    del queue[j]
-                    queue.appendleft(cmd)
-        elif self.behavior.reverse and mempool.has_room():
+            j = self._shuffle_rng.randrange(len(queue))
+            if j:
+                cmd = queue[j]
+                del queue[j]
+                queue.appendleft(cmd)
+        elif self.behavior.reverse:
             # Serve the local FIFO from the back: the newest command is
             # pre-ordered first, inverting the declared partial order. Only a
             # pre-order rotates, so every pre-order takes the newest.
@@ -348,7 +349,7 @@ class Simulation:
         node = self.nodes[node_id]
         mempool = node.mempool
         if ((mempool.inbound and mempool.has_room())
-                or (node.is_leader and node.consenter.make_order_batch() is not None)):
+                or (node.is_leader and node.consenter.has_batch())):
             return grid
         # A tick re-broadcasts one log, so another may be due by ``grid``.
         first = mempool.first_due()

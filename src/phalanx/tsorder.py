@@ -93,7 +93,8 @@ class FollowExecutor:
     """Commits the designated node's certified chain, in chain order.
 
     It needs no log sets: at the end of the run it reads the chain from this
-    node's own log store, skipping a log whose command body never arrived.
+    node's own log store, skipping a log whose command body never arrived
+    or whose command the chain logged before.
     """
 
     uses_consensus = False
@@ -105,6 +106,7 @@ class FollowExecutor:
         self.mempool = mempool
         self._next_seq = 1
         self.committed_order: list[TraceEntry] = []
+        self._committed: set[Digest] = set()
 
     def feed(self, log_set: LogSet) -> None:
         pass
@@ -117,7 +119,8 @@ class FollowExecutor:
         while (log := mempool.fetch_log(self.designated, self._next_seq)) is not None:
             self._next_seq += 1
             cmd = mempool.fetch_command(log.command_digest)
-            if cmd is not None:
+            if cmd is not None and cmd.digest not in self._committed:
+                self._committed.add(cmd.digest)
                 order.append(TraceEntry(len(order), cmd.proposer_id, cmd.seq,
                                         cmd.digest, log.timestamp, "-"))
 

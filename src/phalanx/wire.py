@@ -4,10 +4,10 @@ Kinds carried on the simulated wire, each encoded as a one-byte tag
 followed by the payload in the canonical big-endian encoding:
 
     1 PRE_ORDER   uncertified log, asking peers to vote
-    2 VOTE        signature share over the log digest
-    3 ORDER       certified log broadcast
+    2 VOTE        signature share, which names the log digest it signs
+    3 ORDER       certified log, broadcast by its author or sent to a peer
+                  that asked for it with a FETCH_LOG
     4 FETCH_LOG   request for a certified log by (author, seq)
-    5 FETCH_RESP  certified log answering a FETCH_LOG
 
 No kind carries a command body: each proposer sends its commands to every
 node itself, so no node needs to fetch one from a peer.
@@ -23,13 +23,12 @@ import struct
 from dataclasses import dataclass
 from typing import Union
 
-from .types import Certificate, Digest, PartialOrderLog, PartialSignature
+from .types import Certificate, PartialOrderLog, PartialSignature
 
 PRE_ORDER = 1
 VOTE = 2
 ORDER = 3
 FETCH_LOG = 4
-FETCH_RESP = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,8 +38,7 @@ class PreOrderMessage:
 
 @dataclass(frozen=True, slots=True)
 class VoteMessage:
-    digest: Digest
-    partial: PartialSignature
+    partial: PartialSignature  # signs partial.event_digest, the log's digest
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,18 +52,7 @@ class FetchLogMessage:
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
-class FetchLogResponse:
-    log: PartialOrderLog
-
-
-Message = Union[
-    PreOrderMessage,
-    VoteMessage,
-    OrderMessage,
-    FetchLogMessage,
-    FetchLogResponse,
-]
+Message = Union[PreOrderMessage, VoteMessage, OrderMessage, FetchLogMessage]
 
 
 class WireError(ValueError):
@@ -107,11 +94,9 @@ def encode_message(msg: Message) -> bytes:
     if isinstance(msg, PreOrderMessage):
         return bytes([PRE_ORDER]) + encode_log(msg.log.without_certificate())
     if isinstance(msg, VoteMessage):
-        return bytes([VOTE]) + msg.digest + encode_partial(msg.partial)
+        return bytes([VOTE]) + encode_partial(msg.partial)
     if isinstance(msg, OrderMessage):
         return bytes([ORDER]) + encode_log(msg.log)
     if isinstance(msg, FetchLogMessage):
         return bytes([FETCH_LOG]) + struct.pack(">HQ", msg.author, msg.seq)
-    if isinstance(msg, FetchLogResponse):
-        return bytes([FETCH_RESP]) + encode_log(msg.log)
     raise WireError(f"unknown message type {type(msg).__name__}")

@@ -220,7 +220,7 @@ NO_REJECTS = {
 RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
-        "consistency": True, "events_processed": 69808, "leader_faults": 0,
+        "consistency": True, "events_processed": 69666, "leader_faults": 0,
         "rebroadcasts": 1,
         "rejects": {**NO_REJECTS, "stale_vote": 4415},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
@@ -231,7 +231,7 @@ RESULT_PINS = {
     },
     "alter16": {
         "alter_path_ratio": 0.48148148148148145, "committed": 80,
-        "consistency": True, "events_processed": 70073, "leader_faults": 0,
+        "consistency": True, "events_processed": 69917, "leader_faults": 0,
         "rebroadcasts": 3,
         "rejects": {**NO_REJECTS, "stale_vote": 6445},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
@@ -245,7 +245,7 @@ RESULT_PINS = {
 STOP_AND_WAIT_RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
-        "consistency": True, "events_processed": 83277, "leader_faults": 0,
+        "consistency": True, "events_processed": 82320, "leader_faults": 0,
         "rebroadcasts": 0,
         "rejects": {**NO_REJECTS, "stale_vote": 4400},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
@@ -256,7 +256,7 @@ STOP_AND_WAIT_RESULT_PINS = {
     },
     "alter16": {
         "alter_path_ratio": 0.5217391304347826, "committed": 80,
-        "consistency": True, "events_processed": 83350, "leader_faults": 0,
+        "consistency": True, "events_processed": 82386, "leader_faults": 0,
         "rebroadcasts": 2,
         "rejects": {**NO_REJECTS, "stale_vote": 6430},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
@@ -460,12 +460,12 @@ STALL_PINS = {
     ("wide", 7144): (
         "9362b7d9940ef876bba213d7a64436777493d53aa0dacad49b69dccd33c9aa36",
         "9e6e8da69aa72822a5c77781ec388c1a6b907a1f228c8e13b6ab8510a45be2f0",
-        650, {3}, {3},
+        631, {3}, {3},
     ),
     ("random", 9252): (
         "777aa2ece21b8c568cb854456a5250aec4ae097833b183dacbf0b132a0bc9f35",
         "270b8c2a98b17a30cf3c406afa6322bf4616235c15d635e1f24b4d822832cb2c",
-        3083, {4}, {4},
+        3082, {4}, {4},
     ),
 }
 

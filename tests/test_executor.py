@@ -2,8 +2,12 @@
 
 import pytest
 
-from phalanx import Command, EMPTY_DIGEST, PartialOrderLog, ProtocolInvariantError
+from phalanx import (
+    Command, EMPTY_DIGEST, HmacAuthenticator, PartialOrderLog, ProtocolInvariantError,
+    TimestampExecutor,
+)
 from phalanx.executor import ALTER_PATH, CommandUnavailable, Executor, NORMAL_PATH
+from prop_harness import certified_chain, certify_log
 
 N, F = 4, 1
 
@@ -102,13 +106,31 @@ class TestIngest:
         assert info.timestamps() == [2, 3, 7]
         assert executor.trusted_timestamp(info) == 3
 
-    def test_duplicate_author_slot_at_other_seq_raises(self):
+    def test_duplicate_author_slot_at_other_seq_is_skipped(self):
         executor = make_executor([CMD_A])
         first = PartialOrderLog.create(1, 1, 5, CMD_A.digest, EMPTY_DIGEST)
         again = PartialOrderLog.create(1, 2, 6, CMD_A.digest, first.cur_digest)
         executor.ingest_log_set((first,))
-        with pytest.raises(ProtocolInvariantError):
-            executor.ingest_log_set((again,))
+        executor.ingest_log_set((again,))
+        assert executor.command_infos[CMD_A.digest].logs == {1: first}
+        assert list(executor.author_queues[1]) == [first]
+
+
+@pytest.mark.parametrize("strategy", [Executor, TimestampExecutor])
+def test_author_certified_twice_for_one_command_commits_it_once(strategy):
+    # A faulty author 1 gets command A certified at seq 1 and again at seq 2
+    # (a voter endorses any command at the next seq); every node ingests both.
+    auth = HmacAuthenticator(N, F)
+    twice = certified_chain(auth, 1, [(CMD_A, 5), (CMD_A, 6)])
+    others = [certify_log(auth, PartialOrderLog.create(j, 1, 4 + j, CMD_A.digest, EMPTY_DIGEST))
+              for j in (0, 2)]
+    executor = strategy(N, F, {CMD_A.digest: CMD_A}.get)
+    executor.feed(log_set_of(*others, twice[0]))
+    executor.feed(log_set_of(twice[1]))
+    executor.drain()
+    executor.flush()
+    assert [entry.digest for entry in executor.committed_order] == [CMD_A.digest]
+    assert executor.command_infos[CMD_A.digest].logs[1] is twice[0]
 
 
 class TestFrontVector:

@@ -46,7 +46,7 @@ def certify(pool, auth, log, now=None):
     now = log.timestamp if now is None else now
     order = None
     for voter in range(QUORUM):
-        vote = VoteMessage(log.cur_digest, auth.partial_sign(voter, log.cur_digest))
+        vote = VoteMessage(auth.partial_sign(voter, log.cur_digest))
         result = pool.handle_vote(vote, voter, now)
         if result is not None:
             order = result
@@ -317,7 +317,7 @@ class TestVote:
         msg = self._author_pre_order(auth)
         vote = pool.handle_pre_order(msg, sender=1)
         assert vote is not None
-        assert vote.digest == msg.log.cur_digest
+        assert vote.partial.event_digest == msg.log.cur_digest
         assert auth.verify_partial(vote.partial)
 
     def test_equivocation_refused(self, pool, auth):
@@ -361,7 +361,7 @@ class TestOrder:
     def test_duplicate_votes_not_double_counted(self, pool, auth):
         pool.enqueue_command(cmd(1))
         pre = pool.try_pre_order(0)
-        vote = VoteMessage(pre.log.cur_digest, auth.partial_sign(1, pre.log.cur_digest))
+        vote = VoteMessage(auth.partial_sign(1, pre.log.cur_digest))
         assert pool.handle_vote(vote, 1, 0) is None
         assert pool.handle_vote(vote, 1, 0) is None
         assert len(pool.outstanding[pre.log.cur_digest].shares) == 1
@@ -370,7 +370,7 @@ class TestOrder:
         pool.enqueue_command(cmd(1))
         pool.enqueue_command(cmd(2))
         old = certify_own_log(pool, auth, now=0)
-        stale = VoteMessage(old.cur_digest, auth.partial_sign(3, old.cur_digest))
+        stale = VoteMessage(auth.partial_sign(3, old.cur_digest))
         pool.try_pre_order(50)
         assert pool.handle_vote(stale, 3, 0) is None
         assert pool.rejects[STALE_VOTE] >= 1
@@ -381,7 +381,7 @@ class TestOrder:
         first = pool.try_pre_order(0).log
         second = pool.try_pre_order(50).log
         for voter in (0, 1):
-            vote = VoteMessage(second.cur_digest, auth.partial_sign(voter, second.cur_digest))
+            vote = VoteMessage(auth.partial_sign(voter, second.cur_digest))
             assert pool.handle_vote(vote, voter, 0) is None
         assert len(pool.outstanding[first.cur_digest].shares) == 0
         assert len(pool.outstanding[second.cur_digest].shares) == 2
@@ -423,21 +423,23 @@ class TestOrder:
     def test_vote_with_wrong_sender_rejected(self, pool, auth):
         pool.enqueue_command(cmd(1))
         pre = pool.try_pre_order(0)
-        vote = VoteMessage(pre.log.cur_digest, auth.partial_sign(1, pre.log.cur_digest))
+        vote = VoteMessage(auth.partial_sign(1, pre.log.cur_digest))
         assert pool.handle_vote(vote, 2, 0) is None
+        assert pool.rejects[INVALID_PARTIAL] == 1
 
     def test_share_over_other_digest_refused(self, pool, auth):
+        """A share counts toward the log whose digest it signs; one over a
+        digest no outstanding log has counts toward none."""
         pool.enqueue_command(cmd(1))
         pre = pool.try_pre_order(0)
         digest = pre.log.cur_digest
         for voter in (0, 1):
-            share = auth.partial_sign(voter, digest)
-            assert pool.handle_vote(VoteMessage(digest, share), voter, 0) is None
+            assert pool.handle_vote(VoteMessage(auth.partial_sign(voter, digest)), voter, 0) is None
         other = cmd(9).digest
-        assert pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, other)), 2, 0) is None
-        assert pool.rejects[INVALID_PARTIAL] == 1
-        assert pool.outstanding[digest].log is pre.log
-        order = pool.handle_vote(VoteMessage(digest, auth.partial_sign(2, digest)), 2, 0)
+        assert pool.handle_vote(VoteMessage(auth.partial_sign(2, other)), 2, 0) is None
+        assert pool.rejects[STALE_VOTE] == 1
+        assert len(pool.outstanding[digest].shares) == 2
+        order = pool.handle_vote(VoteMessage(auth.partial_sign(2, digest)), 2, 0)
         assert order is not None
         assert auth.verify_certificate(order.log.certificate)
 

@@ -120,6 +120,25 @@ def test_batch_missing_a_log_fetches_it_and_resumes():
     assert [e.digest for e in target.executor.committed_order] == [c.digest for c in commands]
 
 
+def test_fetch_for_a_log_the_peer_lacks_is_ignored():
+    # Replica 1 is asked for author 2's seq 1 before it has it: it sends
+    # nothing, then or once the log lands, and keeps no record of the ask.
+    net = Loopback()
+    peer = net.replicas[1]
+    state = dict(vars(peer))
+    peer.on_message(FetchLogMessage(2, 1), 3)
+    assert not net.queue and vars(peer) == state
+    author = net.replicas[2]
+    author.on_command(command(1))
+    author.tick(10)
+    sent = []
+    send = net.send
+    net.send = lambda src, dst, msg: sent.append((src, dst)) or send(src, dst, msg)
+    net.run()
+    assert peer.mempool.fetch_log(2, 1) is not None
+    assert (1, 3) not in sent
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_strategy_offers_the_interface(strategy):
     executor = Replica(0, HmacAuthenticator(4, 1), strategy, designated=3).executor

@@ -362,6 +362,23 @@ class TestTickScheduling:
         assert leader.mempool.latest[1] is second
         assert sim._tick_at[0] == sim._next_grid_tick(0) == sim._first_tick[0]
 
+    def test_leader_sleeps_after_cutting_its_batch(self):
+        # A tick that cuts a batch of every stored head leaves the leader
+        # nothing to do, although its own consenter expands that batch only
+        # after the tick: no follow-up tick is queued.
+        sim = Simulation(small(commands_per_proposer=0))
+        leader = sim.nodes[0]
+        (log,) = certified_chain(sim.auth, 1, [(Command.create(0, 1, b"c1"), 10)])
+        for node in sim.nodes:
+            node.on_message(OrderMessage(log), 1)
+        ticks = []
+        on_tick = leader.on_tick
+        leader.on_tick = lambda now: ticks.append(now) or on_tick(now)
+        sim.run()
+        assert ticks == [sim._first_tick[0]]
+        assert leader.consenter.committed_seq[1] == 1
+        assert sim._tick_at[0] == simnet._NO_TICK
+
     def test_resends_survive_sleeping_between_ticks(self, monkeypatch):
         # Links slower than resend_ms: a sleeping node still re-broadcasts its
         # outstanding pre-orders on time. Votes return after a log's third
@@ -417,7 +434,7 @@ class TestTickScheduling:
                     seqs[msg.log.cur_digest] = msg.log.seq
                     sends.append((sim.now, msg.log.seq))
                 if isinstance(msg, VoteMessage) and dst == 1 != src:
-                    delay[0] = delays[seqs[msg.digest]]
+                    delay[0] = delays[seqs[msg.partial.event_digest]]
                 original(src, dst, msg)
                 delay[0] = 1
 

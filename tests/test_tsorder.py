@@ -1,14 +1,16 @@
-"""Timestamp-baseline executor: bookkeeping, flush ordering, golden failure."""
-
-import pytest
+"""Timestamp-baseline executor: bookkeeping, flush ordering, golden failure;
+and the follow control."""
 
 from phalanx import (
     Command,
     EMPTY_DIGEST,
+    HmacAuthenticator,
+    Mempool,
     PartialOrderLog,
-    ProtocolInvariantError,
     TimestampExecutor,
 )
+from phalanx.tsorder import FollowExecutor
+from prop_harness import certified_chain
 
 N, F = 4, 1
 
@@ -48,13 +50,13 @@ class TestIngest:
         info = executor.command_infos[CMD_X.digest]
         assert executor.trusted_timestamp(info) == 3
 
-    def test_duplicate_author_slot_at_other_seq_raises(self):
+    def test_duplicate_author_slot_at_other_seq_is_skipped(self):
         executor = make_ts_executor([CMD_X])
         first = PartialOrderLog.create(2, 1, 5, CMD_X.digest, EMPTY_DIGEST)
         again = PartialOrderLog.create(2, 2, 6, CMD_X.digest, first.cur_digest)
         executor.ingest_log_set((first,))
-        with pytest.raises(ProtocolInvariantError):
-            executor.ingest_log_set((again,))
+        executor.ingest_log_set((again,))
+        assert executor.command_infos[CMD_X.digest].logs == {2: first}
 
 
 class TestFlush:
@@ -110,3 +112,16 @@ class TestStreamConsistency:
             executor.committed_order,
             key=lambda e: (e.trusted_timestamp, e.digest),
         )
+
+
+def test_follow_commits_a_repeated_command_once():
+    # The designated author 2 got command X certified at seq 1 and 3.
+    auth = HmacAuthenticator(N, F)
+    mempool = Mempool(0, auth)
+    for cmd in (CMD_X, CMD_Y):
+        mempool.enqueue_command(cmd)
+    for log in certified_chain(auth, 2, [(CMD_X, 1), (CMD_Y, 2), (CMD_X, 3)]):
+        assert mempool.handle_order(log)
+    executor = FollowExecutor(2, mempool)
+    executor.flush()
+    assert [e.digest for e in executor.committed_order] == [CMD_X.digest, CMD_Y.digest]

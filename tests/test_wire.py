@@ -21,7 +21,6 @@ from phalanx import (
 from phalanx.consensus import encode_order_batch
 from phalanx.wire import (
     FetchLogMessage,
-    FetchLogResponse,
     OrderMessage,
     PreOrderMessage,
     VoteMessage,
@@ -48,8 +47,8 @@ PINS = {
         "01fbb77c59d2944dee8e43f5e82450023930af0dc6cd4d9d2dcdbdaa2b90c167",
     ),
     "vote": (
-        VoteMessage(LOG.cur_digest, AUTH.partial_sign(1, LOG.cur_digest)), 103,
-        "bbc13ef1dddc6ef2ce58974d8e493608179719f01bc1222a592262f401f9880b",
+        VoteMessage(AUTH.partial_sign(1, LOG.cur_digest)), 71,
+        "9da0966b029a37810d8339a80449f001c7941eb99e3ce1f8629573ccc245ff43",
     ),
     "order": (
         OrderMessage(LOG), 160,
@@ -58,10 +57,6 @@ PINS = {
     "fetch_log": (
         FetchLogMessage(3, 42), 11,
         "f650e008e111daad3f61ba9dacda75354124cba7d8a8c8fd5bf430bdb10afc4d",
-    ),
-    "fetch_resp": (
-        FetchLogResponse(LOG), 160,
-        "4e50d13b47091c3551f10df92cf948c05cfde02d22a6adbe7af14452443555f5",
     ),
 }
 
