@@ -46,6 +46,10 @@ from .wire import encode_log
 OrderBatch = tuple[Optional[PartialOrderLog], ...]
 LogSet = tuple[PartialOrderLog, ...]
 
+# The node that cuts the order-batches, when the strategy uses consensus.
+# There are no views, so it never changes.
+LEADER = 0
+
 
 class BatchInvalid(ValueError):
     """A delivered batch carried an entry that fails verification."""

@@ -7,7 +7,11 @@ partial-order logs through three steps:
    value, chain it on this node's newest own log, certified or not, and
    broadcast the uncertified log. Up to ``PRE_ORDER_WINDOW`` own logs may
    await votes at once (PBFT's low/high watermarks), so one tick of the
-   caller may pre-order several; it stamps them ``stamp, stamp + 1, ...``
+   caller may pre-order several. The window caps throughput: at most a
+   window of logs per tick where votes return within one, per vote round
+   trip on slower links. It is 24, at which the simulator's peak memory
+   stays within about 1% of window 12's (see the constant). The tick
+   stamps them ``stamp, stamp + 1, ...``
    (:meth:`Replica.tick <phalanx.replica.Replica.tick>`), so an honest
    author's stamps strictly increase along its chain: equal stamps would
    leave the order of its logs to the digest tie-break of trusted
@@ -66,8 +70,14 @@ REJECT_REASONS = (DUPLICATE_COMMAND, REJECT_BAD_DIGEST, REJECT_BAD_AUTHOR, REJEC
                   REJECT_EQUIVOCATION, STALE_VOTE, INVALID_PARTIAL, INVALID_CERT, CHAIN_BREAK)
 
 # Own logs a node may have awaiting votes at once, and how far above an
-# author's certified head a voter endorses.
-PRE_ORDER_WINDOW = 12
+# author's certified head a voter endorses. The simulator's peak memory
+# grows with the messages in flight. With each message sent on its own,
+# raising the window from 12 to 24 raised perfbench's median peak RSS by
+# 4.9% on sweep16_timestamp and 4.3% on alter16, near the benchmark's 5%
+# bound. With what one step sends to a peer carried as one transmission,
+# window 24 peaks at +0.1% / +0.6% / +1.0% (burst4 / sweep16_timestamp /
+# alter16, medians of ten runs) over window 12 sent message by message.
+PRE_ORDER_WINDOW = 24
 
 
 class Outstanding:

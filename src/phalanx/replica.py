@@ -41,9 +41,9 @@ log's first-send stamp, and a node's stamps are its skewed, clamped clock,
 which only the simulator's node knows. Reading ``net.now`` would offset a
 skewed node's every sample by its skew.
 
-Node 0 leads when the strategy uses consensus. No Byzantine behaviour is
-read here: the simulator's node wraps this class with the behaviour,
-through the hooks :meth:`Replica.before_pre_order` and
+Node ``consensus.LEADER`` (0) leads when the strategy uses consensus. No
+Byzantine behaviour is read here: the simulator's node wraps this class
+with the behaviour, through the hooks :meth:`Replica.before_pre_order` and
 :meth:`Replica.clock`.
 
 The strategy is picked once, by name: ``anchor`` (:class:`Executor`),
@@ -58,7 +58,7 @@ so no caller branches on the strategy.
 from __future__ import annotations
 
 from .authenticators import Authenticator
-from .consensus import Consenter, OrderBatch
+from .consensus import LEADER, Consenter, OrderBatch
 from .executor import Executor
 from .mempool import Mempool
 from .scenario import FOLLOW, TIMESTAMP
@@ -86,7 +86,7 @@ class Replica:
             self.executor = Executor(auth.n, auth.f, self.mempool.fetch_command)
         self.net = net
         self.tick_ms = tick_ms
-        self.is_leader = node_id == 0 and self.executor.uses_consensus
+        self.is_leader = node_id == LEADER and self.executor.uses_consensus
 
     # -- handlers -----------------------------------------------------------
 

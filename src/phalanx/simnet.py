@@ -1,7 +1,14 @@
 """Deterministic discrete-event simulation of a full cluster.
 
 Hosts n protocol nodes plus p proposers over seeded per-link latencies.
-Per-link delivery is FIFO: a message sent earlier on a link is never
+Each event the loop handles (a tick, a delivered transmission, a batch or a
+command) makes at most one transmission per link: the messages it sends to
+one peer travel together, like one write on a connection, and the peer
+handles them in send order inside one event. The scenario's ``latency``
+range is thus the delay of one transmission, drawn uniformly once, however
+many messages it carries. Order-batches travel apart from protocol
+messages, so a leader's tick may put one of each on a link. Per-link
+delivery is FIFO: a transmission sent earlier on a link is never
 overtaken, even when the sampled latencies would invert it. Every source
 of randomness derives from the scenario seed, so a scenario reruns to a
 byte-identical result.
@@ -34,7 +41,10 @@ timer. The rule is applied from the next grid point after each tick, and
 from the next grid tick after the current event whenever the replica calls
 ``wake``: when a command is queued, when an own log certifies, and, on the
 leader, when a log is stored. Those are the only events that can move the
-rule's answer earlier. A silent node never ticks.
+rule's answer earlier. A wake puts the rule's answer in place of the
+queued tick, earlier, later or none, so a tick queued for a log's
+re-broadcast is dropped when that log certifies first. A silent node never
+ticks.
 
 This skips only ticks that would have done nothing, so a run processes the
 same events in the same order as a loop that ticks every node on every grid
@@ -77,7 +87,7 @@ import random
 from dataclasses import dataclass, field
 
 from .authenticators import HmacAuthenticator
-from .consensus import OrderBatch, SequencerBroadcast
+from .consensus import LEADER, OrderBatch, SequencerBroadcast
 from .executor import TraceEntry
 from .mempool import REJECT_REASONS
 from .metrics import reordered_ratio, traces_consistent, traces_prefix_consistent
@@ -91,7 +101,7 @@ RESULT_SCHEMA_VERSION = 1
 # A time no run reaches: the next tick of a node asleep with no timer, and
 # the first tick of a proposer, which has none.
 _NO_TICK = 1 << 62
-# The next tick of a silent node: no wake finds an earlier time to move it to.
+# The next tick of a silent node, which no wake moves.
 _SILENT = -1
 
 # Event kinds (dispatch tags inside the loop).
@@ -265,6 +275,8 @@ class Simulation:
         # entry is an event still pending.
         self._tick_entries = 0
         self._link_last: dict[tuple[int, int], int] = {}
+        # The transmission each (src, dst, kind) opened in the current event.
+        self._bundles: dict[tuple[int, int, int], list] = {}
         self.events_processed = 0
         # Proposers occupy ranks n..n+p-1 in link keys and tie-breaks.
         self._proposer_rank = scenario.n
@@ -280,12 +292,19 @@ class Simulation:
 
     # -- scheduling -------------------------------------------------------
 
-    def _post(self, src: int, dst: int, kind: int, a, b) -> None:
-        """Queue an event from rank ``src`` over the link to rank ``dst``.
+    def _post(self, src: int, dst: int, kind: int, item) -> None:
+        """Queue ``item`` from rank ``src`` over the link to rank ``dst``.
 
-        It is delivered after the sampled latency (none on a self-link), but
-        never before an event sent earlier on the same link.
+        Everything one event sends on a link, of one kind, is one
+        transmission: the first item draws the latency (none on a
+        self-link) and the rest join it, to be handled in send order. A
+        transmission is delivered never before one sent earlier on its link.
         """
+        bundles, opened = self._bundles, (src, dst, kind)
+        bundle = bundles.get(opened)
+        if bundle is not None:
+            bundle.append(item)
+            return
         now = self.now
         when = now
         if src != dst:
@@ -312,7 +331,8 @@ class Simulation:
                     or self._high_key < key - 1):
                 key -= 2
         self._seqno += 1
-        heapq.heappush(self._heap, (when, key, self._seqno, kind, a, b))
+        bundles[opened] = bundle = [item]
+        heapq.heappush(self._heap, (when, key, self._seqno, kind, dst, bundle))
 
     def _next_grid_tick(self, node_id: int) -> int:
         """The node's first grid tick after the current event."""
@@ -325,18 +345,16 @@ class Simulation:
 
     def wake(self, node_id: int) -> None:
         """Queue ``node_id``'s first tick that can act, from its next grid
-        tick on, unless one as early is queued."""
+        tick on, in place of the one queued: earlier, later or none."""
         at = self._tick_at[node_id]
-        if at - self.now < self._delta:
-            # A tick queued under delta_o from now is the next grid tick
-            # already, as grid ticks are delta_o apart; _SILENT passes too.
+        if at == _SILENT:
             return
         when = self._next_tick(node_id, self._next_grid_tick(node_id))
-        if when < at:
+        if when != at:
             self._schedule_tick(node_id, when)
 
     def _schedule_tick(self, node_id: int, when: int) -> None:
-        # A later entry already queued for the node is left to be skipped.
+        # Any other entry queued for the node is left to be skipped.
         self._tick_at[node_id] = when
         if when != _NO_TICK:
             self._tick_entries += 1
@@ -361,7 +379,7 @@ class Simulation:
         return due + (grid - due) % self._delta
 
     def send(self, src: int, dst: int, msg) -> None:
-        self._post(src, dst, _EV_MSG, dst, msg)
+        self._post(src, dst, _EV_MSG, msg)
 
     def broadcast(self, src: int, msg, include_self: bool) -> None:
         for dst in range(self.scenario.n):
@@ -370,9 +388,8 @@ class Simulation:
             self.send(src, dst, msg)
 
     def _transport_batch(self, index: int, batch: OrderBatch) -> None:
-        leader = 0
         for dst in range(self.scenario.n):
-            self._post(leader, dst, _EV_BATCH, dst, (index, batch))
+            self._post(LEADER, dst, _EV_BATCH, (index, batch))
 
     # -- run --------------------------------------------------------------
 
@@ -398,6 +415,7 @@ class Simulation:
     def _loop(self) -> bool:
         """Process events until the run ends; True if it ends non-quiescent."""
         heap, nodes, tick_at, delta = self._heap, self.nodes, self._tick_at, self._delta
+        bundles = self._bundles
         heappop = heapq.heappop
         max_sim_ms = self.scenario.max_sim_ms
         now, high = self.now, self._high_key
@@ -407,6 +425,7 @@ class Simulation:
                 time, key, _seqno, kind, a, b = heappop(heap)
                 if time > max_sim_ms:
                     return True
+                bundles.clear()
                 # A superseded tick entry marks a grid tick at which its node
                 # had nothing to do, so it moves the clock as that tick would.
                 if time != now:
@@ -416,9 +435,11 @@ class Simulation:
                     high = self._high_key = key
                 processed += 1
                 if kind == _EV_MSG:
-                    nodes[a].on_message(b, key >> 2)
+                    node, src = nodes[a], key >> 2
+                    for msg in b:
+                        node.on_message(msg, src)
                 elif kind == _EV_TICK:
-                    if tick_at[a] != time:  # superseded by an earlier wake
+                    if tick_at[a] != time:  # superseded by a wake
                         processed -= 1
                         self._tick_entries -= 1
                         continue
@@ -431,14 +452,16 @@ class Simulation:
                     # the event before it; one that acted queued events.
                     continue
                 elif kind == _EV_CMD:
-                    nodes[a].on_command(b)
+                    for cmd in b:
+                        nodes[a].on_command(cmd)
                 elif kind == _EV_BATCH:
-                    nodes[a].on_batch(b[0], b[1])
+                    for index, batch in b:
+                        nodes[a].on_batch(index, batch)
                 else:  # _EV_PROPOSE
                     cmd = _build_command(self.scenario, a, b)
                     rank = self._proposer_rank + a
                     for dst in range(self.scenario.n):
-                        self._post(rank, dst, _EV_CMD, dst, cmd)
+                        self._post(rank, dst, _EV_CMD, cmd)
                     continue
                 if len(heap) == self._tick_entries and self._all_idle():
                     return False

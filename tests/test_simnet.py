@@ -65,8 +65,10 @@ def fixed_latencies(sim, values):
 
 
 def deliver_time(sim, src, dst):
-    """Send one message from ``src`` to ``dst``; return when it is delivered."""
+    """Send one message from ``src`` to ``dst`` as an event of its own;
+    return when it is delivered."""
     sim._heap.clear()
+    sim._bundles.clear()
     sim.send(src, dst, None)
     return sim._heap[0][0]
 
@@ -94,6 +96,69 @@ class TestLinkFifoClamp:
         sim = Simulation(small())
         sim.now = 42
         assert deliver_time(sim, 1, 1) == 42
+
+
+def relaying(sim, relay):
+    """Make node 0 handle each message by calling ``relay(msg)``, and every
+    other node record each message it handles as (time, node, msg, sender);
+    return that record."""
+    handled = []
+    for node in sim.nodes[1:]:
+        node.on_message = lambda msg, sender, node=node: handled.append(
+            (sim.now, node.node_id, msg, sender))
+    sim.nodes[0].on_message = lambda msg, sender: relay(msg)
+    return handled
+
+
+class TestTransmissions:
+    """What one event sends on a link is one transmission: one latency
+    draw, one heap entry and one processed event, handled in send order."""
+
+    def test_sends_on_one_link_in_one_event_share_one_transmission(self):
+        sim = Simulation(small(commands_per_proposer=0, latency=(0, 15)))
+        draws = []
+        bits = iter([1, 10, 3])
+        sim._latency_bits = lambda k: draws.append(k) or next(bits)
+        entries = []
+
+        def relay(msg):
+            for part in ("a", "b", "c"):
+                sim.send(0, 1, part)
+            entries.append(len(sim._heap))
+
+        handled = relaying(sim, relay)
+        sim.send(3, 0, "go")
+        result = sim.run()
+        assert len(draws) == 2  # "go" draws 1 and "a" 10; "b" and "c" none
+        assert entries == [1]
+        assert handled == [(11, 1, "a", 0), (11, 1, "b", 0), (11, 1, "c", 0)]
+        assert result.events_processed == 2
+
+    def test_sends_on_one_link_in_two_events_stay_fifo(self):
+        # The second relay draws 3 but lands behind the first, drawn 10.
+        sim = Simulation(small(commands_per_proposer=0, latency=(0, 15)))
+        fixed_latencies(sim, [1, 2, 10, 3])
+        handled = relaying(sim, lambda msg: sim.send(0, 1, msg))
+        sim.send(3, 0, "first")
+        sim.send(2, 0, "second")
+        result = sim.run()
+        assert handled == [(11, 1, "first", 0), (11, 1, "second", 0)]
+        assert result.events_processed == 4
+
+    def test_sends_on_two_links_in_one_event_stay_independent(self):
+        sim = Simulation(small(commands_per_proposer=0, latency=(0, 15)))
+        fixed_latencies(sim, [1, 10, 3])
+
+        def relay(msg):
+            sim.send(0, 1, "x")
+            sim.send(0, 2, "y")
+            sim.send(0, 1, "z")
+
+        handled = relaying(sim, relay)
+        sim.send(3, 0, "go")
+        result = sim.run()
+        assert handled == [(4, 2, "y", 0), (11, 1, "x", 0), (11, 1, "z", 0)]
+        assert result.events_processed == 3
 
 
 class TestLatencyDraw:
@@ -387,7 +452,7 @@ class TestTickScheduling:
         # once. Each log of the first tick, ``min(window, 10)`` of them, is
         # thus sent three times and each other log once, by four nodes to
         # four nodes.
-        for window in (1, 4, 12):
+        for window in (1, 4, 12, 24):
             monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
             sim = Simulation(small(commands_per_proposer=10, latency=(2500, 3000), seed=3))
             pre_orders = []
@@ -406,22 +471,23 @@ class TestTickScheduling:
             assert len(pre_orders) == (3 * first + 10 - first) * 16
 
     def test_certification_that_lowers_the_timeout_rearms_a_sleeping_node(self):
-        # Node 1 pre-orders three logs at its first tick, 62, stamped 62, 63
-        # and 64; every vote to it takes 1 ms but those named below. Seq 1's
-        # votes land at 463, R = 401: SRTT 401, RTTVAR 200, timeout 1201. The
-        # node's tick at 562 (resend_ms after the first send) finds nothing
-        # due, so it sleeps until seq 2 and 3 fall due, the grid tick 1312.
-        # Seq 2's votes land at 593, R = 530:
-        #   RTTVAR = (3 * 200 + |401 - 530|) // 4 = 182
-        #   SRTT = (7 * 401 + 530) // 8 = 417
+        # Commands reach node 1 at 1, 71 and 141, so it pre-orders one log at
+        # each of its grid ticks 62, 112 and 162, and every peer votes for
+        # each in an event of its own; every vote to it takes 1 ms but those
+        # named below. Seq 1's votes land at 463, R = 401: SRTT 401, RTTVAR
+        # 200, timeout 1201. Seq 2 and 3 then fall due at 1313 and 1363, so
+        # the node sleeps until grid tick 1362. Seq 2's votes land at 643,
+        # R = 531:
+        #   RTTVAR = (3 * 200 + |401 - 531|) // 4 = 182
+        #   SRTT = (7 * 401 + 531) // 8 = 417
         # so the timeout falls to 417 + 4 * 182 = 1145. Seq 3, still without
-        # votes, is due at 64 + 1145 = 1209: woken by the certification, the
-        # node re-broadcasts it at grid tick 1212, as a node ticking every
+        # votes, is due at 162 + 1145 = 1307: woken by the certification, the
+        # node re-broadcasts it at grid tick 1312, as a node ticking every
         # grid point does.
         delays = {1: 400, 2: 530, 3: 2000}
 
         def pre_order_sends(next_tick=None):
-            sim = Simulation(small(commands_per_proposer=3, propose_interval=0,
+            sim = Simulation(small(commands_per_proposer=3, propose_interval=70,
                                    latency=(0, 2000), resend_ms=500))
             if next_tick is not None:
                 sim._next_tick = lambda node_id, grid: next_tick(sim, node_id, grid)
@@ -444,8 +510,27 @@ class TestTickScheduling:
             return sends, (mempool.srtt, mempool.rttvar)
 
         sends, estimate = pre_order_sends()
-        assert sends == [(62, 1), (62, 2), (62, 3), (1212, 3)]
+        assert sends == [(62, 1), (112, 2), (162, 3), (1312, 3)]
         assert pre_order_sends(every_grid_point) == (sends, estimate)
+
+    def test_certification_drops_the_queued_rebroadcast_tick(self):
+        # Each node's log certifies within milliseconds, long before its
+        # re-broadcast falls due at resend_ms. The tick queued for that due
+        # time would do nothing, so the certification's wake drops it and
+        # every tick of the run acts, although the second command keeps the
+        # run going past that time.
+        sim = Simulation(small(commands_per_proposer=2, propose_interval=3000))
+        idle = []
+        for node in sim.nodes:
+            def on_tick(now, node=node, original=node.on_tick):
+                acted = original(now)
+                if not acted:
+                    idle.append((node.node_id, now))
+                return acted
+
+            node.on_tick = on_tick
+        assert sim.run().committed == 2
+        assert idle == []
 
     @pytest.mark.parametrize("resend_ms", [2000, 2010])
     def test_logs_due_at_once_rebroadcast_one_per_grid_tick(self, resend_ms):
@@ -502,7 +587,7 @@ class TestTickElision:
     """Ticking only when a tick can act changes no output: runs match a loop
     that ticks every node on every grid point."""
 
-    @pytest.mark.parametrize("window", [1, 4, 12])
+    @pytest.mark.parametrize("window", [1, 4, 12, 24])
     @pytest.mark.parametrize("generator, base", [(random_scenario, 5000),
                                                  (wide_scenario, 6000)],
                              ids=["random", "wide"])
