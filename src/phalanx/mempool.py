@@ -19,12 +19,16 @@ partial-order logs through three steps:
    re-broadcast fell due first. A log falls due once it has waited the
    re-broadcast timeout since its last send: ``resend_ms`` until a round
    trip is measured, then ``max(resend_ms, SRTT + 4 * RTTVAR)``
-   (:meth:`Mempool.resend_timeout`). Each certification of an own log
-   samples its vote round trip, from the log's first send to the
-   2f+1-th share, into SRTT and RTTVAR with RFC 6298's gains (1/8 and
-   1/4), in integer ms. A fixed timer fires before most votes return once
-   many logs are in flight, as link delays clamped behind earlier
-   messages push the round trip past ``resend_ms``;
+   (:meth:`Mempool.resend_timeout`). A certification samples the own
+   log's vote round trip, from its first send to the 2f+1-th share, into
+   SRTT and RTTVAR with RFC 6298's gains (1/8 and 1/4), in integer ms, if
+   the log was first sent at or after the previous sample. That times one
+   log per round trip, as TCP times one segment per round trip: the logs
+   one vote transmission certifies together give one sample, not a run of
+   correlated ones that would pull RTTVAR down. A fixed timer fires
+   before most votes return once many logs are in flight, as link delays
+   clamped behind earlier messages push the round trip past
+   ``resend_ms``;
 2. vote: a peer votes for an author's log whose seq lies above the author's
    certified head h and at most h + ``PRE_ORDER_WINDOW``, and that chains on
    the higher of that head and the newest log it voted for. It repeats its
@@ -127,6 +131,9 @@ class Mempool:
         self.srtt: Optional[int] = None
         self.rttvar = 0
         self.rto = 0
+        # The clock at the latest sample: only a log first sent at or after
+        # it is timed.
+        self.sampled_at = 0
         self.rebroadcasts = 0
 
     # ------------------------------------------------------------------
@@ -242,8 +249,8 @@ class Mempool:
     def handle_vote(self, vote: VoteMessage, sender: int, now: int) -> Optional[OrderMessage]:
         """Keep a verified vote share toward the outstanding log whose digest
         it signs; at 2f+1 distinct signers, combine that log's kept shares
-        unchecked and sample its round trip, ``now`` less the stamp of its
-        first send."""
+        unchecked and, if the log was first sent at or after the previous
+        sample, sample its round trip: ``now`` less that first stamp."""
         partial = vote.partial
         digest = partial.event_digest
         entry = self.outstanding.get(digest)
@@ -260,9 +267,11 @@ class Mempool:
         log = entry.log
         completed = log.with_certificate(self.auth.combine(digest, shares.values()))
         del self.outstanding[digest]
-        # A tick stamps its k-th log ``stamp + k``, so with no link delay the
-        # round trip can read up to k below 0.
-        self._sample_round_trip(max(0, now - log.timestamp))
+        if log.timestamp >= self.sampled_at:
+            self.sampled_at = now
+            # A tick stamps its k-th log ``stamp + k``, so with no link delay
+            # the round trip can read up to k below 0.
+            self._sample_round_trip(max(0, now - log.timestamp))
         self._store_log(completed)
         return OrderMessage(completed)
 

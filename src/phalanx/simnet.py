@@ -36,29 +36,27 @@ the first grid tick at or after the earliest
 re-broadcast due time among its logs awaiting votes, ``sent + timeout -
 skew`` for the log last sent earliest, where ``timeout`` is the mempool's
 re-broadcast timeout, ``max(resend_ms, SRTT + 4 * RTTVAR)`` of the node's
-measured vote round trips; otherwise none, and the node sleeps with no
-timer. The rule is applied from the next grid point after each tick, and
-from the next grid tick after the current event whenever the replica calls
-``wake``: when a command is queued, when an own log certifies, and, on the
-leader, when a log is stored. Those are the only events that can move the
-rule's answer earlier. A wake puts the rule's answer in place of the
-queued tick, earlier, later or none, so a tick queued for a log's
-re-broadcast is dropped when that log certifies first. A silent node never
-ticks.
+measured vote round trips, one timed log per round trip; otherwise none,
+and the node sleeps with no timer. The rule is applied from the next grid
+point after each tick, and from the first grid tick after the current time
+whenever the replica calls ``wake``: when a command is queued, when an own
+log certifies, and, on the leader, when a log is stored. Those are the
+only events that can move the rule's answer earlier. A wake puts the
+rule's answer in place of the queued tick, earlier, later or none, so a
+tick queued for a log's re-broadcast is dropped when that log certifies
+first. A silent node never ticks.
 
-This skips only ticks that would have done nothing, so a run processes the
-same events in the same order as a loop that ticks every node on every grid
-point. Events are ordered by time, then by source id (proposers rank after
-the nodes), then by push sequence number. An event from node ``a``
-delivered at time ``t`` on ``a``'s grid comes before ``a``'s tick at ``t``
-exactly when it was sent before ``a``'s tick at ``t - delta_o`` would have
-run: sent before ``t - delta_o``, or at ``t - delta_o`` by an event handled
-before that tick (one whose source id is below ``a``, unless links have no
-latency), or by that tick itself. Everything else from ``a`` at ``t``, a
-self-delivery sent at ``t`` included, comes after it, and nothing comes
-before a node's first tick. That class is folded into the second field of
-the heap key: ``4 * src`` before, ``+ 1`` the tick, ``+ 2`` after, which is
-also where an event that meets no tick of its source goes.
+Events are ordered by time. At one time every tick runs first, in node-id
+order (a tick's heap key is ``node_id - n``), then every other event, by
+source rank (proposers rank after the nodes) and push sequence number. The
+loop never queues a tick at the current time, and anything posted at the
+current time sorts after every tick at that time, so no tick ever sorts
+before an event already handled: a tick runs at the same place whether it
+was queued long before or by the last wake. Ranking ticks last would let a
+tick's zero-latency self-delivery sort before the ticks still pending at
+that time. Skipping a tick that would have done nothing thus leaves the
+events and their order those of a loop that ticks every node on every grid
+point.
 
 A run ends where that every-grid-point loop would have ended: at the first
 event after which nothing is pending and every node is idle; at the next
@@ -262,13 +260,6 @@ class Simulation:
         ]
         self.sequencer = SequencerBroadcast(self._transport_batch)
         self.now = 0
-        # The node whose tick is running (-1 outside ticks), and the largest
-        # heap key (second field) processed at the current time. A node's tick
-        # at that time has run, or had nothing to do, once the largest passes
-        # its key: the heap pops in key order, but an event sent with no
-        # latency can carry a smaller key than the one that sent it.
-        self._ticking = -1
-        self._high_key = -1
         self._heap: list = []
         self._seqno = 0
         # Tick entries in the heap, superseded ones included: every other
@@ -278,14 +269,13 @@ class Simulation:
         # The transmission each (src, dst, kind) opened in the current event.
         self._bundles: dict[tuple[int, int, int], list] = {}
         self.events_processed = 0
-        # Proposers occupy ranks n..n+p-1 in link keys and tie-breaks.
+        # Proposers occupy ranks n..n+p-1 in link keys and tie-breaks; a
+        # node's tick takes key ``node_id - n``, below every rank.
         self._proposer_rank = scenario.n
         delta = scenario.delta_o
         self._delta = delta
-        # First grid tick per rank, and each node's next queued tick.
-        self._first_tick = [
-            (i * delta) // scenario.n + delta for i in range(scenario.n)
-        ] + [_NO_TICK] * scenario.proposers
+        # Each node's first grid tick and next queued tick.
+        self._first_tick = [(i * delta) // scenario.n + delta for i in range(scenario.n)]
         self._tick_at = [
             _SILENT if node.behavior.silent else _NO_TICK for node in self.nodes
         ]
@@ -305,8 +295,7 @@ class Simulation:
         if bundle is not None:
             bundle.append(item)
             return
-        now = self.now
-        when = now
+        when = self.now
         if src != dst:
             getrandbits, k, width = self._latency_bits, self._latency_k, self._latency_width
             r = getrandbits(k)
@@ -319,29 +308,15 @@ class Simulation:
         if when < last:
             when = last
         link_last[link] = when
-        # The event comes after src's tick at ``when``, if there is one,
-        # unless it was sent before src's previous grid tick would have run:
-        # only a delay of delta_o or more allows that.
-        key = src * 4 + 2
-        delta = self._delta
-        if when - now >= delta:
-            off = when - self._first_tick[src]
-            if off > 0 and not off % delta and (
-                    now < when - delta or self._ticking == src
-                    or self._high_key < key - 1):
-                key -= 2
         self._seqno += 1
         bundles[opened] = bundle = [item]
-        heapq.heappush(self._heap, (when, key, self._seqno, kind, dst, bundle))
+        heapq.heappush(self._heap, (when, src, self._seqno, kind, dst, bundle))
 
     def _next_grid_tick(self, node_id: int) -> int:
-        """The node's first grid tick after the current event."""
+        """The node's first grid tick after the current time."""
         now = self.now
         first = self._first_tick[node_id]
-        when = first if now < first else now + (first - now) % self._delta
-        if when == now and self._high_key >= node_id * 4 + 1:
-            when += self._delta
-        return when
+        return first if now < first else now + self._delta - (now - first) % self._delta
 
     def wake(self, node_id: int) -> None:
         """Queue ``node_id``'s first tick that can act, from its next grid
@@ -358,7 +333,8 @@ class Simulation:
         self._tick_at[node_id] = when
         if when != _NO_TICK:
             self._tick_entries += 1
-            heapq.heappush(self._heap, (when, node_id * 4 + 1, 0, _EV_TICK, node_id, None))
+            heapq.heappush(self._heap,
+                           (when, node_id - self.scenario.n, 0, _EV_TICK, node_id, None))
 
     def _next_tick(self, node_id: int, grid: int) -> int:
         """The node's first grid tick at or after its grid tick ``grid`` at
@@ -397,10 +373,10 @@ class Simulation:
         scenario = self.scenario
         heap = self._heap
         for p in range(scenario.proposers):
-            key = (self._proposer_rank + p) * 4
+            rank = self._proposer_rank + p
             for k in range(scenario.commands_per_proposer):
                 self._seqno += 1
-                heapq.heappush(heap, (scenario.propose_interval * k, key, self._seqno,
+                heapq.heappush(heap, (scenario.propose_interval * k, rank, self._seqno,
                                       _EV_PROPOSE, p, k + 1))
         for node_id in range(scenario.n):  # state may be set up before the run
             self.wake(node_id)
@@ -418,24 +394,20 @@ class Simulation:
         bundles = self._bundles
         heappop = heapq.heappop
         max_sim_ms = self.scenario.max_sim_ms
-        now, high = self.now, self._high_key
         processed = self.events_processed
         try:
             while heap:
-                time, key, _seqno, kind, a, b = heappop(heap)
+                # ``src`` is the source rank, or ``node_id - n`` for a tick.
+                time, src, _seqno, kind, a, b = heappop(heap)
                 if time > max_sim_ms:
                     return True
                 bundles.clear()
                 # A superseded tick entry marks a grid tick at which its node
                 # had nothing to do, so it moves the clock as that tick would.
-                if time != now:
-                    now = self.now = time
-                    high = self._high_key = key
-                elif key > high:
-                    high = self._high_key = key
+                self.now = time
                 processed += 1
                 if kind == _EV_MSG:
-                    node, src = nodes[a], key >> 2
+                    node = nodes[a]
                     for msg in b:
                         node.on_message(msg, src)
                 elif kind == _EV_TICK:
@@ -443,9 +415,7 @@ class Simulation:
                         processed -= 1
                         self._tick_entries -= 1
                         continue
-                    self._ticking = a
                     nodes[a].on_tick(time)
-                    self._ticking = -1
                     self._tick_entries -= 1
                     self._schedule_tick(a, self._next_tick(a, time + delta))
                     # A tick that did nothing leaves the run as unfinished as
@@ -459,9 +429,8 @@ class Simulation:
                         nodes[a].on_batch(index, batch)
                 else:  # _EV_PROPOSE
                     cmd = _build_command(self.scenario, a, b)
-                    rank = self._proposer_rank + a
                     for dst in range(self.scenario.n):
-                        self._post(rank, dst, _EV_CMD, cmd)
+                        self._post(src, dst, _EV_CMD, cmd)
                     continue
                 if len(heap) == self._tick_entries and self._all_idle():
                     return False
@@ -484,7 +453,7 @@ class Simulation:
     def _last_grid_tick(self, limit: int) -> int:
         """The last grid tick of any node at or before ``limit`` (0 if none)."""
         last = 0
-        for first in self._first_tick[:self.scenario.n]:
+        for first in self._first_tick:
             if first <= limit:
                 last = max(last, limit - (limit - first) % self._delta)
         return last

@@ -26,14 +26,20 @@ retries its batch once the log lands.
 The pins hold at the default pre-order window (``PRE_ORDER_WINDOW`` = 24),
 with everything one event sends on a link carried as one transmission.
 The ``STOP_AND_WAIT_*`` tables hold the same pins with the window patched to
-1, one own log awaiting votes at a time. Where no log waits for votes past
-``resend_ms`` (the LAN and 10..80 ms runs) they keep their values from
-before the window existed. The 1..1200 ms runs moved when the re-broadcast
-timer began to follow the measured vote round trip: their re-broadcasts
-fall due at other times, which moves every later latency draw. At window 1
-no event sends two messages of one kind on one link, so one transmission
-per link moved none of these pins. Pins whose value the window does not
+1, one own log awaiting votes at a time. Pins whose value the window does not
 move are checked at both windows.
+
+Both tables were re-pinned once when the event order became fixed: at one
+simulated time every tick runs first, in node-id order, where a node's tick
+used to rank among its own source's events, as a loop ticking every grid
+point had pushed it. That moved, at both windows, every pin whose run has a
+tick meet another node's event at one time: the 1..1200 ms, ``reverse_silent7``
+and ``follow7`` traces, the ``sweep16_timestamp`` batches, both result pins,
+the tie-break pins and the ``random`` stall pin. In the same re-pin a node
+began to time one own log per vote round trip, which moved the window-24
+1..1200 ms pins again: their re-broadcasts fell to 0. ``burst4``,
+``follow_reverse4``, the ``lan_smoke`` batches and the zero-latency,
+cut-short and ``wide`` stall pins held.
 """
 
 import hashlib
@@ -144,20 +150,20 @@ PINS = {
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "5f50eebc46929c71ebf1c68c583d5df7be84581b5af873478f889be2c3f64f38",
+        "60b5744067d09e661356bafa9a5579d73cc30a604df1d5d81017d9dbee4be765",
     ),
     "sweep16_anchor": (
         SWEEP16.format(strategy="anchor"),
-        "3665f209b89b4e06df8520f1dbdfc240c68826c1b9c5b4758f28bb480b8ced3d",
+        "3ac70245e5bd78de63e4ebed1409c36fe519b163368f5088c3c270e0aabd04b2",
     ),
     # Alter-path sets closed under reliable order: reordered_ratio 0.
     "alter16": (
         ALTER16,
-        "a884076d234d3228dfdacd1b24ad77406226c5cdafa207de4cd63578fe319cbb",
+        "5eb45e53cc32c19bef171677dae5dc56dcc9f5a3e1e41e21b80302984dbc7c7a",
     ),
     "reverse_silent7": (
         REVERSE_SILENT7,
-        "dd5ebf63c8377ced5503602dc276f213aa6454a0861ba576dd9543b7396a2362",
+        "a13e1e94293447ea6a2e30fa7384c2e9926d944e6b1cafb868722b35e4661f90",
     ),
     "follow_reverse4": (
         FOLLOW_REVERSE4,
@@ -165,18 +171,18 @@ PINS = {
     ),
     "follow7": (
         FOLLOW7,
-        "712498e2b00b71b269bf4226e60f6d1e37279e138215091f75a19add7a3b42a2",
+        "2eda66db93824f56be27abbfc78572f59c6ef11e9ac9f82c2bd4baef923fb899",
     ),
 }
 
 STOP_AND_WAIT_PINS = {
     "burst4": "6ba06b77d14462e282c326e092f6af903f7807c8f3243c74118c1538ca2928f6",
-    "sweep16_timestamp": "8f5639fa6c3530905c8a16ea6d4ecf2da7f7bd2fa713949a1fd2ab4fed055620",
-    "sweep16_anchor": "2b5656d448487624255caa0e8ef4b795fd5d2eafdb0c54e95a8fde540d855ba7",
-    "alter16": "de55d883d81f458b12a148486fc5320a862691479cdc372b3cf4248f8c5873bb",
-    "reverse_silent7": "b53773a8d09cc1e944a82003ba0529a14c173da07798bac273d719f3fda7382d",
+    "sweep16_timestamp": "77caae69f7cb020d55214981df07d9b49bcdefa71917f7cdd85b305dd7d17925",
+    "sweep16_anchor": "409259a81d24755be59fe2af65e9ec1ef156170ee4e95bc15031e71750efe1ee",
+    "alter16": "d79ff634d3b190c6f384c7f9ed323fd9263b80ead1b5fda6e6e9c80dd82fe8a6",
+    "reverse_silent7": "ceab53bf253d1226beceed55a22ac70c84cc74aad3742b42d5edb8e9ffd263ea",
     "follow_reverse4": "0451a30b5c1aff23b47a11000875b2ced0216e48fccaf97cae88c929abda207e",
-    "follow7": "06c606399d9e30c3bfd8a92c6fb5d8a7023b4f8108eb42e352fc462cc5d03689",
+    "follow7": "6403e429a551ff2a1d1e0af768d4a709349790288f85dfafc8b78dd6c4c15815",
 }
 
 BATCH_PINS = {
@@ -186,13 +192,13 @@ BATCH_PINS = {
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "e4c24b884e1b3e52abb147462ee8792e0bbc82b31d2377882f8067a143deaa7e",
+        "c671fb23ca65b9b5341e67184107ff4c0ea18262b0c91790863f087aa4648fa7",
     ),
 }
 
 STOP_AND_WAIT_BATCH_PINS = {
     "lan_smoke": "bb2608fe929a2720a3d632862cf6116e95fab9e062a6ca3617e1c02874330f98",
-    "sweep16_timestamp": "00a27e223048074ef4519173de2e99f0f840c31e55ec4a4895aa3da1f6cf3ac8",
+    "sweep16_timestamp": "e20d08e035ec66aae2bae0e4b4643d12816100c4d72358b7f1a2eaf591624dac",
 }
 
 
@@ -223,23 +229,23 @@ NO_REJECTS = {
 RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
-        "consistency": True, "events_processed": 22894, "leader_faults": 0,
-        "rebroadcasts": 14,
-        "rejects": {**NO_REJECTS, "stale_vote": 4610},
+        "consistency": True, "events_processed": 22878, "leader_faults": 0,
+        "rebroadcasts": 0,
+        "rejects": {**NO_REJECTS, "stale_vote": 4400},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
-        "reordered_ratio": 0.016025641025641024, "schema_version": 1,
-        "sim_time_ms": 11869, "total_proposed": 80, "uncommitted": 0,
+        "reordered_ratio": 0.023717948717948717, "schema_version": 1,
+        "sim_time_ms": 10816, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": PINS["sweep16_timestamp"][1],
         "scenario": SCENARIO_ECHO["sweep16_timestamp"],
     },
     "alter16": {
-        "alter_path_ratio": 0.43478260869565216, "committed": 80,
-        "consistency": True, "events_processed": 26987, "leader_faults": 0,
-        "rebroadcasts": 17,
-        "rejects": {**NO_REJECTS, "stale_vote": 6655},
+        "alter_path_ratio": 0.5384615384615384, "committed": 80,
+        "consistency": True, "events_processed": 26355, "leader_faults": 0,
+        "rebroadcasts": 0,
+        "rejects": {**NO_REJECTS, "stale_vote": 6400},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
-        "sim_time_ms": 10683, "total_proposed": 80, "uncommitted": 0,
+        "sim_time_ms": 10646, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": PINS["alter16"][1],
         "scenario": SCENARIO_ECHO["alter16"],
     },
@@ -248,67 +254,66 @@ RESULT_PINS = {
 STOP_AND_WAIT_RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
-        "consistency": True, "events_processed": 82305, "leader_faults": 0,
+        "consistency": True, "events_processed": 82271, "leader_faults": 0,
         "rebroadcasts": 0,
         "rejects": {**NO_REJECTS, "stale_vote": 4400},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
-        "reordered_ratio": 0.019230769230769232, "schema_version": 1,
-        "sim_time_ms": 139458, "total_proposed": 80, "uncommitted": 0,
+        "reordered_ratio": 0.01730769230769231, "schema_version": 1,
+        "sim_time_ms": 139342, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": STOP_AND_WAIT_PINS["sweep16_timestamp"],
         "scenario": SCENARIO_ECHO["sweep16_timestamp"],
     },
     "alter16": {
-        "alter_path_ratio": 0.5217391304347826, "committed": 80,
-        "consistency": True, "events_processed": 82371, "leader_faults": 0,
-        "rebroadcasts": 2,
-        "rejects": {**NO_REJECTS, "stale_vote": 6430},
+        "alter_path_ratio": 0.5555555555555556, "committed": 80,
+        "consistency": True, "events_processed": 82220, "leader_faults": 0,
+        "rebroadcasts": 0,
+        "rejects": {**NO_REJECTS, "stale_vote": 6400},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
-        "sim_time_ms": 140315, "total_proposed": 80, "uncommitted": 0,
+        "sim_time_ms": 140578, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": STOP_AND_WAIT_PINS["alter16"],
         "scenario": SCENARIO_ECHO["alter16"],
     },
 }
 
 # (trace_sha256, batch-trace sha256) of random_scenario(Random(9000 + i)).
-# Ranking a node's tick after every event it sent for the same time, or
-# giving a tick scheduled late a fresh place in the tie-break, changes each
-# stop-and-wait pin.
+# At one time every tick runs first, in node-id order. Ranking ticks last,
+# or each among its own node's events, changes every pin here.
 TIE_BREAK_PINS = {
     ("anchor", 19): (
-        "611762198f092280af4ee163564c21059d9eb4eac0a72eb81ee004eb971875f1",
-        "4eb4cf842fcee73e9bb09cfe086ad5ee6099ef272843b76b07eaa06f957c5a24",
+        "04687769d665efdd6d0b68b3b593b8a5f0a58f356eb786659ffe6dc055c65019",
+        "fd26f1fff0d2b4afbeb416657674f3328f8e9026198b44e7fb7381b60c7a1560",
     ),
     ("anchor", 26): (
-        "f371a3c7e5e237f9c0d542c44d34237e222714aecf570d8c51f0ae37fe19ad46",
-        "8eae1142717932d1d3bd8e1218bd6f2b83088a38110a5168fa0492ebf5f6db5b",
+        "af7c3e586bedbf26ddab3c9b111e1f80fb254d18ee502a31b46ed0492d33a762",
+        "42c1ddec37dc4a21000bd8bd0585d297691ffb7324e92655ab65926e6cfe562b",
     ),
     ("anchor", 30): (
-        "0d13804bf04c86065accfc3fe5d1b42c5281b3766130efa1562c8ca2820ce972",
-        "17dfec356952135f8b8b491f6e4be47cded44499a4e9c87eb7dcf017684c7ce9",
+        "0846afe8c51adab2f26991026a658c816cd43605d8b6149b6a64d1fc979820d0",
+        "3582da4a9e76f63c0e64e4906869ea269f16e9d6bfa9b5099add4f7b3b699189",
     ),
     ("timestamp", 30): (
         "a7d405ec0bb819684a7879542e8cb9d0cf487d21baceba764c25307e7e3efba3",
-        "17dfec356952135f8b8b491f6e4be47cded44499a4e9c87eb7dcf017684c7ce9",
+        "3582da4a9e76f63c0e64e4906869ea269f16e9d6bfa9b5099add4f7b3b699189",
     ),
 }
 
 STOP_AND_WAIT_TIE_BREAK_PINS = {
     ("anchor", 19): (
-        "01894b2287dc79e20b597f10ac77013653e4a552c164581c92f8e605254d3f9e",
-        "c45cee85121433014070a8f2e6848ac4efbc28f982df9ca969b3f005799a79e3",
+        "0d563f357e888e93ebce72d7671371b6859d4a3fee8d30dc275058162221c73f",
+        "2e569ac8a190a26e655a548bd1679a15ceab257f2b97ec3e65cbf19996e6f53d",
     ),
     ("anchor", 26): (
-        "a95610dc30e0ffc6c44b56e489addd32a6c04511b8a2c659630cd4aaeaf5d557",
-        "144a61ec0108f3cb2a45e544d81f88e40eeccb4fd80e5fd7c7bf6f7ffaaba6b5",
+        "3f66971ed11aa5b846eee924e69521bffa7c1e8957d6a784d39bb79b00f776b8",
+        "9a730fe34adc9afd8920b2eb871b962dd50087ed5c142c1489422600dd8c8829",
     ),
     ("anchor", 30): (
-        "0380740382b82ea010228db4385a1bdd774e7f1ef68f3b8064341419dd39db9c",
-        "b84af6fca8b5878a302a68ad13c678e15afb058b3badc4c39f324416be6bf21b",
+        "f9549422b68d1325b066834d32944d38d72df8818f40cc14fcffc57b064931b1",
+        "3c857a4cadb2b167050fa5bb54753f61bd91a3be6d20845f61ef9e4c8e58ec8a",
     ),
     ("timestamp", 30): (
-        "ca67e5bdfbd086a553278d8e48d8d8944579beb7bb6f96720f84ef7328f9a226",
-        "b84af6fca8b5878a302a68ad13c678e15afb058b3badc4c39f324416be6bf21b",
+        "10b1420746215250e92832bdeea8647f3f6a0552ac888d6c142a0792c8e17a22",
+        "3c857a4cadb2b167050fa5bb54753f61bd91a3be6d20845f61ef9e4c8e58ec8a",
     ),
 }
 
@@ -423,9 +428,11 @@ ZERO_LATENCY_PINS = {
 
 
 def test_zero_latency_order_pinned(monkeypatch):
-    # With no link latency an event can be handled after a node's tick at the
-    # same time yet carry a smaller heap key than the tick: judging whether
-    # that tick has run by the current event's key alone changes this order.
+    # With no link latency a tick's pre-orders, their votes and the
+    # certification all happen at the tick's own time, so the certification
+    # wakes a node whose tick at that time has run: its next tick is the
+    # grid tick after it. Queuing the current grid tick again changes this
+    # order.
     for window, pins in ZERO_LATENCY_PINS.items():
         monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
         result = run(Scenario(n=4, f=1, proposers=2, commands_per_proposer=10,
@@ -469,10 +476,10 @@ STALL_PINS = {
         "f154dd81e94281a167ee4fbed09e924143f4574d6731808d22eb832a71d8274f",
         262, {2}, {2},
     ),
-    ("random", 9638): (
-        "6ace0442b50ce242b38fc19dfc2d043b86a4ac82c167d17a1306fa7a2b35058e",
-        "b00d580390b1fe219ef77696e592ce5058bc34d3bc61ea0fa01ec43cc696c294",
-        597, {2}, {2},
+    ("random", 9624): (
+        "706c2b869e812401ad60a8b5bd8509d8ecffedc8b51582de4fdd27567a7e4c4a",
+        "cc1daa959b587d4220de2408391107b1e6cfc94748d50eb5f45be39279198ea8",
+        452, {1}, {1},
     ),
 }
 

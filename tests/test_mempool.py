@@ -170,16 +170,32 @@ class TestRoundTripEstimator:
         # then R3 = 1101, rounded down to whole ms:
         #   RTTVAR = 3/4 * 575 + 1/4 * 1 = 431.5 -> 431
         #   SRTT   = 7/8 * 1100 + 1/8 * 1101 = 1100.125 -> 1100
+        # Each log is sent at the previous sample, so each is timed.
         pool = Mempool(0, auth, resend_ms=2000)
         for i in (1, 2, 3):
             pool.enqueue_command(cmd(i))
-        logs = [pool.try_pre_order(now).log for now in (0, 10, 20)]
-        certify(pool, auth, logs[0], now=1000)
-        certify(pool, auth, logs[1], now=1810)
+        certify(pool, auth, pool.try_pre_order(0).log, now=1000)
+        certify(pool, auth, pool.try_pre_order(1000).log, now=2800)
         assert (pool.srtt, pool.rttvar) == (1100, 575)
         assert pool.resend_timeout() == 1100 + 4 * 575
-        certify(pool, auth, logs[2], now=1121)
+        certify(pool, auth, pool.try_pre_order(2800).log, now=3901)
         assert (pool.srtt, pool.rttvar) == (1100, 431)
+
+    def test_logs_certified_together_give_one_sample(self, auth):
+        # One vote transmission certifies the three logs of one tick at
+        # 1000: only the first is timed, R = 1000. The log sent at 1000
+        # is timed again, R = 800:
+        #   RTTVAR = (3 * 500 + |1000 - 800|) // 4 = 425
+        #   SRTT = (7 * 1000 + 800) // 8 = 975
+        pool = Mempool(0, auth, resend_ms=2000)
+        for i in (1, 2, 3, 4):
+            pool.enqueue_command(cmd(i))
+        logs = [pool.try_pre_order(stamp).log for stamp in (0, 1, 2)]
+        for log in logs:
+            certify(pool, auth, log, now=1000)
+        assert (pool.srtt, pool.rttvar) == (1000, 500)
+        certify(pool, auth, pool.try_pre_order(1000).log, now=1800)
+        assert (pool.srtt, pool.rttvar) == (975, 425)
 
     def test_timeout_never_below_resend_ms(self, auth):
         pool = Mempool(0, auth, resend_ms=500)

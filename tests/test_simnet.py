@@ -7,6 +7,7 @@ import pytest
 
 import phalanx.mempool
 from phalanx import Command, NodeBehavior, Scenario, Simulation, run, simnet
+from phalanx.replica import Replica
 from phalanx.wire import OrderMessage, PreOrderMessage, VoteMessage
 from prop_harness import certified_chain, check_invariants, random_scenario, wide_scenario
 
@@ -471,23 +472,24 @@ class TestTickScheduling:
             assert len(pre_orders) == (3 * first + 10 - first) * 16
 
     def test_certification_that_lowers_the_timeout_rearms_a_sleeping_node(self):
-        # Commands reach node 1 at 1, 71 and 141, so it pre-orders one log at
-        # each of its grid ticks 62, 112 and 162, and every peer votes for
-        # each in an event of its own; every vote to it takes 1 ms but those
-        # named below. Seq 1's votes land at 463, R = 401: SRTT 401, RTTVAR
-        # 200, timeout 1201. Seq 2 and 3 then fall due at 1313 and 1363, so
-        # the node sleeps until grid tick 1362. Seq 2's votes land at 643,
-        # R = 531:
+        # Commands reach node 1 at 1, 501 and 1001, so it pre-orders one log
+        # at each of its grid ticks 62, 512 and 1012, and every peer votes
+        # for each in an event of its own; every vote to it takes 1 ms but
+        # those named below. Seq 1's votes land at 463, R = 401: SRTT 401,
+        # RTTVAR 200, timeout 1201. Seq 2, sent after that sample, is timed
+        # too; seq 3 is sent before seq 2's sample and is not. After seq 3's
+        # pre-order, seq 2 falls due first, at 1713, so the node sleeps
+        # until grid tick 1762. Seq 2's votes land at 1043, R = 531:
         #   RTTVAR = (3 * 200 + |401 - 531|) // 4 = 182
         #   SRTT = (7 * 401 + 531) // 8 = 417
         # so the timeout falls to 417 + 4 * 182 = 1145. Seq 3, still without
-        # votes, is due at 162 + 1145 = 1307: woken by the certification, the
-        # node re-broadcasts it at grid tick 1312, as a node ticking every
-        # grid point does.
+        # votes, is due at 1012 + 1145 = 2157, not 2213: woken by the
+        # certification, the node re-broadcasts it at grid tick 2162, not
+        # 2262, as a node ticking every grid point does.
         delays = {1: 400, 2: 530, 3: 2000}
 
         def pre_order_sends(next_tick=None):
-            sim = Simulation(small(commands_per_proposer=3, propose_interval=70,
+            sim = Simulation(small(commands_per_proposer=3, propose_interval=500,
                                    latency=(0, 2000), resend_ms=500))
             if next_tick is not None:
                 sim._next_tick = lambda node_id, grid: next_tick(sim, node_id, grid)
@@ -510,7 +512,8 @@ class TestTickScheduling:
             return sends, (mempool.srtt, mempool.rttvar)
 
         sends, estimate = pre_order_sends()
-        assert sends == [(62, 1), (112, 2), (162, 3), (1312, 3)]
+        assert sends == [(62, 1), (512, 2), (1012, 3), (2162, 3)]
+        assert estimate == (417, 182)
         assert pre_order_sends(every_grid_point) == (sends, estimate)
 
     def test_certification_drops_the_queued_rebroadcast_tick(self):
@@ -581,6 +584,50 @@ def outcome(scenario):
     del payload["events_processed"]
     traces = {i: [entry.line() for entry in trace] for i, trace in result.traces.items()}
     return payload, traces, result.batch_trace
+
+
+def record_handlers(monkeypatch):
+    """Record each handler call of every node as (time, the node's id for a
+    tick, None for any other handler)."""
+    calls = []
+
+    def recording(cls, name, tick):
+        original = getattr(cls, name)
+
+        def handler(node, *args):
+            calls.append((node.net.now, node.node_id if tick else None))
+            return original(node, *args)
+
+        monkeypatch.setattr(cls, name, handler)
+
+    recording(simnet._Node, "on_tick", True)
+    for name in ("on_message", "on_batch", "on_command"):
+        recording(Replica, name, False)
+    return calls
+
+
+class TestEventOrder:
+    """At one simulated time every tick runs first, in node-id order, and
+    every other event follows."""
+
+    @pytest.mark.parametrize("generator, base", [(random_scenario, 5000),
+                                                 (wide_scenario, 6000)],
+                             ids=["random", "wide"])
+    def test_ticks_run_first_in_node_id_order(self, monkeypatch, generator, base):
+        calls = record_handlers(monkeypatch)
+        shared = 0  # times at which a tick meets another handler call
+        for index in range(3):
+            calls.clear()
+            run(dataclasses.replace(generator(random.Random(base + index)),
+                                    max_sim_ms=20_000))
+            at = {}
+            for time, tick in calls:
+                at.setdefault(time, []).append(tick)
+            for time, handled in at.items():
+                ticks = [node_id for node_id in handled if node_id is not None]
+                assert handled[:len(ticks)] == sorted(ticks), (index, time, handled)
+                shared += 0 < len(ticks) < len(handled)
+        assert shared
 
 
 class TestTickElision:
