@@ -1,8 +1,11 @@
 """Executor: turns the common log-set stream into the total command order.
 
 Each node replays the same stream, so the whole module is a deterministic
-function of its input. Per command it tracks which nodes logged it and at
-what timestamps; per author it keeps a FIFO queue of that author's logs.
+function of its input. A log carries the commands one tick of its author
+pre-ordered, and the executor reads it as one entry per command, the k-th
+(k from 0) stamped ``timestamp + k``. Per command it tracks which nodes
+logged it and at what stamps; per author it keeps a FIFO queue of the
+digests of that author's logged commands.
 
 Commit proceeds by anchor sets:
 
@@ -71,7 +74,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .consensus import LogSet
-from .types import Command, Digest, PartialOrderLog, ProtocolInvariantError
+from .types import Command, Digest, ProtocolInvariantError
 
 NORMAL_PATH = "normal"
 ALTER_PATH = "alter"
@@ -87,30 +90,31 @@ class CommandUnavailable(Exception):
 
 @dataclass(slots=True)
 class CommandInfo:
-    """Aggregated per-command view: one log slot per node plus their timestamps."""
+    """Aggregated per-command view: the stamp each author's log gave it, by
+    author, the k-th command (k from 0) of a log stamped ``timestamp + k``."""
 
     digest: Digest
-    logs: dict[int, PartialOrderLog] = field(default_factory=dict)
+    stamps: dict[int, int] = field(default_factory=dict)
     _sorted: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     @property
     def support(self) -> int:
-        return len(self.logs)
+        return len(self.stamps)
 
     def timestamps(self) -> list[int]:
         """Reported timestamps in ascending order (cached; do not mutate)."""
         if self._sorted is None:
-            self._sorted = sorted(log.timestamp for log in self.logs.values())
+            self._sorted = sorted(self.stamps.values())
         return self._sorted
 
     def trusted_timestamp(self, f: int) -> Optional[int]:
         """The (f+1)-th smallest reported timestamp, defined at 2f+1 support."""
-        if len(self.logs) < 2 * f + 1:
+        if len(self.stamps) < 2 * f + 1:
             return None
         return self.timestamps()[f]
 
-    def add_log(self, log: PartialOrderLog) -> None:
-        self.logs[log.node_id] = log
+    def add_stamp(self, author: int, stamp: int) -> None:
+        self.stamps[author] = stamp
         self._sorted = None
 
     def drop_cache(self) -> None:
@@ -130,22 +134,24 @@ class IndexedInfo(CommandInfo):
     levels: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
 
-def record_log(infos: dict[Digest, CommandInfo], log: PartialOrderLog,
-               kind: type[CommandInfo] = CommandInfo) -> Optional[CommandInfo]:
-    """File ``log`` under its command's entry, creating a ``kind`` on first
-    sight; None, filing nothing, if its author logged the command before.
+def record_command(infos: dict[Digest, CommandInfo], author: int, stamp: int,
+                   digest: Digest, kind: type[CommandInfo] = CommandInfo
+                   ) -> Optional[CommandInfo]:
+    """File ``author``'s stamp under the command's entry, creating a ``kind``
+    on first sight; None, filing nothing, if the author logged the command
+    before.
 
     An honest author logs a command once (``Mempool.enqueue_command`` drops
-    a repeated digest), but a faulty one can get it certified at two seqs.
-    Every node ingests the same stream, so every node keeps the same first
-    log and skips the same later ones.
+    a repeated digest), but a faulty one can get it certified twice, in one
+    log or at two seqs. Every node ingests the same stream, so every node
+    keeps the same first stamp and skips the same later ones.
     """
-    info = infos.get(log.command_digest)
+    info = infos.get(digest)
     if info is None:
-        info = infos[log.command_digest] = kind(log.command_digest)
-    elif log.node_id in info.logs:
+        info = infos[digest] = kind(digest)
+    elif author in info.stamps:
         return None
-    info.add_log(log)
+    info.add_stamp(author, stamp)
     return info
 
 
@@ -179,7 +185,8 @@ class Executor:
         self._resolve = resolve_command
         self.committed_digests: set[Digest] = set()
         self.command_infos: dict[Digest, IndexedInfo] = {}
-        self.author_queues: list[deque[PartialOrderLog]] = [deque() for _ in range(n)]
+        # Per author, the digests of its logged open commands, in log order.
+        self.author_queues: list[deque[Digest]] = [deque() for _ in range(n)]
         self.committed_order: list[TraceEntry] = []
         # Anchor sets committed, and how many of them took the alter path.
         self.anchor_sets = 0
@@ -216,46 +223,47 @@ class Executor:
         wake = not self._settled
         top = self.f
         committed = self.committed_digests
+        infos = self.command_infos
         author_bits = self._author_bits
         for log in log_set:
-            info = record_log(self.command_infos, log, IndexedInfo)
-            digest = log.command_digest
-            if info is None or digest in committed:
-                continue  # a repeat, or a queue entry that would only be popped
             author = log.node_id
             queue = self.author_queues[author]
-            new_front = not queue
-            queue.append(log)
-            levels = info.levels
-            new = levels is None
-            if new:
-                bit = info.bit = 1 << self._next_index
-                self._by_index[self._next_index] = info
-                self._next_index += 1
-                self._open_bits |= bit
-                self._open[digest] = info
-                levels = info.levels = [0] * (top + 1)
-            else:
-                bit = info.bit
-            before = author_bits[author]
-            if before:
-                carry = before  # this author's predecessors, one level up
-                for k in range(top + 1):
-                    level = levels[k]
-                    levels[k] = level | carry
-                    carry = level & before
-                    if not carry:
-                        break
-            author_bits[author] = before | bit
-            if info.support >= self.quorum:
-                self._eligible[digest] = info
-            if not wake:
-                wake = self._wakes(info, new, new_front)
+            for stamp, digest in log.stamped():
+                info = record_command(infos, author, stamp, digest, IndexedInfo)
+                if info is None or digest in committed:
+                    continue  # a repeat, or a queue entry that would only be popped
+                new_front = not queue
+                queue.append(digest)
+                levels = info.levels
+                new = levels is None
+                if new:
+                    bit = info.bit = 1 << self._next_index
+                    self._by_index[self._next_index] = info
+                    self._next_index += 1
+                    self._open_bits |= bit
+                    self._open[digest] = info
+                    levels = info.levels = [0] * (top + 1)
+                else:
+                    bit = info.bit
+                before = author_bits[author]
+                if before:
+                    carry = before  # this author's predecessors, one level up
+                    for k in range(top + 1):
+                        level = levels[k]
+                        levels[k] = level | carry
+                        carry = level & before
+                        if not carry:
+                            break
+                author_bits[author] = before | bit
+                if info.support >= self.quorum:
+                    self._eligible[digest] = info
+                if not wake:
+                    wake = self._wakes(info, new, new_front)
         if wake:
             self._settled = False
 
     def _wakes(self, info: IndexedInfo, new: bool, new_front: bool) -> bool:
-        """Whether a log just filed for open ``info`` can change the last empty selection."""
+        """Whether a command just logged, open ``info``, can change the last empty selection."""
         if info.bit & self._deferring and info.support == self.quorum:
             self._deferring ^= info.bit
             if not self._deferring:
@@ -285,11 +293,11 @@ class Executor:
         """The (f+1)-th smallest reported timestamp, defined at 2f+1 support."""
         return info.trusted_timestamp(self.f)
 
-    def front_vector(self) -> list[Optional[PartialOrderLog]]:
+    def front_vector(self) -> list[Optional[Digest]]:
         """Pop committed fronts off every author queue and report the rest."""
-        fronts: list[Optional[PartialOrderLog]] = [None] * self.n
+        fronts: list[Optional[Digest]] = [None] * self.n
         for j, queue in enumerate(self.author_queues):
-            while queue and queue[0].command_digest in self.committed_digests:
+            while queue and queue[0] in self.committed_digests:
                 queue.popleft()
             if queue:
                 fronts[j] = queue[0]
@@ -312,7 +320,7 @@ class Executor:
         counts: dict[Digest, int] = {}
         for front in fronts:
             if front is not None:
-                counts[front.command_digest] = counts.get(front.command_digest, 0) + 1
+                counts[front] = counts.get(front, 0) + 1
         self._front_counts = counts
         agreed = sorted(d for d, c in counts.items() if c >= self.f + 1)
         if agreed:
@@ -434,7 +442,7 @@ class Executor:
         del self._by_index[bit.bit_length() - 1]
         # Every author that logged it did so while it was open, so holds its bit.
         self._open_bits ^= bit
-        for author in info.logs:
+        for author in info.stamps:
             self._author_bits[author] ^= bit
         info.bit = 0
         info.levels = None

@@ -13,10 +13,10 @@ without the network simulator:
 Every replica is the simulator's :class:`~phalanx.replica.Replica`, four
 to a :class:`FifoPort`. A scenario runs in phases: in each, every node
 receives its scripted commands through ``on_command`` and ticks once; with
-``tick_ms = 3`` that tick pre-orders the node's whole phase, stamped
-``stamp, stamp + 1, ...``. The port then delivers the pre-orders, votes,
-certified logs and the batch the leader's tick cut, until nothing is
-queued. After its last tick each replica receives every body it never
+``tick_ms = 3`` that tick pre-orders the node's whole phase as one log,
+whose commands read as stamped ``stamp, stamp + 1, ...``. The port then
+delivers the pre-orders, votes, certified logs and the batch the leader's
+tick cut, until nothing is queued. After its last tick each replica receives every body it never
 logged from the proposer; a strategy waiting on one commits once it lands.
 The leader's batch slot seqs and the committed sequences are asserted.
 """
@@ -137,8 +137,8 @@ def run_anchor_handoff() -> GoldenOutcome:
         {},
     ])
     details: list[str] = []
-    passed = _check(details, seqs == [[1, 1, None, None], [3, 3, 2, None], [3, 3, 3, 2]],
-                    "leader's batches carry slot seqs [1,1,-,-] [3,3,2,-] [3,3,3,2]")
+    passed = _check(details, seqs == [[1, 1, None, None], [2, 2, 1, None], [2, 2, 2, 1]],
+                    "leader's batches carry slot seqs [1,1,-,-] [2,2,1,-] [2,2,2,1]")
     passed &= _check(details, after[1] == [], "no anchor after the first batch")
     passed &= _check(details, after[2] == [red.digest, yellow.digest],
                      "second batch commits red then yellow")
@@ -174,8 +174,8 @@ def run_median_inversion() -> GoldenOutcome:
             {0: (0, [early, late]), 1: (3, [early, late]), 2: (2, [late, early])},
             {},
         ])
-        passed &= _check(details, seqs == [[2, 2, 2, None]],
-                         f"{strategy}: the leader's batch carries slot seqs [2,2,2,-]")
+        passed &= _check(details, seqs == [[1, 1, 1, None]],
+                         f"{strategy}: the leader's batch carries slot seqs [1,1,1,-]")
         _hand_over(port, [early, late])
         for replica in port.replicas:
             replica.executor.flush()

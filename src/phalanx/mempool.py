@@ -3,42 +3,41 @@
 The mempool turns received commands into certified, hash-chained
 partial-order logs through three steps:
 
-1. pre-order: pop the front command, stamp it with the caller's clock
-   value, chain it on this node's newest own log, certified or not, and
-   broadcast the uncertified log. Up to ``PRE_ORDER_WINDOW`` own logs may
-   await votes at once (PBFT's low/high watermarks), so one tick of the
-   caller may pre-order several. The window caps throughput: at most a
-   window of logs per tick where votes return within one, per vote round
-   trip on slower links. It is 24, at which the simulator's peak memory
-   stays within about 1% of window 12's (see the constant). The tick
-   stamps them ``stamp, stamp + 1, ...``
-   (:meth:`Replica.tick <phalanx.replica.Replica.tick>`), so an honest
-   author's stamps strictly increase along its chain: equal stamps would
-   leave the order of its logs to the digest tie-break of trusted
-   timestamps. A log starved of votes is re-broadcast, the one whose
-   re-broadcast fell due first. A log falls due once it has waited the
-   re-broadcast timeout since its last send: ``resend_ms`` until a round
-   trip is measured, then ``max(resend_ms, SRTT + 4 * RTTVAR)``
-   (:meth:`Mempool.resend_timeout`). A certification samples the own
-   log's vote round trip, from its first send to the 2f+1-th share, into
-   SRTT and RTTVAR with RFC 6298's gains (1/8 and 1/4), in integer ms, if
-   the log was first sent at or after the previous sample. That times one
-   log per round trip, as TCP times one segment per round trip: the logs
-   one vote transmission certifies together give one sample, not a run of
-   correlated ones that would pull RTTVAR down. A fixed timer fires
-   before most votes return once many logs are in flight, as link delays
-   clamped behind earlier messages push the round trip past
-   ``resend_ms``;
-2. vote: a peer votes for an author's log whose seq lies above the author's
-   certified head h and at most h + ``PRE_ORDER_WINDOW``, and that chains on
-   the higher of that head and the newest log it voted for. It repeats its
-   vote for a re-broadcast and refuses to endorse two different logs at the
-   same (author, seq);
+1. pre-order: :meth:`Mempool.try_pre_order` packs the commands a tick
+   staged (:meth:`Mempool.stage`) into one log stamped with the caller's
+   clock value, chains it on this node's newest own log, certified or
+   not, and broadcasts the uncertified log. Its k-th command (k from 0)
+   reads as stamped ``timestamp + k``, below the next tick's stamp, so an
+   honest author's stamps strictly increase along its chain: equal stamps
+   would leave the order of its commands to the digest tie-break of
+   trusted timestamps. Up to ``PRE_ORDER_WINDOW`` own commands may be
+   staged or await votes at once (PBFT's low/high watermarks), which caps
+   throughput at a window of commands per vote round trip. A log starved
+   of votes is re-broadcast, the one whose re-broadcast fell due first. A
+   log falls due once it has waited the re-broadcast timeout since its
+   last send: ``resend_ms`` until a round trip is measured, then
+   ``max(resend_ms, SRTT + 4 * RTTVAR)`` (:meth:`Mempool.resend_timeout`).
+   A certification samples the own log's vote round trip, from its first
+   send to the 2f+1-th share, into SRTT and RTTVAR with RFC 6298's gains
+   (1/8 and 1/4), in integer ms, if the log was first sent at or after
+   the previous sample. That times one log per round trip, as TCP times
+   one segment per round trip: the logs one vote transmission certifies
+   together give one sample, not a run of correlated ones that would pull
+   RTTVAR down. A fixed timer fires before most votes return once many
+   logs are in flight, as link delays clamped behind earlier messages
+   push the round trip past ``resend_ms``;
+2. vote: a peer votes for an author's log whose seq lies above the
+   author's certified head h, that chains on the higher of that head and
+   the newest log it voted for, and that keeps the commands of the
+   author's voted logs above h, this one counted, within
+   ``PRE_ORDER_WINDOW``. It repeats its vote for a re-broadcast and
+   refuses to endorse two different logs at the same (author, seq);
 3. order: once 2f+1 shares for one outstanding log arrive, the author
    combines them into a certificate and broadcasts the completed log. Logs
    may complete out of seq order, but an author's certified head h, which
    the order-batches carry, only moves over a prefix 1..h stored without a
-   gap; a log stored above a gap waits there.
+   gap; a log stored above a gap waits there. A vote that arrives after
+   its log certified counts in ``late_votes``, not as a reject.
 
 Each node checks each vote share and each log digest once. A share is
 verified when its vote arrives and combined into the certificate without
@@ -66,21 +65,22 @@ REJECT_BAD_DIGEST = "reject_bad_digest"
 REJECT_BAD_AUTHOR = "reject_bad_author"
 REJECT_GAP = "reject_gap"
 REJECT_EQUIVOCATION = "reject_equivocation"
-STALE_VOTE = "stale_vote"
 INVALID_PARTIAL = "invalid_partial"
 INVALID_CERT = "invalid_cert"
 CHAIN_BREAK = "chain_break"
 REJECT_REASONS = (DUPLICATE_COMMAND, REJECT_BAD_DIGEST, REJECT_BAD_AUTHOR, REJECT_GAP,
-                  REJECT_EQUIVOCATION, STALE_VOTE, INVALID_PARTIAL, INVALID_CERT, CHAIN_BREAK)
+                  REJECT_EQUIVOCATION, INVALID_PARTIAL, INVALID_CERT, CHAIN_BREAK)
 
-# Own logs a node may have awaiting votes at once, and how far above an
-# author's certified head a voter endorses. The simulator's peak memory
-# grows with the messages in flight. With each message sent on its own,
-# raising the window from 12 to 24 raised perfbench's median peak RSS by
-# 4.9% on sweep16_timestamp and 4.3% on alter16, near the benchmark's 5%
-# bound. With what one step sends to a peer carried as one transmission,
-# window 24 peaks at +0.1% / +0.6% / +1.0% (burst4 / sweep16_timestamp /
-# alter16, medians of ten runs) over window 12 sent message by message.
+# Own commands a node may have staged or awaiting votes at once, and how
+# many commands of an author's voted logs above its certified head a voter
+# endorses. The simulator's peak memory grows with the messages in flight.
+# With each message sent on its own, raising the window from 12 to 24
+# raised perfbench's median peak RSS by 4.9% on sweep16_timestamp and 4.3%
+# on alter16, near the benchmark's 5% bound. With what one step sends to a
+# peer carried as one transmission, window 24 peaks at +0.1% / +0.6% /
+# +1.0% (burst4 / sweep16_timestamp / alter16, medians of ten runs) over
+# window 12 sent message by message. Counted in commands, so one log per
+# tick keeps the flow control of one log per command.
 PRE_ORDER_WINDOW = 24
 
 
@@ -111,12 +111,16 @@ class Mempool:
         self.seq = 0
         # Digest of this node's newest own log, certified or not.
         self.tip = EMPTY_DIGEST
-        # Own logs awaiting votes, by digest, in seq order.
+        # Own logs awaiting votes, by digest, in seq order, and the commands
+        # they carry.
         self.outstanding: dict[Digest, Outstanding] = {}
+        self.in_flight = 0
         # Per author, the newest log of the prefix stored without a gap: the
         # certified head.
         self.latest: list[Optional[PartialOrderLog]] = [None] * self.n
         self.inbound: deque[Command] = deque()
+        # Commands the current tick took from ``inbound`` for its log.
+        self.staged: list[Command] = []
         # Per author, the pre-order logs this node hashed and voted for, by
         # seq, until the certified head passes that seq: blocks equivocation
         # and spares is_certified a second hash.
@@ -124,6 +128,8 @@ class Mempool:
         self.command_store: dict[Digest, Command] = {}
         self.log_store: dict[tuple[int, int], PartialOrderLog] = {}
         self.rejects: Counter[str] = Counter()
+        # Votes for no outstanding own log: they arrived after it certified.
+        self.late_votes = 0
         self.chain_break_evidence: list[tuple[PartialOrderLog, PartialOrderLog]] = []
         # Vote round-trip estimator (RFC 6298), in ms: SRTT (None before the
         # first sample), RTTVAR, and SRTT + 4 * RTTVAR (0 before the first
@@ -152,18 +158,27 @@ class Mempool:
     # step 1: pre-order
 
     def has_room(self) -> bool:
-        """True if fewer than ``PRE_ORDER_WINDOW`` own logs await votes."""
-        return len(self.outstanding) < PRE_ORDER_WINDOW
+        """True if fewer than ``PRE_ORDER_WINDOW`` own commands are staged
+        or await votes."""
+        return len(self.staged) + self.in_flight < PRE_ORDER_WINDOW
+
+    def stage(self) -> None:
+        """Move the front queued command into the log the tick is building."""
+        self.staged.append(self.inbound.popleft())
 
     def try_pre_order(self, now: int) -> Optional[PreOrderMessage]:
-        """Start ordering the front command if the window has room."""
-        if len(self.outstanding) >= PRE_ORDER_WINDOW or not self.inbound:
+        """Pack the staged commands into one log stamped ``now``; None if
+        none is staged."""
+        staged = self.staged
+        if not staged:
             return None
-        cmd = self.inbound.popleft()
+        digests = tuple(cmd.digest for cmd in staged)
+        staged.clear()
         self.seq += 1
-        log = PartialOrderLog.create(self.node_id, self.seq, now, cmd.digest, self.tip)
+        log = PartialOrderLog.create(self.node_id, self.seq, now, digests, self.tip)
         self.tip = log.cur_digest
         self.outstanding[log.cur_digest] = Outstanding(log, now)
+        self.in_flight += len(digests)
         return PreOrderMessage(log)
 
     def first_due(self) -> Optional[Outstanding]:
@@ -216,7 +231,7 @@ class Mempool:
         head = self.latest[sender]
         head_seq = 0 if head is None else head.seq
         seq = log.seq
-        if seq <= head_seq or seq > head_seq + PRE_ORDER_WINDOW:
+        if seq <= head_seq:
             self.rejects[REJECT_GAP] += 1
             return None
         voted = self.voted[sender]
@@ -237,7 +252,11 @@ class Mempool:
             else:
                 below = voted.get(seq - 1)
                 prev = None if below is None else below.cur_digest
-            if log.prev_digest != prev:
+            # The window counts the commands of this log and of every voted
+            # log above the head.
+            commands = len(log.command_digests) + sum(
+                len(above.command_digests) for above in voted.values())
+            if log.prev_digest != prev or commands > PRE_ORDER_WINDOW:
                 self.rejects[REJECT_GAP] += 1
                 return None
             voted[seq] = log
@@ -255,7 +274,7 @@ class Mempool:
         digest = partial.event_digest
         entry = self.outstanding.get(digest)
         if entry is None:
-            self.rejects[STALE_VOTE] += 1
+            self.late_votes += 1
             return None
         if partial.signer != sender or not self.auth.verify_partial(partial):
             self.rejects[INVALID_PARTIAL] += 1
@@ -267,10 +286,11 @@ class Mempool:
         log = entry.log
         completed = log.with_certificate(self.auth.combine(digest, shares.values()))
         del self.outstanding[digest]
+        self.in_flight -= len(log.command_digests)
         if log.timestamp >= self.sampled_at:
             self.sampled_at = now
-            # A tick stamps its k-th log ``stamp + k``, so with no link delay
-            # the round trip can read up to k below 0.
+            # A caller may stamp a tick ahead of the clock it samples at, so
+            # the round trip can read below 0.
             self._sample_round_trip(max(0, now - log.timestamp))
         self._store_log(completed)
         return OrderMessage(completed)
@@ -302,7 +322,7 @@ class Mempool:
         tampered copy of a stored log is still rejected.
 
         The digest is not hashed again when the log's six uncertified fields
-        (author, seq, timestamp, command digest, previous digest and digest)
+        (author, seq, timestamp, command digests, previous digest and digest)
         equal those of the pre-order log in ``voted`` at its (author, seq).
         :meth:`handle_pre_order` hashed that log and found its digest
         matching before voting, and the digest is a function of the other
@@ -319,7 +339,7 @@ class Mempool:
             voted is None
             or voted.cur_digest != log.cur_digest
             or voted.timestamp != log.timestamp
-            or voted.command_digest != log.command_digest
+            or voted.command_digests != log.command_digests
             or voted.prev_digest != log.prev_digest
         ) and not log.verify_digest():
             return False

@@ -25,11 +25,12 @@ so that a test may replace a method on the port object:
 * ``net.now`` is the current time, read only by :meth:`Replica.clock`.
 
 The caller drives :meth:`Replica.tick` with the stamp to put on new logs.
-A tick pre-orders queued commands until the pre-order window is full, the
-queue is empty or it has used ``tick_ms`` stamps, stamping the k-th
-(k from 0) ``stamp + k``. A caller whose successive ticks' stamps lie at
-least ``tick_ms`` apart thus gets strictly increasing stamps along the
-node's chain. A tick that pre-orders nothing re-broadcasts an own log once
+A tick takes queued commands until the pre-order window is full, the
+queue is empty or it has taken ``tick_ms``, and pre-orders them as one log
+stamped ``stamp``, whose k-th command (k from 0) reads as stamped
+``stamp + k``. A caller whose successive ticks' stamps lie at least
+``tick_ms`` apart thus gets strictly increasing stamps along the node's
+chain. A tick that pre-orders nothing re-broadcasts an own log once
 it has waited the mempool's re-broadcast timeout for votes: ``resend_ms``
 until a vote round trip is measured, then the RFC 6298 estimate, never
 below ``resend_ms``.
@@ -102,24 +103,22 @@ class Replica:
         k = 0
         while k < self.tick_ms and mempool.inbound and mempool.has_room():
             self.before_pre_order()
-            self.net.broadcast(self.node_id, mempool.try_pre_order(stamp + k), include_self=True)
+            mempool.stage()
             k += 1
-        if not k:
-            msg = mempool.resend_pre_order(stamp)
-            if msg is not None:
-                self.net.broadcast(self.node_id, msg, include_self=True)
-                k = 1
+        msg = mempool.try_pre_order(stamp) if k else mempool.resend_pre_order(stamp)
+        if msg is not None:
+            self.net.broadcast(self.node_id, msg, include_self=True)
         if self.is_leader:
             batch = self.consenter.make_order_batch()
             if batch is not None:
                 self.net.sequencer.submit(batch)
                 return True
-        return k > 0
+        return msg is not None
 
     def before_pre_order(self) -> None:
-        """Called before each pre-order of a tick, with a command queued and
-        room in the pre-order window; a subclass may reorder the inbound
-        queue here."""
+        """Called before a tick takes each command for its log, with a
+        command queued and room in the pre-order window; a subclass may
+        reorder the inbound queue here."""
 
     def clock(self) -> int:
         """The stamp a tick would put on a log now; a subclass may skew it."""

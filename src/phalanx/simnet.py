@@ -17,17 +17,18 @@ Each node is a :class:`~phalanx.replica.Replica` whose port is the
 :class:`Simulation` itself (``send``, ``broadcast``, ``wake``,
 ``sequencer`` and ``now``), so this module never branches on the ordering
 strategy and holds no protocol handler: it carries messages and batches,
-schedules ticks, and flushes every strategy at the end.
+schedules ticks, and flushes every strategy at the end. ``send`` counts
+the protocol messages by class for ``result.json``'s ``messages``.
 
 Each node ticks on its own grid, ``phase + k * delta_o`` for k >= 1 with
-``phase = node_id * delta_o // n``. A tick pre-orders queued commands until
-the mempool's pre-order window is full, the queue is empty or it has
-started ``delta_o`` pre-orders (the k-th, from 0, is stamped ``stamp + k``,
-so stamps stay below the next tick's); if it starts none, it re-broadcasts
-the starved log that fell due first. On the leader it also snapshots an
-order-batch. One rule, :meth:`Simulation._next_tick`, decides when a node
-ticks: its first grid tick at or after a given one at which its tick can
-act. That is the given tick itself if commands are queued while the
+``phase = node_id * delta_o // n``. A tick takes queued commands until
+the mempool's pre-order window is full, the queue is empty or it has taken
+``delta_o`` of them, and pre-orders them as one log (its k-th command, from
+0, reads as stamped ``stamp + k``, so stamps stay below the next tick's);
+if it takes none, it re-broadcasts the starved log that fell due first.
+On the leader it also snapshots an order-batch. One rule,
+:meth:`Simulation._next_tick`, decides when a node ticks: its first grid
+tick at or after a given one at which its tick can act. That is the given tick itself if commands are queued while the
 pre-order window has room, or if the node leads and some author's
 certified head moved since the last order-batch it cut
 (:meth:`~phalanx.consensus.Consenter.has_batch`: the batch just cut counts,
@@ -67,12 +68,12 @@ Byzantine behaviors live here and in :mod:`~phalanx.scenario` only, never
 in the replica. They reorder a node's inbound queue, skew its reported log
 timestamps, or silence it entirely. :class:`_Node` applies the skewed stamp
 on each tick and to the clock that times its vote round trips, and the
-queue behaviour before each pre-order of a tick; a silent node is a
-:class:`_SilentNode`. A ``shuffle`` node makes one uniform draw over its
-queue before each pre-order that finds the window with room and two or
-more commands queued, and pre-orders the drawn command; the rest keep
-their arrival order. A ``reverse`` node moves its newest queued
-command to the front before each pre-order, so it always pre-orders
+queue behaviour before a tick takes each command for its log; a silent
+node is a :class:`_SilentNode`. A ``shuffle`` node makes one uniform draw
+over its queue before each command taken while the window has room and
+two or more commands are queued, and takes the drawn command; the rest
+keep their arrival order. A ``reverse`` node moves its newest queued
+command to the front before each command taken, so it always pre-orders
 newest-first.
 """
 
@@ -82,7 +83,9 @@ import hashlib
 import heapq
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import get_args
 
 from .authenticators import HmacAuthenticator
 from .consensus import LEADER, OrderBatch, SequencerBroadcast
@@ -92,7 +95,7 @@ from .metrics import reordered_ratio, traces_consistent, traces_prefix_consisten
 from .replica import Replica
 from .scenario import Scenario
 from .types import Command
-from .wire import PreOrderMessage
+from .wire import Message, PreOrderMessage
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -134,6 +137,10 @@ class ExperimentResult:
     rebroadcasts: int
     # Mempool.rejects of the honest nodes summed, by reason, zeros included.
     rejects: dict[str, int]
+    # Votes that arrived after their log certified, summed over honest nodes.
+    late_votes: int
+    # Protocol messages sent by every node, by wire kind, zeros included.
+    messages: dict[str, int]
     batch_trace: list[str] = field(default_factory=list)
 
     @property
@@ -162,6 +169,8 @@ class ExperimentResult:
             "events_processed": self.events_processed,
             "rebroadcasts": self.rebroadcasts,
             "rejects": self.rejects,
+            "late_votes": self.late_votes,
+            "messages": self.messages,
             "trace_sha256": self.trace_sha256(),
         }
 
@@ -192,8 +201,8 @@ class _Node(Replica):
         self._shuffle_rng = random.Random(f"phalanx:{scenario.seed}:byz:{node_id}")
 
     def on_tick(self, now: int) -> bool:
-        """Tick at the skewed stamp; the queue behaviour runs before each
-        pre-order of the tick."""
+        """Tick at the skewed stamp; the queue behaviour runs before the
+        tick takes each command."""
         return self.tick(self._stamp(now))
 
     def clock(self) -> int:
@@ -208,8 +217,8 @@ class _Node(Replica):
         if len(queue) < 2:
             return
         if self.behavior.shuffle:
-            # Pre-order a uniformly drawn queued command. Only a pre-order
-            # draws, so there is one draw per pre-order, not per tick.
+            # Take a uniformly drawn queued command. Only a command taken
+            # draws, so there is one draw per command, not per tick.
             j = self._shuffle_rng.randrange(len(queue))
             if j:
                 cmd = queue[j]
@@ -218,7 +227,7 @@ class _Node(Replica):
         elif self.behavior.reverse:
             # Serve the local FIFO from the back: the newest command is
             # pre-ordered first, inverting the declared partial order. Only a
-            # pre-order rotates, so every pre-order takes the newest.
+            # command taken rotates, so each one taken is the newest.
             queue.rotate(1)
 
 
@@ -269,6 +278,8 @@ class Simulation:
         # The transmission each (src, dst, kind) opened in the current event.
         self._bundles: dict[tuple[int, int, int], list] = {}
         self.events_processed = 0
+        # Protocol messages sent, by message class.
+        self._sent: Counter[type] = Counter()
         # Proposers occupy ranks n..n+p-1 in link keys and tie-breaks; a
         # node's tick takes key ``node_id - n``, below every rank.
         self._proposer_rank = scenario.n
@@ -355,6 +366,7 @@ class Simulation:
         return due + (grid - due) % self._delta
 
     def send(self, src: int, dst: int, msg) -> None:
+        self._sent[type(msg)] += 1
         self._post(src, dst, _EV_MSG, msg)
 
     def broadcast(self, src: int, msg, include_self: bool) -> None:
@@ -475,6 +487,7 @@ class Simulation:
         rebroadcasts = sum(node.mempool.rebroadcasts for node in honest)
         rejects = {reason: sum(node.mempool.rejects[reason] for node in honest)
                    for reason in REJECT_REASONS}
+        late_votes = sum(node.mempool.late_votes for node in honest)
         ref_node = self.nodes[self.reference_node]
         return ExperimentResult(
             scenario=scenario,
@@ -493,6 +506,8 @@ class Simulation:
             events_processed=self.events_processed,
             rebroadcasts=rebroadcasts,
             rejects=rejects,
+            late_votes=late_votes,
+            messages={kind.kind: self._sent[kind] for kind in get_args(Message)},
             batch_trace=list(ref_node.consenter.batch_trace),
         )
 

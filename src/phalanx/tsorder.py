@@ -17,7 +17,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .consensus import LogSet
-from .executor import CommandInfo, TraceEntry, record_log
+from .executor import CommandInfo, TraceEntry, record_command
 from .mempool import Mempool
 from .types import Command, Digest
 
@@ -46,8 +46,11 @@ class TimestampExecutor:
             self.ingest_log_set(self.pending_sets.popleft())
 
     def ingest_log_set(self, log_set: LogSet) -> None:
+        infos = self.command_infos
         for log in log_set:
-            record_log(self.command_infos, log)
+            author = log.node_id
+            for stamp, digest in log.stamped():
+                record_command(infos, author, stamp, digest)
 
     def trusted_timestamp(self, info: CommandInfo) -> Optional[int]:
         return info.trusted_timestamp(self.f)
@@ -93,8 +96,9 @@ class FollowExecutor:
     """Commits the designated node's certified chain, in chain order.
 
     It needs no log sets: at the end of the run it reads the chain from this
-    node's own log store, skipping a log whose command body never arrived
-    or whose command the chain logged before.
+    node's own log store, each log's commands in order, the k-th (k from 0)
+    stamped ``timestamp + k``, skipping a command whose body never arrived
+    or that the chain logged before.
     """
 
     uses_consensus = False
@@ -118,11 +122,12 @@ class FollowExecutor:
         mempool, order = self.mempool, self.committed_order
         while (log := mempool.fetch_log(self.designated, self._next_seq)) is not None:
             self._next_seq += 1
-            cmd = mempool.fetch_command(log.command_digest)
-            if cmd is not None and cmd.digest not in self._committed:
-                self._committed.add(cmd.digest)
-                order.append(TraceEntry(len(order), cmd.proposer_id, cmd.seq,
-                                        cmd.digest, log.timestamp, "-"))
+            for stamp, digest in log.stamped():
+                cmd = mempool.fetch_command(digest)
+                if cmd is not None and digest not in self._committed:
+                    self._committed.add(digest)
+                    order.append(TraceEntry(len(order), cmd.proposer_id, cmd.seq,
+                                            digest, stamp, "-"))
 
     def alter_path_ratio(self) -> float:
         return 0.0

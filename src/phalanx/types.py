@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 Digest = bytes
 
@@ -44,23 +44,27 @@ def digest_log(
     node_id: int,
     seq: int,
     timestamp: int,
-    command_digest: Digest,
+    command_digests: tuple[Digest, ...],
     prev_digest: Digest,
 ) -> Digest:
-    """Digest of a log: sha256 over u16 node || u64 seq || u64 ts || cmd digest || prev digest.
+    """Digest of a log: sha256 over u16 node || u64 seq || u64 ts || u32 count
+    || the command digests in order || prev digest.
 
-    The first log of a node (seq 1) must chain from EMPTY_DIGEST; every later
-    log must carry a real predecessor digest.
+    A log carries at least one command. The first log of a node (seq 1) must
+    chain from EMPTY_DIGEST; every later log must carry a real predecessor
+    digest.
     """
     if seq < 1:
         raise PreconditionViolation(f"log seq must be >= 1, got {seq}")
+    if not command_digests:
+        raise PreconditionViolation(f"a log must carry a command (seq={seq})")
     if (seq == 1) != (prev_digest == EMPTY_DIGEST):
         raise PreconditionViolation(
             f"prev_digest must be empty iff seq == 1 (seq={seq})"
         )
     return hashlib.sha256(
-        struct.pack(">HQQ", node_id, seq, timestamp)
-        + command_digest
+        struct.pack(">HQQI", node_id, seq, timestamp, len(command_digests))
+        + b"".join(command_digests)
         + prev_digest
     ).digest()
 
@@ -106,9 +110,11 @@ class Certificate:
 
 @dataclass(frozen=True, slots=True)
 class PartialOrderLog:
-    """A node's hash-chained declaration that a command sits at position ``seq``
-    in its local order.
+    """A node's hash-chained declaration of the commands one of its ticks
+    pre-ordered, in order, at position ``seq`` of its local order.
 
+    The k-th command (k from 0) reads as stamped ``timestamp + k``
+    (:meth:`stamped`), so the digest authenticates every command's stamp.
     ``certificate`` is None while the log is still gathering votes (pre-order
     stage) and present once 2f+1 nodes endorsed it.
     """
@@ -116,7 +122,7 @@ class PartialOrderLog:
     node_id: int
     seq: int
     timestamp: int
-    command_digest: Digest
+    command_digests: tuple[Digest, ...]
     prev_digest: Digest
     cur_digest: Digest
     certificate: Optional[Certificate] = None
@@ -127,17 +133,22 @@ class PartialOrderLog:
         node_id: int,
         seq: int,
         timestamp: int,
-        command_digest: Digest,
+        command_digests: tuple[Digest, ...],
         prev_digest: Digest,
     ) -> "PartialOrderLog":
-        cur = digest_log(node_id, seq, timestamp, command_digest, prev_digest)
-        return cls(node_id, seq, timestamp, command_digest, prev_digest, cur)
+        cur = digest_log(node_id, seq, timestamp, command_digests, prev_digest)
+        return cls(node_id, seq, timestamp, command_digests, prev_digest, cur)
+
+    def stamped(self) -> Iterator[tuple[int, Digest]]:
+        """(stamp, command digest) of each command in order: the k-th (k
+        from 0) is stamped ``timestamp + k``."""
+        return enumerate(self.command_digests, self.timestamp)
 
     def verify_digest(self) -> bool:
         try:
             expected = digest_log(
                 self.node_id, self.seq, self.timestamp,
-                self.command_digest, self.prev_digest,
+                self.command_digests, self.prev_digest,
             )
         except PreconditionViolation:
             return False
@@ -146,11 +157,11 @@ class PartialOrderLog:
     def with_certificate(self, cert: Certificate) -> "PartialOrderLog":
         return PartialOrderLog(
             self.node_id, self.seq, self.timestamp,
-            self.command_digest, self.prev_digest, self.cur_digest, cert,
+            self.command_digests, self.prev_digest, self.cur_digest, cert,
         )
 
     def without_certificate(self) -> "PartialOrderLog":
         return PartialOrderLog(
             self.node_id, self.seq, self.timestamp,
-            self.command_digest, self.prev_digest, self.cur_digest,
+            self.command_digests, self.prev_digest, self.cur_digest,
         )

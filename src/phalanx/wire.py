@@ -3,11 +3,17 @@
 Kinds carried on the simulated wire, each encoded as a one-byte tag
 followed by the payload in the canonical big-endian encoding:
 
-    1 PRE_ORDER   uncertified log, asking peers to vote
+    1 PRE_ORDER   uncertified log, asking peers to vote for every command
+                  it carries at once
     2 VOTE        signature share, which names the log digest it signs
     3 ORDER       certified log, broadcast by its author or sent to a peer
                   that asked for it with a FETCH_LOG
     4 FETCH_LOG   request for a certified log by (author, seq)
+
+A log carries the digests of the commands one tick of its author
+pre-ordered, in order, so one vote and one certificate cover them all.
+Each message class names its kind in ``kind``, the key under which
+``result.json`` counts the messages sent.
 
 No kind carries a command body: each proposer sends its commands to every
 node itself, so no node needs to fetch one from a peer.
@@ -33,21 +39,25 @@ FETCH_LOG = 4
 
 @dataclass(frozen=True, slots=True)
 class PreOrderMessage:
+    kind = "pre_order"
     log: PartialOrderLog  # certificate absent
 
 
 @dataclass(frozen=True, slots=True)
 class VoteMessage:
+    kind = "vote"
     partial: PartialSignature  # signs partial.event_digest, the log's digest
 
 
 @dataclass(frozen=True, slots=True)
 class OrderMessage:
+    kind = "order"
     log: PartialOrderLog  # certificate present
 
 
 @dataclass(frozen=True, slots=True)
 class FetchLogMessage:
+    kind = "fetch_log"
     author: int
     seq: int
 
@@ -80,9 +90,11 @@ def encode_partial(ps: PartialSignature) -> bytes:
 
 
 def encode_log(log: PartialOrderLog) -> bytes:
+    """The log's fields, its command digests prefixed by their count, then
+    a certificate flag and the certificate, if present."""
     head = (
-        struct.pack(">HQQ", log.node_id, log.seq, log.timestamp)
-        + log.command_digest
+        struct.pack(">HQQI", log.node_id, log.seq, log.timestamp, len(log.command_digests))
+        + b"".join(log.command_digests)
         + log.prev_digest
     )
     if log.certificate is None:

@@ -34,10 +34,11 @@ def certify_log(auth, log: PartialOrderLog) -> PartialOrderLog:
 
 
 def certified_chain(auth, author: int, entries) -> list[PartialOrderLog]:
-    """Certified, hash-chained logs of ``author``, one per (command, timestamp)."""
+    """Certified, hash-chained logs of ``author``, one command each, one per
+    (command, timestamp)."""
     logs, prev = [], EMPTY_DIGEST
     for seq, (command, ts) in enumerate(entries, start=1):
-        log = PartialOrderLog.create(author, seq, ts, command.digest, prev)
+        log = PartialOrderLog.create(author, seq, ts, (command.digest,), prev)
         logs.append(certify_log(auth, log))
         prev = logs[-1].cur_digest
     return logs
@@ -110,13 +111,14 @@ def wide_scenario(rng: random.Random, strategy: str = ANCHOR) -> Scenario:
     )
 
 
-def collect_log_tables(sim: Simulation) -> dict[int, dict[bytes, int]]:
-    """Union of certified logs across all stores: author -> digest -> seq.
+def collect_log_tables(sim: Simulation) -> dict[int, dict[bytes, tuple[int, int]]]:
+    """Union of certified logs across all stores: author -> command digest ->
+    position (seq, k), the log's seq and the command's index k in it.
 
     Raises AssertionError if two verifying logs conflict on (author, seq).
     """
     slots: dict[tuple[int, int], bytes] = {}
-    tables: dict[int, dict[bytes, int]] = {}
+    tables: dict[int, dict[bytes, tuple[int, int]]] = {}
     for node in sim.nodes:
         for (author, seq), log in node.mempool.log_store.items():
             prior = slots.get((author, seq))
@@ -126,7 +128,9 @@ def collect_log_tables(sim: Simulation) -> dict[int, dict[bytes, int]]:
                 raise AssertionError(
                     f"two verifying logs share author={author} seq={seq}"
                 )
-            tables.setdefault(author, {})[log.command_digest] = seq
+            positions = tables.setdefault(author, {})
+            for k, digest in enumerate(log.command_digests):
+                positions[digest] = (seq, k)
     return tables
 
 

@@ -31,7 +31,7 @@ def command(node_id, seq):
 
 
 def certified(auth, node_id, seq, prev):
-    log = PartialOrderLog.create(node_id, seq, seq, command(node_id, seq).digest, prev)
+    log = PartialOrderLog.create(node_id, seq, seq, (command(node_id, seq).digest,), prev)
     return certify_log(auth, log)
 
 

@@ -40,6 +40,12 @@ began to time one own log per vote round trip, which moved the window-24
 1..1200 ms pins again: their re-broadcasts fell to 0. ``burst4``,
 ``follow_reverse4``, the ``lan_smoke`` batches and the zero-latency,
 cut-short and ``wide`` stall pins held.
+
+When one log came to carry every command its tick pre-orders, every
+batch-trace pin moved with the log encoding, and a trace moved only where
+the run had fetched a log: the two ``sweep16`` traces and the ``anchor``
+tie-break traces 19 and 26. Every stop-and-wait trace held, and the stall
+pins were re-selected by their rule, since neither old seed stalled.
 """
 
 import hashlib
@@ -150,11 +156,11 @@ PINS = {
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "60b5744067d09e661356bafa9a5579d73cc30a604df1d5d81017d9dbee4be765",
+        "eab809d73ea0e71b3de63b407c4c7409aef6f93d851dbdc85bd4a513cf8b4f9c",
     ),
     "sweep16_anchor": (
         SWEEP16.format(strategy="anchor"),
-        "3ac70245e5bd78de63e4ebed1409c36fe519b163368f5088c3c270e0aabd04b2",
+        "0c59633580ada0562c9688156223e664e57b8c8f6b46bd327ecf4daf1d309b5c",
     ),
     # Alter-path sets closed under reliable order: reordered_ratio 0.
     "alter16": (
@@ -188,17 +194,17 @@ STOP_AND_WAIT_PINS = {
 BATCH_PINS = {
     "lan_smoke": (
         LAN_SMOKE,
-        "846b89da34d631a26a0089cb9679d5558a03e8513810a5b2637cbc635889a3d2",
+        "21528a6cd2ae42b1c8be906fac6514220fd1f9b318c36894be379133df188903",
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "c671fb23ca65b9b5341e67184107ff4c0ea18262b0c91790863f087aa4648fa7",
+        "bc007a07688d26a55e67dd5875fd6011ba1324ce5958543dc654b1c65e07cacc",
     ),
 }
 
 STOP_AND_WAIT_BATCH_PINS = {
-    "lan_smoke": "bb2608fe929a2720a3d632862cf6116e95fab9e062a6ca3617e1c02874330f98",
-    "sweep16_timestamp": "e20d08e035ec66aae2bae0e4b4643d12816100c4d72358b7f1a2eaf591624dac",
+    "lan_smoke": "dbc1f8f246ffc4f629bbbbf3379e4beeb7ed307e96e3442d45e7bf4693a4daa5",
+    "sweep16_timestamp": "1b76f8fd4cec456f466aa5b9bf2894e3507a22e2cce8b154b94b81c35acb9505",
 }
 
 
@@ -222,27 +228,27 @@ SCENARIO_ECHO = {
 NO_REJECTS = {
     "chain_break": 0, "duplicate_command": 0, "invalid_cert": 0, "invalid_partial": 0,
     "reject_bad_author": 0, "reject_bad_digest": 0, "reject_equivocation": 0,
-    "reject_gap": 0, "stale_vote": 0,
+    "reject_gap": 0,
 }
 
 # Every result.json field of two reference scenarios, scenario echo included.
 RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
-        "consistency": True, "events_processed": 22878, "leader_faults": 0,
-        "rebroadcasts": 0,
-        "rejects": {**NO_REJECTS, "stale_vote": 4400},
+        "consistency": True, "events_processed": 22987, "leader_faults": 0,
+        "rebroadcasts": 0, "rejects": NO_REJECTS, "late_votes": 1325,
+        "messages": {"pre_order": 6160, "vote": 6160, "order": 5775, "fetch_log": 0},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
-        "reordered_ratio": 0.023717948717948717, "schema_version": 1,
-        "sim_time_ms": 10816, "total_proposed": 80, "uncommitted": 0,
+        "reordered_ratio": 0.027564102564102563, "schema_version": 1,
+        "sim_time_ms": 10996, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": PINS["sweep16_timestamp"][1],
         "scenario": SCENARIO_ECHO["sweep16_timestamp"],
     },
     "alter16": {
         "alter_path_ratio": 0.5384615384615384, "committed": 80,
         "consistency": True, "events_processed": 26355, "leader_faults": 0,
-        "rebroadcasts": 0,
-        "rejects": {**NO_REJECTS, "stale_vote": 6400},
+        "rebroadcasts": 0, "rejects": NO_REJECTS, "late_votes": 2255,
+        "messages": {"pre_order": 7216, "vote": 7216, "order": 6765, "fetch_log": 0},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
         "sim_time_ms": 10646, "total_proposed": 80, "uncommitted": 0,
@@ -255,8 +261,8 @@ STOP_AND_WAIT_RESULT_PINS = {
     "sweep16_timestamp": {
         "alter_path_ratio": 0.0, "committed": 80,
         "consistency": True, "events_processed": 82271, "leader_faults": 0,
-        "rebroadcasts": 0,
-        "rejects": {**NO_REJECTS, "stale_vote": 4400},
+        "rebroadcasts": 0, "rejects": NO_REJECTS, "late_votes": 4400,
+        "messages": {"pre_order": 20480, "vote": 20480, "order": 19200, "fetch_log": 0},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.01730769230769231, "schema_version": 1,
         "sim_time_ms": 139342, "total_proposed": 80, "uncommitted": 0,
@@ -266,8 +272,8 @@ STOP_AND_WAIT_RESULT_PINS = {
     "alter16": {
         "alter_path_ratio": 0.5555555555555556, "committed": 80,
         "consistency": True, "events_processed": 82220, "leader_faults": 0,
-        "rebroadcasts": 0,
-        "rejects": {**NO_REJECTS, "stale_vote": 6400},
+        "rebroadcasts": 0, "rejects": NO_REJECTS, "late_votes": 6400,
+        "messages": {"pre_order": 20480, "vote": 20480, "order": 19200, "fetch_log": 0},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
         "sim_time_ms": 140578, "total_proposed": 80, "uncommitted": 0,
@@ -281,39 +287,39 @@ STOP_AND_WAIT_RESULT_PINS = {
 # or each among its own node's events, changes every pin here.
 TIE_BREAK_PINS = {
     ("anchor", 19): (
-        "04687769d665efdd6d0b68b3b593b8a5f0a58f356eb786659ffe6dc055c65019",
-        "fd26f1fff0d2b4afbeb416657674f3328f8e9026198b44e7fb7381b60c7a1560",
+        "8a6e476d107efefc481baa05228e6ef7a8a40336be477a3ddfd0bf956e9a6078",
+        "290f2aab26ab8a356e458d7a063048773d5ecfe262edeaa2bb4a5701a2bbf3a5",
     ),
     ("anchor", 26): (
-        "af7c3e586bedbf26ddab3c9b111e1f80fb254d18ee502a31b46ed0492d33a762",
-        "42c1ddec37dc4a21000bd8bd0585d297691ffb7324e92655ab65926e6cfe562b",
+        "8f0c538144bd964722b1e36805b71e730b157dd0c998e108b2a4f2667e22adce",
+        "a55d2134a8740f54e3714f6cf8f892385053be9bec84808651f70264cda43588",
     ),
     ("anchor", 30): (
         "0846afe8c51adab2f26991026a658c816cd43605d8b6149b6a64d1fc979820d0",
-        "3582da4a9e76f63c0e64e4906869ea269f16e9d6bfa9b5099add4f7b3b699189",
+        "b4626890a8ab962214455ba1c0f88a84c1abbd77be113fa8548da9e2388f15dd",
     ),
     ("timestamp", 30): (
         "a7d405ec0bb819684a7879542e8cb9d0cf487d21baceba764c25307e7e3efba3",
-        "3582da4a9e76f63c0e64e4906869ea269f16e9d6bfa9b5099add4f7b3b699189",
+        "b4626890a8ab962214455ba1c0f88a84c1abbd77be113fa8548da9e2388f15dd",
     ),
 }
 
 STOP_AND_WAIT_TIE_BREAK_PINS = {
     ("anchor", 19): (
         "0d563f357e888e93ebce72d7671371b6859d4a3fee8d30dc275058162221c73f",
-        "2e569ac8a190a26e655a548bd1679a15ceab257f2b97ec3e65cbf19996e6f53d",
+        "7baffc1e56ac18d8aa946a8aff78599ceb09332fe2af597bc051d4f08b82f2aa",
     ),
     ("anchor", 26): (
         "3f66971ed11aa5b846eee924e69521bffa7c1e8957d6a784d39bb79b00f776b8",
-        "9a730fe34adc9afd8920b2eb871b962dd50087ed5c142c1489422600dd8c8829",
+        "782f4d4c8413ba5d24e62838e01b351c960ef4bd4e1aead5d4a3f4018eda1150",
     ),
     ("anchor", 30): (
         "f9549422b68d1325b066834d32944d38d72df8818f40cc14fcffc57b064931b1",
-        "3c857a4cadb2b167050fa5bb54753f61bd91a3be6d20845f61ef9e4c8e58ec8a",
+        "63eb59c79d971357458aab16e16358c20e15f20dd4313c61ee3696743474e098",
     ),
     ("timestamp", 30): (
         "10b1420746215250e92832bdeea8647f3f6a0552ac888d6c142a0792c8e17a22",
-        "3c857a4cadb2b167050fa5bb54753f61bd91a3be6d20845f61ef9e4c8e58ec8a",
+        "63eb59c79d971357458aab16e16358c20e15f20dd4313c61ee3696743474e098",
     ),
 }
 
@@ -395,9 +401,10 @@ def test_follow_traces_are_the_designated_chain(name):
     result = sim.run()
     designated = min(scenario.byzantine)
     own = sim.nodes[designated].mempool
-    chain = []
-    while (log := own.fetch_log(designated, len(chain) + 1)) is not None:
-        chain.append(log.command_digest)
+    chain, seq = [], 1
+    while (log := own.fetch_log(designated, seq)) is not None:
+        chain.extend(log.command_digests)
+        seq += 1
     assert chain
     for node_id in scenario.honest_ids():
         assert [entry.digest for entry in result.traces[node_id]] == chain
@@ -417,13 +424,13 @@ def test_tie_break_order_pinned_stop_and_wait(strategy, index, stop_and_wait):
 # (trace_sha256, batch-trace sha256) of the zero-latency run, by window.
 ZERO_LATENCY_PINS = {
     1: ("53f2af06f8b48a630715a562233096531ef16100b9c5f57630618423c60982c3",
-        "0a5521901630b268585fe2935254f5b0914e62bc4fb2cf22c7e927838f4441d9"),
+        "24c08d02fa7dc717bf185adab008ac07ac986aa983e5286853582336d6f455f3"),
     4: ("aa660b60660dff1a7477d2568c13d97de349c3ad0f2d3178383d9979058861ac",
-        "950544375acc2e7c29d9ecb2039a51cac06c3d5e0310d5a967cf5a578aac337e"),
+        "7f36b0f81c61f0dd893d784be3810f0a243f6d01f39f8906b65fd1f8ecf24c84"),
     12: ("bb8a993ffdec4daa6fa01221f68f32fb69c1bca99b9e68b436ad7026ee4ca739",
-         "2b4d3aa55219db8cdb02b64b40f7764442a0baf880ee1c3459c5af3b3523c1d5"),
+         "503a2e9a0c280f5f808d335327c3fe004847bfffee9ed9279e4e2e9e57c2e917"),
     24: ("775820cfe88aeed65037258e726bc351f3829a1a1e225eb28f3ef9100c9a1c3e",
-         "0d00bdb8e0997f15297b581db1ebefe2a0a2a52fab70a4f9432d27f9b8e22499"),
+         "e2972468dab842d48c437804678f86e2a2bb1acbae6407b600f127d43ebc5d1a"),
 }
 
 
@@ -471,15 +478,15 @@ def test_cut_short_run_ends_at_the_last_tick(scenario, sim_time_ms, monkeypatch)
 # stalled nodes, nodes with a batch buffered behind a stall)
 STALL_SCENARIOS = {"wide": wide_scenario, "random": random_scenario}
 STALL_PINS = {
-    ("wide", 7045): (
-        "ba1e40d42b3ff461f1e8968b43b8053d6b299bce98c5fa3be7fc45455fe608b5",
-        "f154dd81e94281a167ee4fbed09e924143f4574d6731808d22eb832a71d8274f",
-        262, {2}, {2},
+    ("wide", 7011): (
+        "503840cb19fce935cb86f9035dc346ee15d28e721434eb5be2aa5c9a4645aa6c",
+        "b9e9728d4d68fc2f29c2fc9fce95b5a2007ac44ef37783f62d1c647cd96bade0",
+        7768, {8}, {8},
     ),
-    ("random", 9624): (
-        "706c2b869e812401ad60a8b5bd8509d8ecffedc8b51582de4fdd27567a7e4c4a",
-        "cc1daa959b587d4220de2408391107b1e6cfc94748d50eb5f45be39279198ea8",
-        452, {1}, {1},
+    ("random", 10070): (
+        "e0b0574dc8ddb3a62e57c2d292b1bb5b1d81009b50d8a341423ec5e483690b3f",
+        "70b1e089983e266206912a703a7020ccb49c118114d77b44f04fc85b450f58d9",
+        468, {6}, {6},
     ),
 }
 
@@ -529,5 +536,6 @@ def test_stalled_batch_retried_when_its_log_lands(generator, seed, monkeypatch):
     assert not result.non_quiescent
     assert result.consistency
     assert result.events_processed == events
+    assert result.messages["fetch_log"] > 0
     assert result.trace_sha256() == trace_pin
     assert batch_sha256(result) == batch_pin

@@ -22,7 +22,7 @@ def build_chains(assignments):
         prev = EMPTY_DIGEST
         logs = []
         for seq, (cmd, ts) in enumerate(entries, start=1):
-            log = PartialOrderLog.create(node_id, seq, ts, cmd.digest, prev)
+            log = PartialOrderLog.create(node_id, seq, ts, (cmd.digest,), prev)
             logs.append(log)
             prev = log.cur_digest
         chains[node_id] = logs
@@ -64,7 +64,7 @@ class TestTrustedTimestamp:
     def test_values(self, stamps, expected):
         executor = make_executor([CMD_A])
         logs = [
-            PartialOrderLog.create(i, 1, ts, CMD_A.digest, EMPTY_DIGEST)
+            PartialOrderLog.create(i, 1, ts, (CMD_A.digest,), EMPTY_DIGEST)
             for i, ts in enumerate(stamps)
         ]
         executor.ingest_log_set(log_set_of(*logs))
@@ -75,16 +75,16 @@ class TestTrustedTimestamp:
 class TestIngest:
     def test_support_and_queues(self):
         executor = make_executor([CMD_A])
-        log = PartialOrderLog.create(1, 1, 5, CMD_A.digest, EMPTY_DIGEST)
+        log = PartialOrderLog.create(1, 1, 5, (CMD_A.digest,), EMPTY_DIGEST)
         executor.ingest_log_set((log,))
         info = executor.command_infos[CMD_A.digest]
         assert info.support == 1
-        assert list(executor.author_queues[1]) == [log]
+        assert list(executor.author_queues[1]) == [CMD_A.digest]
 
     def test_timestamp_multiset_tracks_support(self):
         executor = make_executor([CMD_A])
         logs = [
-            PartialOrderLog.create(i, 1, ts, CMD_A.digest, EMPTY_DIGEST)
+            PartialOrderLog.create(i, 1, ts, (CMD_A.digest,), EMPTY_DIGEST)
             for i, ts in [(0, 7), (1, 7), (2, 3)]
         ]
         executor.ingest_log_set(log_set_of(*logs))
@@ -95,7 +95,7 @@ class TestIngest:
     def test_cached_timestamps_follow_later_logs(self):
         executor = make_executor([CMD_A])
         logs = [
-            PartialOrderLog.create(i, 1, ts, CMD_A.digest, EMPTY_DIGEST)
+            PartialOrderLog.create(i, 1, ts, (CMD_A.digest,), EMPTY_DIGEST)
             for i, ts in [(0, 7), (1, 2), (2, 3)]
         ]
         executor.ingest_log_set(log_set_of(*logs[:2]))
@@ -108,12 +108,12 @@ class TestIngest:
 
     def test_duplicate_author_slot_at_other_seq_is_skipped(self):
         executor = make_executor([CMD_A])
-        first = PartialOrderLog.create(1, 1, 5, CMD_A.digest, EMPTY_DIGEST)
-        again = PartialOrderLog.create(1, 2, 6, CMD_A.digest, first.cur_digest)
+        first = PartialOrderLog.create(1, 1, 5, (CMD_A.digest,), EMPTY_DIGEST)
+        again = PartialOrderLog.create(1, 2, 6, (CMD_A.digest,), first.cur_digest)
         executor.ingest_log_set((first,))
         executor.ingest_log_set((again,))
-        assert executor.command_infos[CMD_A.digest].logs == {1: first}
-        assert list(executor.author_queues[1]) == [first]
+        assert executor.command_infos[CMD_A.digest].stamps == {1: 5}
+        assert list(executor.author_queues[1]) == [CMD_A.digest]
 
 
 @pytest.mark.parametrize("strategy", [Executor, TimestampExecutor])
@@ -122,7 +122,7 @@ def test_author_certified_twice_for_one_command_commits_it_once(strategy):
     # (a voter endorses any command at the next seq); every node ingests both.
     auth = HmacAuthenticator(N, F)
     twice = certified_chain(auth, 1, [(CMD_A, 5), (CMD_A, 6)])
-    others = [certify_log(auth, PartialOrderLog.create(j, 1, 4 + j, CMD_A.digest, EMPTY_DIGEST))
+    others = [certify_log(auth, PartialOrderLog.create(j, 1, 4 + j, (CMD_A.digest,), EMPTY_DIGEST))
               for j in (0, 2)]
     executor = strategy(N, F, {CMD_A.digest: CMD_A}.get)
     executor.feed(log_set_of(*others, twice[0]))
@@ -130,7 +130,7 @@ def test_author_certified_twice_for_one_command_commits_it_once(strategy):
     executor.drain()
     executor.flush()
     assert [entry.digest for entry in executor.committed_order] == [CMD_A.digest]
-    assert executor.command_infos[CMD_A.digest].logs[1] is twice[0]
+    assert executor.command_infos[CMD_A.digest].stamps[1] == 5
 
 
 class TestFrontVector:
@@ -140,7 +140,7 @@ class TestFrontVector:
         executor.ingest_log_set(log_set_of(*chains[0]))
         executor.committed_digests.add(CMD_A.digest)
         fronts = executor.front_vector()
-        assert fronts[0].command_digest == CMD_B.digest
+        assert fronts[0] == CMD_B.digest
         assert len(executor.author_queues[0]) == 1
 
     def test_empty_queues_report_absent(self):

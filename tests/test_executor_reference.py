@@ -1,9 +1,9 @@
 """The executor against a brute-force reference model.
 
 ``ReferenceExecutor`` runs selection again after every log set, answers
-``reliable_precedes`` by scanning both commands' logs, and closes each
-alter-path set by rescanning every open command against every member
-until nothing changes. It uses neither the bit-parallel index nor the
+``reliable_precedes`` by scanning every author's command positions, and
+closes each alter-path set by rescanning every open command against every
+member until nothing changes. It uses neither the bit-parallel index nor the
 re-selection rules, so on the same log-set stream it must commit the
 same trace as ``Executor``. The streams are random sets of one to three
 logs, which keep the rules apart, and the streams that simulated
@@ -23,15 +23,25 @@ from prop_harness import wide_scenario
 
 
 class ReferenceExecutor(Executor):
+    def __init__(self, n, f, resolve):
+        super().__init__(n, f, resolve)
+        # Per author, each command's position in the author's logged order.
+        self.positions = [{} for _ in range(n)]
+
+    def ingest_log_set(self, log_set):
+        super().ingest_log_set(log_set)
+        for log in log_set:
+            position = self.positions[log.node_id]
+            for _, digest in log.stamped():
+                position.setdefault(digest, len(position))
+
     def reliable_precedes(self, first, second):
-        a = self.command_infos.get(first)
-        b = self.command_infos.get(second)
-        if a is None or b is None:
+        if first not in self.command_infos or second not in self.command_infos:
             return False
         believers = 0
-        for node_id, log_a in a.logs.items():
-            log_b = b.logs.get(node_id)
-            if log_b is not None and log_a.seq < log_b.seq:
+        for position in self.positions:
+            a, b = position.get(first), position.get(second)
+            if a is not None and b is not None and a < b:
                 believers += 1
         return believers > self.f
 
@@ -100,7 +110,8 @@ def replay_matches(scenario: Scenario) -> tuple[str, str]:
 
 
 def random_stream(rng: random.Random, n: int, commands: list[Command]):
-    """Per-author chains over jittered FIFO orders, interleaved into small log sets.
+    """Per-author chains over jittered FIFO orders, one to three commands a
+    log, interleaved into small log sets.
 
     Sets of one to three logs keep the re-selection rules apart: a set
     rarely carries two logs that wake the executor for different reasons.
@@ -113,8 +124,12 @@ def random_stream(rng: random.Random, n: int, commands: list[Command]):
         if rng.random() < 0.3:
             order = order[: rng.randint(len(order) // 2, len(order))]
         prev, chain = EMPTY_DIGEST, []
-        for seq, cmd in enumerate(order, start=1):
-            log = PartialOrderLog.create(author, seq, rng.randint(0, 50), cmd.digest, prev)
+        while order:
+            size = rng.choice([1, 1, 2, 3])
+            digests = tuple(cmd.digest for cmd in order[:size])
+            order = order[size:]
+            log = PartialOrderLog.create(author, len(chain) + 1, rng.randint(0, 50),
+                                         digests, prev)
             chain.append(log)
             prev = log.cur_digest
         chains.append(chain)

@@ -14,9 +14,9 @@ from phalanx.mempool import (
     INVALID_CERT,
     INVALID_PARTIAL,
     PRE_ORDER_WINDOW,
+    REJECT_BAD_DIGEST,
     REJECT_EQUIVOCATION,
     REJECT_GAP,
-    STALE_VOTE,
 )
 from phalanx.wire import PreOrderMessage, VoteMessage
 
@@ -54,9 +54,16 @@ def certify(pool, auth, log, now=None):
     return order.log
 
 
+def pre_order(pool, now, k=1):
+    """Stage the front ``k`` queued commands and pre-order them as one log."""
+    for _ in range(k):
+        pool.stage()
+    return pool.try_pre_order(now)
+
+
 def certify_own_log(pool, auth, now):
     """Drive the author through its own pre-order/vote/order round."""
-    pre = pool.try_pre_order(now)
+    pre = pre_order(pool, now)
     assert pre is not None
     return certify(pool, auth, pre.log)
 
@@ -79,7 +86,7 @@ class TestEnqueue:
 class TestPreOrder:
     def test_first_log_chains_from_empty(self, pool):
         pool.enqueue_command(cmd(1))
-        msg = pool.try_pre_order(now=5)
+        msg = pre_order(pool, 5)
         assert msg is not None
         log = msg.log
         assert (log.seq, log.prev_digest, log.timestamp) == (1, EMPTY_DIGEST, 5)
@@ -91,23 +98,53 @@ class TestPreOrder:
         monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
         for i in range(1, window + 3):
             pool.enqueue_command(cmd(i))
-        pres = [pool.try_pre_order(50 * k) for k in range(window)]
+        pres = [pre_order(pool, 50 * k) for k in range(window)]
         assert all(pre is not None for pre in pres)
         assert not pool.has_room()
-        assert pool.try_pre_order(50 * window) is None
+        assert pool.try_pre_order(50 * window) is None  # nothing staged
         assert len(pool.outstanding) == window
         assert len(pool.inbound) == 2
         certify(pool, auth, pres[-1].log)  # completing any one log frees a place
         assert pool.has_room()
-        assert pool.try_pre_order(50 * window) is not None
+        assert pre_order(pool, 50 * window) is not None
         assert len(pool.outstanding) == window
         assert len(pool.inbound) == 1
+
+    def test_tick_packs_its_staged_commands_into_one_log(self, pool):
+        for i in (1, 2, 3):
+            pool.enqueue_command(cmd(i))
+        log = pre_order(pool, 40, k=3).log
+        assert log.command_digests == tuple(cmd(i).digest for i in (1, 2, 3))
+        assert list(log.stamped()) == [(40 + k, cmd(k + 1).digest) for k in range(3)]
+        assert (pool.seq, pool.in_flight, pool.staged) == (1, 3, [])
+
+    def test_author_stops_at_window_commands_across_logs(self, pool, auth):
+        # Logs of up to 10 commands: 10 + 10 + 4 fill the window of 24, and
+        # certifying the first log frees room for 10 more.
+        for i in range(1, 41):
+            pool.enqueue_command(cmd(i))
+
+        def tick(now):
+            k = 0
+            while k < 10 and pool.inbound and pool.has_room():
+                pool.stage()
+                k += 1
+            return pool.try_pre_order(now)
+
+        logs = [tick(now) for now in (0, 50, 100, 150)]
+        assert [len(msg.log.command_digests) for msg in logs[:3]] == [10, 10, 4]
+        assert logs[3] is None
+        assert pool.in_flight == PRE_ORDER_WINDOW and not pool.has_room()
+        certify(pool, auth, logs[0].log)
+        assert pool.in_flight == 14 and pool.has_room()
+        assert len(tick(200).log.command_digests) == 10
+        assert not pool.has_room()
 
     def test_new_log_chains_on_uncertified_own_log(self, pool):
         pool.enqueue_command(cmd(1))
         pool.enqueue_command(cmd(2))
-        first = pool.try_pre_order(0).log
-        second = pool.try_pre_order(50).log
+        first = pre_order(pool, 0).log
+        second = pre_order(pool, 50).log
         assert (second.seq, second.prev_digest) == (2, first.cur_digest)
         assert pool.latest[0] is None
 
@@ -118,14 +155,14 @@ class TestPreOrder:
         pool.enqueue_command(cmd(1))
         pool.enqueue_command(cmd(2))
         first = certify_own_log(pool, auth, now=0)
-        msg = pool.try_pre_order(50)
+        msg = pre_order(pool, 50)
         assert msg.log.seq == 2
         assert msg.log.prev_digest == first.cur_digest
 
     def test_resend_after_interval(self, auth):
         pool = Mempool(0, auth, resend_ms=500)
         pool.enqueue_command(cmd(1))
-        original = pool.try_pre_order(0)
+        original = pre_order(pool, 0)
         assert pool.resend_pre_order(100) is None
         resent = pool.resend_pre_order(600)
         assert resent is not None
@@ -135,7 +172,7 @@ class TestPreOrder:
         pool = Mempool(0, auth, resend_ms=60)
         for i in (1, 2, 3):
             pool.enqueue_command(cmd(i))
-        logs = [pool.try_pre_order(now).log for now in (0, 50, 100)]
+        logs = [pre_order(pool, now).log for now in (0, 50, 100)]
         assert pool.resend_pre_order(60).log is logs[0]
         # Log 2 (last sent at 50) now falls due before log 1 (re-sent at 60).
         assert pool.first_due().log is logs[1]
@@ -155,11 +192,11 @@ class TestRoundTripEstimator:
         pool = Mempool(0, auth, resend_ms=500)
         pool.enqueue_command(cmd(1))
         pool.enqueue_command(cmd(2))
-        certify(pool, auth, pool.try_pre_order(100).log, now=1100)
+        certify(pool, auth, pre_order(pool, 100).log, now=1100)
         assert (pool.srtt, pool.rttvar) == (1000, 500)
         assert pool.resend_timeout() == 1000 + 4 * 500
         # The next log waits that timeout, not resend_ms.
-        pool.try_pre_order(2000)
+        pre_order(pool, 2000)
         assert pool.resend_pre_order(4999) is None
         assert pool.resend_pre_order(5000) is not None
 
@@ -174,27 +211,27 @@ class TestRoundTripEstimator:
         pool = Mempool(0, auth, resend_ms=2000)
         for i in (1, 2, 3):
             pool.enqueue_command(cmd(i))
-        certify(pool, auth, pool.try_pre_order(0).log, now=1000)
-        certify(pool, auth, pool.try_pre_order(1000).log, now=2800)
+        certify(pool, auth, pre_order(pool, 0).log, now=1000)
+        certify(pool, auth, pre_order(pool, 1000).log, now=2800)
         assert (pool.srtt, pool.rttvar) == (1100, 575)
         assert pool.resend_timeout() == 1100 + 4 * 575
-        certify(pool, auth, pool.try_pre_order(2800).log, now=3901)
+        certify(pool, auth, pre_order(pool, 2800).log, now=3901)
         assert (pool.srtt, pool.rttvar) == (1100, 431)
 
     def test_logs_certified_together_give_one_sample(self, auth):
-        # One vote transmission certifies the three logs of one tick at
-        # 1000: only the first is timed, R = 1000. The log sent at 1000
+        # One vote transmission certifies three logs at 1000: only the
+        # first is timed, R = 1000. The log sent at 1000
         # is timed again, R = 800:
         #   RTTVAR = (3 * 500 + |1000 - 800|) // 4 = 425
         #   SRTT = (7 * 1000 + 800) // 8 = 975
         pool = Mempool(0, auth, resend_ms=2000)
         for i in (1, 2, 3, 4):
             pool.enqueue_command(cmd(i))
-        logs = [pool.try_pre_order(stamp).log for stamp in (0, 1, 2)]
+        logs = [pre_order(pool, stamp).log for stamp in (0, 1, 2)]
         for log in logs:
             certify(pool, auth, log, now=1000)
         assert (pool.srtt, pool.rttvar) == (1000, 500)
-        certify(pool, auth, pool.try_pre_order(1000).log, now=1800)
+        certify(pool, auth, pre_order(pool, 1000).log, now=1800)
         assert (pool.srtt, pool.rttvar) == (975, 425)
 
     def test_timeout_never_below_resend_ms(self, auth):
@@ -202,17 +239,17 @@ class TestRoundTripEstimator:
         assert pool.resend_timeout() == 500  # no sample yet
         for i in (1, 2):
             pool.enqueue_command(cmd(i))
-        certify(pool, auth, pool.try_pre_order(0).log, now=10)
+        certify(pool, auth, pre_order(pool, 0).log, now=10)
         assert pool.srtt + 4 * pool.rttvar == 30
         assert pool.resend_timeout() == 500
-        pool.try_pre_order(100)
+        pre_order(pool, 100)
         assert pool.resend_pre_order(599) is None
         assert pool.resend_pre_order(600) is not None
 
     def test_rebroadcast_log_samples_from_its_first_send(self, auth):
         pool = Mempool(0, auth, resend_ms=2000)
         pool.enqueue_command(cmd(1))
-        log = pool.try_pre_order(100).log
+        log = pre_order(pool, 100).log
         assert pool.resend_pre_order(2100).log is log
         assert pool.first_due().sent == 2100
         certify(pool, auth, log, now=2700)
@@ -225,7 +262,7 @@ def author_chain(length, author=1, payload=b"c"):
     logs, prev = [], EMPTY_DIGEST
     for seq in range(1, length + 1):
         logs.append(PartialOrderLog.create(
-            author, seq, 50 * seq, cmd(seq, payload + b"%d" % seq).digest, prev))
+            author, seq, 50 * seq, (cmd(seq, payload + b"%d" % seq).digest,), prev))
         prev = logs[-1].cur_digest
     return logs
 
@@ -233,7 +270,7 @@ def author_chain(length, author=1, payload=b"c"):
 class TestVote:
     def _author_pre_order(self, auth, seq=1, prev=EMPTY_DIGEST, ts=0, command=None):
         command = command or cmd(seq)
-        log = PartialOrderLog.create(1, seq, ts, command.digest, prev)
+        log = PartialOrderLog.create(1, seq, ts, (command.digest,), prev)
         return PreOrderMessage(log)
 
     @pytest.mark.parametrize("head", [0, 1])
@@ -255,11 +292,52 @@ class TestVote:
         for log in chain:
             assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
         # Same seq, same predecessor, another command.
-        fork = PartialOrderLog.create(1, 2, 100, cmd(9).digest, chain[0].cur_digest)
+        fork = PartialOrderLog.create(1, 2, 100, (cmd(9).digest,), chain[0].cur_digest)
         for log in (fork, other[0], other[2]):
             assert pool.handle_pre_order(PreOrderMessage(log), 1) is None
         assert pool.rejects[REJECT_EQUIVOCATION] == 3
         assert pool.rejects[REJECT_GAP] == 0
+
+    def test_window_counts_the_commands_of_voted_logs(self, pool, auth):
+        # Logs of 10 and 10 commands voted above the head leave room for 4:
+        # a log of 5 would put 25 commands above it and is refused, one of 4
+        # is endorsed. Once the head passes the first log, 5 fit again.
+        def log(seq, prev, size, ts):
+            digests = tuple(cmd(100 * seq + k).digest for k in range(size))
+            return PartialOrderLog.create(1, seq, ts, digests, prev)
+
+        first = log(1, EMPTY_DIGEST, 10, 0)
+        second = log(2, first.cur_digest, 10, 50)
+        for voted in (first, second):
+            assert pool.handle_pre_order(PreOrderMessage(voted), 1) is not None
+        five = log(3, second.cur_digest, 5, 100)
+        assert pool.handle_pre_order(PreOrderMessage(five), 1) is None
+        assert pool.rejects[REJECT_GAP] == 1
+        four = log(3, second.cur_digest, 4, 100)
+        assert pool.handle_pre_order(PreOrderMessage(four), 1) is not None
+        fresh = Mempool(0, auth)
+        for voted in (first, second):
+            fresh.handle_pre_order(PreOrderMessage(voted), 1)
+        assert fresh.handle_order(certify_log(auth, first))
+        assert fresh.handle_pre_order(PreOrderMessage(five), 1) is not None
+        assert not fresh.rejects
+
+    def test_empty_log_refused(self, pool):
+        real = author_chain(1)[0]
+        empty = dataclasses.replace(real, command_digests=())
+        assert pool.handle_pre_order(PreOrderMessage(empty), 1) is None
+        assert pool.rejects[REJECT_BAD_DIGEST] == 1
+        assert pool.voted[1] == {}
+
+    def test_logs_differing_only_in_their_digest_tuple_equivocate(self, pool):
+        a, b = cmd(1).digest, cmd(2).digest
+        first = PartialOrderLog.create(1, 1, 0, (a, b), EMPTY_DIGEST)
+        swapped = PartialOrderLog.create(1, 1, 0, (b, a), EMPTY_DIGEST)
+        shorter = PartialOrderLog.create(1, 1, 0, (a,), EMPTY_DIGEST)
+        assert pool.handle_pre_order(PreOrderMessage(first), 1) is not None
+        for twin in (swapped, shorter):
+            assert pool.handle_pre_order(PreOrderMessage(twin), 1) is None
+        assert pool.rejects[REJECT_EQUIVOCATION] == 2
 
     def test_rebroadcast_inside_window_revotes(self, pool):
         chain = author_chain(3)
@@ -272,7 +350,7 @@ class TestVote:
         for log in chain[:3]:
             assert pool.handle_pre_order(PreOrderMessage(log), 1) is not None
         # Seq 4 must follow the voted seq 3, not the certified head.
-        detached = PartialOrderLog.create(1, 4, 200, cmd(4).digest, chain[1].cur_digest)
+        detached = PartialOrderLog.create(1, 4, 200, (cmd(4).digest,), chain[1].cur_digest)
         assert pool.handle_pre_order(PreOrderMessage(detached), 1) is None
         assert pool.rejects[REJECT_GAP] == 1
         # Seq 3 stored above a gap: the head stays, and seq 4 still chains
@@ -376,7 +454,7 @@ class TestOrder:
 
     def test_duplicate_votes_not_double_counted(self, pool, auth):
         pool.enqueue_command(cmd(1))
-        pre = pool.try_pre_order(0)
+        pre = pre_order(pool, 0)
         vote = VoteMessage(auth.partial_sign(1, pre.log.cur_digest))
         assert pool.handle_vote(vote, 1, 0) is None
         assert pool.handle_vote(vote, 1, 0) is None
@@ -387,15 +465,16 @@ class TestOrder:
         pool.enqueue_command(cmd(2))
         old = certify_own_log(pool, auth, now=0)
         stale = VoteMessage(auth.partial_sign(3, old.cur_digest))
-        pool.try_pre_order(50)
+        pre_order(pool, 50)
         assert pool.handle_vote(stale, 3, 0) is None
-        assert pool.rejects[STALE_VOTE] >= 1
+        assert pool.late_votes == 1
+        assert not pool.rejects
 
     def test_votes_go_to_the_log_they_name(self, pool, auth):
         pool.enqueue_command(cmd(1))
         pool.enqueue_command(cmd(2))
-        first = pool.try_pre_order(0).log
-        second = pool.try_pre_order(50).log
+        first = pre_order(pool, 0).log
+        second = pre_order(pool, 50).log
         for voter in (0, 1):
             vote = VoteMessage(auth.partial_sign(voter, second.cur_digest))
             assert pool.handle_vote(vote, voter, 0) is None
@@ -405,14 +484,14 @@ class TestOrder:
     def test_out_of_order_certification_stores_both(self, pool, auth):
         for i in (1, 2, 3):
             pool.enqueue_command(cmd(i))
-        first = pool.try_pre_order(0).log
-        second = pool.try_pre_order(50).log
+        first = pre_order(pool, 0).log
+        second = pre_order(pool, 50).log
         done_second = certify(pool, auth, second)
         # Stored above the gap at seq 1: the certified head waits there.
         assert pool.fetch_log(0, 2) is done_second
         assert pool.latest[0] is None
         assert list(pool.outstanding) == [first.cur_digest]
-        third = pool.try_pre_order(100).log
+        third = pre_order(pool, 100).log
         assert third.prev_digest == second.cur_digest
         done_first = certify(pool, auth, first)
         assert pool.fetch_log(0, 1) is done_first
@@ -421,7 +500,7 @@ class TestOrder:
 
     def test_own_pre_order_not_rehashed(self, pool, auth, monkeypatch):
         pool.enqueue_command(cmd(1))
-        own = pool.try_pre_order(0)
+        own = pre_order(pool, 0)
         peer = PreOrderMessage(author_chain(1)[0])
         hashed = []
         digest_log = phalanx.types.digest_log
@@ -438,7 +517,7 @@ class TestOrder:
 
     def test_vote_with_wrong_sender_rejected(self, pool, auth):
         pool.enqueue_command(cmd(1))
-        pre = pool.try_pre_order(0)
+        pre = pre_order(pool, 0)
         vote = VoteMessage(auth.partial_sign(1, pre.log.cur_digest))
         assert pool.handle_vote(vote, 2, 0) is None
         assert pool.rejects[INVALID_PARTIAL] == 1
@@ -447,13 +526,13 @@ class TestOrder:
         """A share counts toward the log whose digest it signs; one over a
         digest no outstanding log has counts toward none."""
         pool.enqueue_command(cmd(1))
-        pre = pool.try_pre_order(0)
+        pre = pre_order(pool, 0)
         digest = pre.log.cur_digest
         for voter in (0, 1):
             assert pool.handle_vote(VoteMessage(auth.partial_sign(voter, digest)), voter, 0) is None
         other = cmd(9).digest
         assert pool.handle_vote(VoteMessage(auth.partial_sign(2, other)), 2, 0) is None
-        assert pool.rejects[STALE_VOTE] == 1
+        assert pool.late_votes == 1
         assert len(pool.outstanding[digest].shares) == 2
         order = pool.handle_vote(VoteMessage(auth.partial_sign(2, digest)), 2, 0)
         assert order is not None
@@ -470,7 +549,7 @@ class TestOrder:
 
 
 def make_certified(auth, node_id, seq, command, prev, ts=0):
-    return certify_log(auth, PartialOrderLog.create(node_id, seq, ts, command.digest, prev))
+    return certify_log(auth, PartialOrderLog.create(node_id, seq, ts, (command.digest,), prev))
 
 
 class TestHandleOrder:
@@ -488,7 +567,7 @@ class TestHandleOrder:
         assert pool.latest[2] is None
 
     def test_uncertified_log_rejected(self, pool, auth):
-        log = PartialOrderLog.create(2, 1, 0, cmd(1).digest, EMPTY_DIGEST)
+        log = PartialOrderLog.create(2, 1, 0, (cmd(1).digest,), EMPTY_DIGEST)
         assert not pool.handle_order(log)
 
     def test_conflicting_same_slot_flags_chain_break(self, pool, auth):
@@ -552,9 +631,10 @@ class TestHandleOrder:
         assert pool.handle_pre_order(PreOrderMessage(log.without_certificate()), 2) is not None
         changed = {
             "timestamp": log.timestamp + 1,
-            "command_digest": cmd(3).digest,
+            "command_digest": (cmd(3).digest,),
             "prev_digest": b"\x07" * 32,
         }[field]
+        field = {"command_digest": "command_digests"}.get(field, field)
         forged = dataclasses.replace(log, **{field: changed})
         assert forged.cur_digest == log.cur_digest
         assert not pool.handle_order(forged)

@@ -59,11 +59,41 @@ def test_one_pre_order_certifies_on_every_replica():
     assert author.tick(10)
     net.run()
     (log,) = {replica.mempool.fetch_log(1, 1) for replica in net.replicas}
-    assert log.command_digest == command(1).digest and log.timestamp == 10
+    assert log.command_digests == (command(1).digest,) and log.timestamp == 10
     assert net.replicas[0].mempool.is_certified(log)
     assert all(replica.mempool.latest[1] is not None for replica in net.replicas)
     assert not author.mempool.outstanding
     assert author.idle() and not author.tick(20)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_tick_makes_one_log_read_at_timestamp_plus_k(strategy):
+    # Every replica takes the same three commands in one tick, stamped 40:
+    # one log each, whose i-th command every strategy reads at 40 + i.
+    net = FifoPort(HmacAuthenticator(4, 1, cluster_seed=b"replica-test"), strategy,
+                   tick_ms=3, designated=2)
+    commands = [command(seq) for seq in (1, 2, 3)]
+    for replica in net.replicas:
+        for cmd in commands:
+            replica.on_command(cmd)
+        assert replica.tick(40)
+    net.run()
+    net.replicas[0].tick(50)  # the leader cuts the batch, if there is one
+    net.run()
+    for replica in net.replicas:
+        replica.executor.flush()
+        assert replica.mempool.seq == 1
+        for author in range(4):
+            log = replica.mempool.fetch_log(author, 1)
+            assert log.command_digests == tuple(cmd.digest for cmd in commands)
+            assert replica.mempool.fetch_log(author, 2) is None
+        assert [(entry.digest, entry.trusted_timestamp)
+                for entry in replica.executor.committed_order] == [
+            (cmd.digest, 40 + i) for i, cmd in enumerate(commands)]
+    if strategy != FOLLOW:
+        assert [[slot.seq for slot in batch] for batch in net.batches] == [[1, 1, 1, 1]]
+        stamps = net.replicas[1].executor.command_infos[commands[2].digest].stamps
+        assert stamps == {author: 42 for author in range(4)}
 
 
 def test_equivocation_is_refused_at_vote_time():
@@ -72,12 +102,12 @@ def test_equivocation_is_refused_at_vote_time():
     author.on_command(command(1))
     author.tick(10)
     # A second log of author 1 at the same seq, sent right behind the first.
-    twin = PartialOrderLog.create(1, 1, 10, command(2).digest, EMPTY_DIGEST)
+    twin = PartialOrderLog.create(1, 1, 10, (command(2).digest,), EMPTY_DIGEST)
     net.broadcast(1, PreOrderMessage(twin), include_self=False)
     net.run()
     assert [r.mempool.rejects[REJECT_EQUIVOCATION] for r in net.replicas] == [1, 0, 1, 1]
     (log,) = {replica.mempool.fetch_log(1, 1) for replica in net.replicas}
-    assert log.command_digest == command(1).digest
+    assert log.command_digests == (command(1).digest,)
 
 
 def test_rebroadcast_gets_an_identical_vote():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -194,13 +195,20 @@ def shuffler(commands: int):
     return queued_node(3, commands, byzantine={3: NodeBehavior(shuffle=True)})
 
 
+def chain_commands(node) -> list[tuple[int, bytes]]:
+    """(stamp, command digest) of each command of the node's own logs
+    awaiting votes, in chain order."""
+    return [pair for entry in node.mempool.outstanding.values() for pair in entry.log.stamped()]
+
+
 def tick_pre_orders(node, now: int = 50) -> list[bytes]:
     """Tick ``node``; certify its new pre-orders at once; return their
-    command digests in seq order."""
+    command digests in chain order."""
     mempool = node.mempool
     node.on_tick(now)
-    digests = [entry.log.command_digest for entry in mempool.outstanding.values()]
+    digests = [digest for _, digest in chain_commands(node)]
     mempool.outstanding.clear()
+    mempool.in_flight = 0
     return digests
 
 
@@ -239,7 +247,7 @@ class TestShuffleDraws:
         for m in range(queued, max(queued - window, 1), -1):
             reference.randrange(m)
         node.on_tick(50)
-        assert len(node.mempool.outstanding) == min(queued, window)
+        assert len(chain_commands(node)) == min(queued, window)
         assert node._shuffle_rng.getstate() == reference.getstate()
 
     def test_no_draw_while_awaiting_votes(self):
@@ -247,11 +255,11 @@ class TestShuffleDraws:
         window = phalanx.mempool.PRE_ORDER_WINDOW
         node, _ = shuffler(window + 3)
         node.on_tick(50)
-        outstanding = list(node.mempool.outstanding)
+        outstanding = chain_commands(node)
         state = node._shuffle_rng.getstate()
-        for now in (100, 150, 2050):  # the last one re-sends the first log
+        for now in (100, 150, 2050):  # the last one re-sends the tick's log
             node.on_tick(now)
-        assert list(node.mempool.outstanding) == outstanding
+        assert chain_commands(node) == outstanding
         assert len(outstanding) == window
         assert len(node.mempool.inbound) == 3
         assert node._shuffle_rng.getstate() == state
@@ -283,8 +291,9 @@ class TestShuffleDraws:
 
 
 def chain_stamps(node) -> list[int]:
-    """Stamps of the node's own logs awaiting votes, in seq order."""
-    return [entry.log.timestamp for entry in node.mempool.outstanding.values()]
+    """Stamps of the commands of the node's own logs awaiting votes, in
+    chain order."""
+    return [stamp for stamp, _ in chain_commands(node)]
 
 
 class TestTickPreOrders:
@@ -325,8 +334,7 @@ class TestTickPreOrders:
         window = phalanx.mempool.PRE_ORDER_WINDOW
         node, digests = queued_node(3, window + 2, byzantine={3: NodeBehavior(reverse=True)})
         node.on_tick(50)
-        logs = [entry.log for entry in node.mempool.outstanding.values()]
-        assert [log.command_digest for log in logs] == digests[:1:-1]
+        assert [digest for _, digest in chain_commands(node)] == digests[:1:-1]
         assert [cmd.digest for cmd in node.mempool.inbound] == digests[:2]
 
 
@@ -366,10 +374,15 @@ class TestByzantineBehaviors:
         scenario = small(byzantine={3: NodeBehavior(skew=-7)}, commands_per_proposer=5)
         sim = Simulation(scenario)
         sim.run()
-        skewed = sim.nodes[3].mempool
-        honest = sim.nodes[1].mempool
-        skewed_ts = [skewed.fetch_log(3, s).timestamp for s in range(1, 6)]
-        honest_ts = [honest.fetch_log(1, s).timestamp for s in range(1, 6)]
+        def command_stamps(node_id):
+            mempool, stamps, seq = sim.nodes[node_id].mempool, [], 1
+            while (log := mempool.fetch_log(node_id, seq)) is not None:
+                stamps += [stamp for stamp, _ in log.stamped()]
+                seq += 1
+            assert len(stamps) == 5
+            return stamps
+
+        skewed_ts, honest_ts = command_stamps(3), command_stamps(1)
         # Both tick on the same grid; the Byzantine one reports shifted stamps.
         assert all((h - s) % scenario.delta_o != 0 or h != s for h, s in zip(honest_ts, skewed_ts))
         assert all(ts % scenario.delta_o != 0 for ts in skewed_ts)
@@ -450,26 +463,30 @@ class TestTickScheduling:
         # outstanding pre-orders on time. Votes return after a log's third
         # send while the timeout is resend_ms; the first certification
         # teaches each node the 5-6 s round trip, so every later log goes out
-        # once. Each log of the first tick, ``min(window, 10)`` of them, is
-        # thus sent three times and each other log once, by four nodes to
-        # four nodes.
+        # once. Each log its author first sent before its own first log
+        # certified is thus sent three times, and every other log once.
         for window in (1, 4, 12, 24):
             monkeypatch.setattr(phalanx.mempool, "PRE_ORDER_WINDOW", window)
             sim = Simulation(small(commands_per_proposer=10, latency=(2500, 3000), seed=3))
-            pre_orders = []
+            sends, first_sent, certified = Counter(), {}, {}
             original = sim.send
 
             def send(src, dst, msg):
-                if isinstance(msg, PreOrderMessage):
-                    pre_orders.append(src)
+                if isinstance(msg, PreOrderMessage) and dst == src:
+                    key = (src, msg.log.seq)
+                    sends[key] += 1
+                    first_sent.setdefault(key, sim.now)
+                elif isinstance(msg, OrderMessage) and msg.log.node_id == src:
+                    certified.setdefault(src, sim.now)
                 original(src, dst, msg)
 
             sim.send = send
             result = sim.run()
             assert result.committed == 10
             assert not result.non_quiescent
-            first = min(window, 10)
-            assert len(pre_orders) == (3 * first + 10 - first) * 16
+            assert dict(sends) == {
+                key: 3 if first_sent[key] < certified[key[0]] else 1 for key in sends}
+            assert 3 in sends.values()
 
     def test_certification_that_lowers_the_timeout_rearms_a_sleeping_node(self):
         # Commands reach node 1 at 1, 501 and 1001, so it pre-orders one log
@@ -537,11 +554,13 @@ class TestTickScheduling:
 
     @pytest.mark.parametrize("resend_ms", [2000, 2010])
     def test_logs_due_at_once_rebroadcast_one_per_grid_tick(self, resend_ms):
-        # Node 1 gets no votes, so the four logs of its first tick stay
-        # outstanding and fall due within one grid interval. Each later tick
-        # re-broadcasts one of them, on successive grid ticks; no tick of the
-        # node runs twice at one time.
-        sim = Simulation(small(commands_per_proposer=4, propose_interval=0,
+        # Node 1 gets no votes. A command arrives for each of its grid ticks
+        # (two for the first), and a tick that pre-orders re-broadcasts
+        # nothing, so it pre-orders one log per tick until 24 commands fill
+        # the window, while its first logs fall due. Each later tick
+        # re-broadcasts one of them, oldest first, on successive grid ticks;
+        # no tick of the node runs twice at one time.
+        sim = Simulation(small(commands_per_proposer=40, delta_o=100, propose_interval=100,
                                resend_ms=resend_ms, max_sim_ms=7000))
         node = sim.nodes[1]
         ticks, sends = [], []
@@ -560,15 +579,16 @@ class TestTickScheduling:
 
         node.on_tick, sim.send = on_tick, send
         assert sim.run().non_quiescent
-        first, delta = ticks[0], sim._delta
-        assert sends[:4] == [(first, seq) for seq in range(1, 5)]
-        resends = sends[4:]
-        assert [when for when, _ in resends] == ticks[1:]
+        delta = sim._delta
+        logs = max(seq for _, seq in sends)
+        assert logs == 23 and node.mempool.in_flight == phalanx.mempool.PRE_ORDER_WINDOW
+        assert sends[:logs] == [(ticks[k], k + 1) for k in range(logs)]
+        resends = sends[logs:]
+        assert [when for when, _ in resends] == ticks[logs:]
         assert len(set(ticks)) == len(ticks)
-        due = first + resend_ms
-        start = due + (first - due) % delta
-        assert resends[:4] == [(start + k * delta, k + 1) for k in range(4)]
-        assert len(resends) > 4
+        start = resends[0][0]
+        assert sum(when + resend_ms <= start for when, _ in sends[:logs]) > 1
+        assert resends[:logs] == [(start + k * delta, k + 1) for k in range(logs)]
 
 
 def every_grid_point(sim, node_id, grid):

@@ -21,7 +21,7 @@ def make_logs(assignments):
     for node_id, entries in assignments.items():
         prev = EMPTY_DIGEST
         for seq, (cmd, ts) in enumerate(entries, start=1):
-            log = PartialOrderLog.create(node_id, seq, ts, cmd.digest, prev)
+            log = PartialOrderLog.create(node_id, seq, ts, (cmd.digest,), prev)
             logs.append(log)
             prev = log.cur_digest
     return logs
@@ -52,11 +52,11 @@ class TestIngest:
 
     def test_duplicate_author_slot_at_other_seq_is_skipped(self):
         executor = make_ts_executor([CMD_X])
-        first = PartialOrderLog.create(2, 1, 5, CMD_X.digest, EMPTY_DIGEST)
-        again = PartialOrderLog.create(2, 2, 6, CMD_X.digest, first.cur_digest)
+        first = PartialOrderLog.create(2, 1, 5, (CMD_X.digest,), EMPTY_DIGEST)
+        again = PartialOrderLog.create(2, 2, 6, (CMD_X.digest,), first.cur_digest)
         executor.ingest_log_set((first,))
         executor.ingest_log_set((again,))
-        assert executor.command_infos[CMD_X.digest].logs == {2: first}
+        assert executor.command_infos[CMD_X.digest].stamps == {2: 5}
 
 
 class TestFlush:

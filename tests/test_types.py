@@ -17,7 +17,7 @@ from phalanx import (
 
 # Frozen golden vectors, computed once by the straight-line oracle below.
 GOLDEN_CMD_1_1_HELLO = "5b55c37b3289415cb01856eba47dbe428e3cd8f70e823db641b5a16e08bec322"
-GOLDEN_LOG_1_1_0 = "9986172a21b57ce82193f52b4de92b38b76d8c4eae9469077e7cb084fa2818e0"
+GOLDEN_LOG_1_1_0 = "482267cdd0f3ba27ac57290a53f325891027fb8ad7a5cba8d4af3cc85ea49813"
 
 
 def oracle_command_digest(proposer: int, seq: int, payload: bytes) -> str:
@@ -29,12 +29,13 @@ def oracle_command_digest(proposer: int, seq: int, payload: bytes) -> str:
     ).hexdigest()
 
 
-def oracle_log_digest(node: int, seq: int, ts: int, dcmd: bytes, dprev: bytes) -> str:
+def oracle_log_digest(node: int, seq: int, ts: int, dcmds: tuple, dprev: bytes) -> str:
     return hashlib.sha256(
         struct.pack(">H", node)
         + struct.pack(">Q", seq)
         + struct.pack(">Q", ts)
-        + dcmd
+        + struct.pack(">I", len(dcmds))
+        + b"".join(dcmds)
         + dprev
     ).hexdigest()
 
@@ -66,42 +67,63 @@ class TestCommandDigest:
 
 class TestLogDigest:
     def test_deterministic(self):
-        d = digest_command(1, 1, b"x")
+        d = (digest_command(1, 1, b"x"),)
         assert digest_log(1, 1, 0, d, EMPTY_DIGEST) == digest_log(1, 1, 0, d, EMPTY_DIGEST)
 
     def test_prev_digest_participates(self):
-        d = digest_command(1, 1, b"x")
+        d = (digest_command(1, 1, b"x"),)
         other_prev = digest_command(9, 9, b"prev")
         assert digest_log(1, 2, 0, d, other_prev) != digest_log(
             1, 2, 0, d, digest_command(8, 8, b"prev2")
         )
 
     def test_golden_vector(self):
-        d = digest_command(1, 1, b"x")
+        d = (digest_command(1, 1, b"x"),)
         assert digest_log(1, 1, 0, d, EMPTY_DIGEST).hex() == GOLDEN_LOG_1_1_0
         assert oracle_log_digest(1, 1, 0, d, EMPTY_DIGEST) == GOLDEN_LOG_1_1_0
 
     def test_seq_prev_consistency_enforced(self):
-        d = digest_command(1, 1, b"x")
+        d = (digest_command(1, 1, b"x"),)
         with pytest.raises(PreconditionViolation):
             digest_log(1, 2, 0, d, EMPTY_DIGEST)
         with pytest.raises(PreconditionViolation):
-            digest_log(1, 1, 0, d, d)
+            digest_log(1, 1, 0, d, d[0])
+
+    def test_empty_log_refused(self):
+        with pytest.raises(PreconditionViolation):
+            digest_log(1, 1, 0, (), EMPTY_DIGEST)
+        with pytest.raises(PreconditionViolation):
+            PartialOrderLog.create(1, 1, 0, (), EMPTY_DIGEST)
+        d = (digest_command(1, 1, b"x"),)
+        full = PartialOrderLog.create(1, 1, 0, d, EMPTY_DIGEST)
+        assert not PartialOrderLog(1, 1, 0, (), EMPTY_DIGEST, full.cur_digest).verify_digest()
+
+    def test_order_and_count_of_commands_participate(self):
+        a, b = digest_command(1, 1, b"a"), digest_command(1, 2, b"b")
+        digests = {digest_log(1, 1, 0, cmds, EMPTY_DIGEST)
+                   for cmds in [(a,), (a, b), (b, a), (a, b, a)]}
+        assert len(digests) == 4
+
+    def test_stamped_reads_the_kth_command_at_timestamp_plus_k(self):
+        cmds = tuple(digest_command(1, k, b"c") for k in range(1, 4))
+        log = PartialOrderLog.create(1, 1, 40, cmds, EMPTY_DIGEST)
+        assert list(log.stamped()) == [(40, cmds[0]), (41, cmds[1]), (42, cmds[2])]
 
     @given(
         st.integers(0, 50),
         st.integers(1, 10**6),
         st.integers(0, 2**40),
-        st.binary(min_size=32, max_size=32),
+        st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=5),
         st.binary(min_size=32, max_size=32),
     )
-    def test_matches_oracle(self, node, seq, ts, dcmd, dprev):
+    def test_matches_oracle(self, node, seq, ts, dcmds, dprev):
         if seq == 1:
             dprev = EMPTY_DIGEST
         elif dprev == EMPTY_DIGEST:
             dprev = b"\x01" * 32
-        assert digest_log(node, seq, ts, dcmd, dprev).hex() == oracle_log_digest(
-            node, seq, ts, dcmd, dprev
+        dcmds = tuple(dcmds)
+        assert digest_log(node, seq, ts, dcmds, dprev).hex() == oracle_log_digest(
+            node, seq, ts, dcmds, dprev
         )
 
 
@@ -111,7 +133,7 @@ class TestChainSoundness:
         prev = EMPTY_DIGEST
         for seq in range(1, k + 1):
             cmd = Command.create(0, seq, b"payload-%d" % seq)
-            log = PartialOrderLog.create(2, seq, 10 * seq, cmd.digest, prev)
+            log = PartialOrderLog.create(2, seq, 10 * seq, (cmd.digest,), prev)
             logs.append(log)
             prev = log.cur_digest
         return logs
@@ -133,7 +155,7 @@ class TestChainSoundness:
         elif mutation == "timestamp":
             mutated = dataclasses.replace(target, timestamp=target.timestamp + 1)
         elif mutation == "command_digest":
-            mutated = dataclasses.replace(target, command_digest=b"\x07" * 32)
+            mutated = dataclasses.replace(target, command_digests=(b"\x07" * 32,))
         else:
             mutated = dataclasses.replace(target, prev_digest=logs[0].cur_digest)
         # Stored digest no longer matches the mutated preimage.
@@ -143,7 +165,7 @@ class TestChainSoundness:
             mutated.node_id,
             mutated.seq,
             mutated.timestamp,
-            mutated.command_digest,
+            mutated.command_digests,
             mutated.prev_digest,
         )
         assert recomputed != target.cur_digest

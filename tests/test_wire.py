@@ -32,10 +32,13 @@ from test_determinism_pins import BATCH_PINS, PINS as TRACE_PINS, STALL_PINS, st
 
 AUTH = HmacAuthenticator(4, 1)
 COMMAND = Command.create(0, 1, b"cmd")
+SECOND = Command.create(0, 2, b"cmd")
 
 
 def certified_log(node_id=2, seq=1, ts=17):
-    return certify_log(AUTH, PartialOrderLog.create(node_id, seq, ts, COMMAND.digest, EMPTY_DIGEST))
+    """A certified log of two commands, so the count prefix is pinned too."""
+    digests = (COMMAND.digest, SECOND.digest)
+    return certify_log(AUTH, PartialOrderLog.create(node_id, seq, ts, digests, EMPTY_DIGEST))
 
 
 LOG = certified_log()
@@ -43,16 +46,16 @@ LOG = certified_log()
 # kind -> (message, encoded length, sha256 of the encoding)
 PINS = {
     "pre_order": (
-        PreOrderMessage(LOG), 84,
-        "01fbb77c59d2944dee8e43f5e82450023930af0dc6cd4d9d2dcdbdaa2b90c167",
+        PreOrderMessage(LOG), 120,
+        "6690a3b627f2571ef5254c8eea647122acc625b9359d1a24674bc0dd284baa73",
     ),
     "vote": (
         VoteMessage(AUTH.partial_sign(1, LOG.cur_digest)), 71,
-        "9da0966b029a37810d8339a80449f001c7941eb99e3ce1f8629573ccc245ff43",
+        "8b3176d6f10d1d1fd3e6f3dc013ad2035397a7c739cdd3a946aed24fcb04b42a",
     ),
     "order": (
-        OrderMessage(LOG), 160,
-        "a733768b8a473785a39fe47ec7019bebcb68775bc534385f09f1373f43085838",
+        OrderMessage(LOG), 196,
+        "b41e531642e94768505d7ad251a00efecc75609be156abad08a155e94d1cc0a5",
     ),
     "fetch_log": (
         FetchLogMessage(3, 42), 11,
@@ -78,7 +81,7 @@ def test_order_batch_bytes_pinned():
     logs = [certified_log(node_id=i, seq=1, ts=i) for i in range(3)]
     encoded = encode_order_batch((logs[0], None, logs[1], logs[2]))
     assert (len(encoded), hashlib.sha256(encoded).hexdigest()) == (
-        483, "0966e2a4bdcfafcb4944b1e9c802836d7892b04ab96551dd164b599c22fbd887",
+        591, "07bb74e89b7b63d5c38e392dc27ba977b393f888e9e2ffa402f50c44001ab4a2",
     )
 
 
