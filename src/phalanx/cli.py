@@ -44,6 +44,7 @@ CSV_COLUMNS = [
     "byzantine", "strategy", "rep", "seed",
     "reordered_ratio", "alter_path_ratio", "consistency",
     "resisted", "uncommitted", "non_quiescent",
+    "commit_latency_p50_ms", "commit_latency_p99_ms",
 ]
 
 # A run "resists" manipulation when under half a percent of same-proposer
@@ -129,6 +130,8 @@ def run_sweep_point(scenario: Scenario) -> dict:
         "resisted": result.reordered_ratio < RESIST_THRESHOLD,
         "uncommitted": result.uncommitted,
         "non_quiescent": result.non_quiescent,
+        "commit_latency_p50_ms": result.commit_latency_ms["p50"],
+        "commit_latency_p99_ms": result.commit_latency_ms["p99"],
     }
 
 
@@ -156,6 +159,7 @@ def write_sweep_csv(rows: list[dict], out_csv: Path) -> None:
                 f"{row['reordered_ratio']:.6f}", f"{row['alter_path_ratio']:.6f}",
                 int(row["consistency"]), int(row["resisted"]),
                 row["uncommitted"], int(row["non_quiescent"]),
+                row["commit_latency_p50_ms"], row["commit_latency_p99_ms"],
             ])
 
 

@@ -134,21 +134,20 @@ class IndexedInfo(CommandInfo):
     levels: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
 
-def record_command(infos: dict[Digest, CommandInfo], author: int, stamp: int,
-                   digest: Digest, kind: type[CommandInfo] = CommandInfo
-                   ) -> Optional[CommandInfo]:
-    """File ``author``'s stamp under the command's entry, creating a ``kind``
-    on first sight; None, filing nothing, if the author logged the command
-    before.
+def record_command(infos: dict[Digest, IndexedInfo], author: int, stamp: int,
+                   digest: Digest) -> Optional[IndexedInfo]:
+    """File ``author``'s stamp under the command's entry, created on first
+    sight; None, filing nothing, if the author logged the command before.
 
     An honest author logs a command once (``Mempool.enqueue_command`` drops
     a repeated digest), but a faulty one can get it certified twice, in one
     log or at two seqs. Every node ingests the same stream, so every node
-    keeps the same first stamp and skips the same later ones.
+    keeps the same first stamp and skips the same later ones; the timestamp
+    baseline (``tsorder.py``) skips repeats by the same rule.
     """
     info = infos.get(digest)
     if info is None:
-        info = infos[digest] = kind(digest)
+        info = infos[digest] = IndexedInfo(digest)
     elif author in info.stamps:
         return None
     info.add_stamp(author, stamp)
@@ -229,7 +228,7 @@ class Executor:
             author = log.node_id
             queue = self.author_queues[author]
             for stamp, digest in log.stamped():
-                info = record_command(infos, author, stamp, digest, IndexedInfo)
+                info = record_command(infos, author, stamp, digest)
                 if info is None or digest in committed:
                     continue  # a repeat, or a queue entry that would only be popped
                 new_front = not queue

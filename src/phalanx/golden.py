@@ -178,7 +178,7 @@ def run_median_inversion() -> GoldenOutcome:
                          f"{strategy}: the leader's batch carries slot seqs [1,1,1,-]")
         _hand_over(port, [early, late])
         for replica in port.replicas:
-            replica.executor.flush()
+            replica.flush()
         traces[strategy] = [_committed(replica) for replica in port.replicas]
     # The port left from the loop is the timestamp baseline's.
     trusted = {entry.digest: entry.trusted_timestamp

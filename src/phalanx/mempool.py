@@ -37,7 +37,9 @@ partial-order logs through three steps:
    may complete out of seq order, but an author's certified head h, which
    the order-batches carry, only moves over a prefix 1..h stored without a
    gap; a log stored above a gap waits there. A vote that arrives after
-   its log certified counts in ``late_votes``, not as a reject.
+   its log certified counts in ``late_votes``, not as a reject; a vote
+   over any other digest that no outstanding own log has is refused as
+   ``invalid_partial``.
 
 Each node checks each vote share and each log digest once. A share is
 verified when its vote arrives and combined into the certificate without
@@ -128,8 +130,10 @@ class Mempool:
         self.command_store: dict[Digest, Command] = {}
         self.log_store: dict[tuple[int, int], PartialOrderLog] = {}
         self.rejects: Counter[str] = Counter()
-        # Votes for no outstanding own log: they arrived after it certified.
+        # Votes for an own log that had already certified, and the digests
+        # of own certified logs that tell them from misfiled votes.
         self.late_votes = 0
+        self.certified_own: set[Digest] = set()
         self.chain_break_evidence: list[tuple[PartialOrderLog, PartialOrderLog]] = []
         # Vote round-trip estimator (RFC 6298), in ms: SRTT (None before the
         # first sample), RTTVAR, and SRTT + 4 * RTTVAR (0 before the first
@@ -274,7 +278,10 @@ class Mempool:
         digest = partial.event_digest
         entry = self.outstanding.get(digest)
         if entry is None:
-            self.late_votes += 1
+            if digest in self.certified_own:
+                self.late_votes += 1
+            else:
+                self.rejects[INVALID_PARTIAL] += 1
             return None
         if partial.signer != sender or not self.auth.verify_partial(partial):
             self.rejects[INVALID_PARTIAL] += 1
@@ -286,6 +293,7 @@ class Mempool:
         log = entry.log
         completed = log.with_certificate(self.auth.combine(digest, shares.values()))
         del self.outstanding[digest]
+        self.certified_own.add(digest)
         self.in_flight -= len(log.command_digests)
         if log.timestamp >= self.sampled_at:
             self.sampled_at = now

@@ -1,4 +1,5 @@
-"""Ordering-manipulation metrics over committed traces.
+"""Ordering-manipulation metrics over committed traces, and the
+nearest-rank percentile ``result.json`` reports commit latency with.
 
 The reordered-command ratio is a Kendall-tau style statistic: over all
 pairs of commands from the same proposer, the fraction committed against
@@ -9,7 +10,9 @@ quadratic counter.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from typing import Optional
 
 from .executor import TraceEntry
 
@@ -44,6 +47,14 @@ def reordered_ratio(trace: list[TraceEntry]) -> float:
     if pairs == 0:
         return 0.0
     return inversions / pairs
+
+
+def nearest_rank(ordered: list[int], pct: float) -> Optional[int]:
+    """The ``pct``-th percentile of ascending ``ordered`` by nearest rank
+    (None if empty)."""
+    if not ordered:
+        return None
+    return ordered[max(0, math.ceil(pct / 100.0 * len(ordered)) - 1)]
 
 
 def traces_consistent(traces: list[list[TraceEntry]]) -> bool:

@@ -22,7 +22,8 @@ so that a test may replace a method on the port object:
   leader, a log was stored. When the node ticks is the port's call;
 * ``net.sequencer.submit(batch)`` hands an order-batch to the total-order
   broadcast, which delivers it to every node's ``on_batch``;
-* ``net.now`` is the current time, read only by :meth:`Replica.clock`.
+* ``net.now`` is the current time, read by :meth:`Replica.clock` and
+  to stamp commits.
 
 The caller drives :meth:`Replica.tick` with the stamp to put on new logs.
 A tick takes queued commands until the pre-order window is full, the
@@ -54,6 +55,9 @@ offer ``feed``, ``drain``, ``flush`` (end of run), ``blocked_on`` (the
 bodies it waits on), ``idle``, ``committed_order``, ``alter_path_ratio`` and
 the class constant ``uses_consensus`` (False: no order-batches, no leader),
 so no caller branches on the strategy.
+
+``commit_times[i]`` is ``net.now`` at the drain or end-of-run
+:meth:`Replica.flush` that committed the strategy's i-th command.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class Replica:
             self.executor = Executor(auth.n, auth.f, self.mempool.fetch_command)
         self.net = net
         self.tick_ms = tick_ms
+        self.commit_times: list[int] = []
         self.is_leader = node_id == LEADER and self.executor.uses_consensus
 
     # -- handlers -----------------------------------------------------------
@@ -95,7 +100,7 @@ class Replica:
         if self.mempool.enqueue_command(cmd):
             self.net.wake(self.node_id)
         if cmd.digest in self.executor.blocked_on:
-            self.executor.drain()
+            self._drain()
 
     def tick(self, stamp: int) -> bool:
         """Pre-order, re-broadcast or snapshot a batch; False if it did none."""
@@ -148,6 +153,11 @@ class Replica:
     def on_batch(self, index: int, batch: OrderBatch) -> None:
         self._resume(self.consenter.on_delivered(index, batch))
 
+    def flush(self) -> None:
+        """End of run: the strategy commits what it still holds."""
+        self.executor.flush()
+        self._stamp_commits()
+
     # -- internals ------------------------------------------------------------
 
     def _log_stored(self, author: int, seq: int) -> None:
@@ -167,7 +177,17 @@ class Replica:
             executor = self.executor
             while log_sets:
                 executor.feed(log_sets.popleft())
-            executor.drain()
+            self._drain()
+
+    def _drain(self) -> None:
+        self.executor.drain()
+        self._stamp_commits()
+
+    def _stamp_commits(self) -> None:
+        times = self.commit_times
+        new = len(self.executor.committed_order) - len(times)
+        if new:
+            times.extend([self.net.now] * new)
 
     def idle(self) -> bool:
         mp = self.mempool

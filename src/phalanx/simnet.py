@@ -19,6 +19,10 @@ Each node is a :class:`~phalanx.replica.Replica` whose port is the
 strategy and holds no protocol handler: it carries messages and batches,
 schedules ticks, and flushes every strategy at the end. ``send`` counts
 the protocol messages by class for ``result.json``'s ``messages``.
+``result.json``'s ``commit_latency_ms`` holds the p50 and p99, by nearest
+rank, of the reference node's commit latencies: from a command's
+scheduled propose, ``propose_interval * (seq - 1)``, to the time the
+drain or end-of-run flush that committed it ran (``Replica.commit_times``).
 
 Each node ticks on its own grid, ``phase + k * delta_o`` for k >= 1 with
 ``phase = node_id * delta_o // n``. A tick takes queued commands until
@@ -85,13 +89,18 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import get_args
+from typing import Optional, get_args
 
 from .authenticators import HmacAuthenticator
 from .consensus import LEADER, OrderBatch, SequencerBroadcast
 from .executor import TraceEntry
 from .mempool import REJECT_REASONS
-from .metrics import reordered_ratio, traces_consistent, traces_prefix_consistent
+from .metrics import (
+    nearest_rank,
+    reordered_ratio,
+    traces_consistent,
+    traces_prefix_consistent,
+)
 from .replica import Replica
 from .scenario import Scenario
 from .types import Command
@@ -141,6 +150,8 @@ class ExperimentResult:
     late_votes: int
     # Protocol messages sent by every node, by wire kind, zeros included.
     messages: dict[str, int]
+    # p50 and p99 of the reference node's propose-to-commit times, in ms.
+    commit_latency_ms: dict[str, Optional[int]]
     batch_trace: list[str] = field(default_factory=list)
 
     @property
@@ -171,6 +182,7 @@ class ExperimentResult:
             "rejects": self.rejects,
             "late_votes": self.late_votes,
             "messages": self.messages,
+            "commit_latency_ms": self.commit_latency_ms,
             "trace_sha256": self.trace_sha256(),
         }
 
@@ -475,7 +487,7 @@ class Simulation:
     def _collect(self, non_quiescent: bool) -> ExperimentResult:
         scenario = self.scenario
         for node in self.nodes:
-            node.executor.flush()
+            node.flush()
         # With no honest node, the reference node's trace stands in.
         reporting = scenario.honest_ids() or [self.reference_node]
         traces = {i: list(self.nodes[i].executor.committed_order) for i in reporting}
@@ -489,6 +501,9 @@ class Simulation:
                    for reason in REJECT_REASONS}
         late_votes = sum(node.mempool.late_votes for node in honest)
         ref_node = self.nodes[self.reference_node]
+        interval = scenario.propose_interval
+        latencies = sorted(at - interval * (entry.proposer_seq - 1)
+                           for entry, at in zip(reference, ref_node.commit_times))
         return ExperimentResult(
             scenario=scenario,
             traces=traces,
@@ -508,6 +523,8 @@ class Simulation:
             rejects=rejects,
             late_votes=late_votes,
             messages={kind.kind: self._sent[kind] for kind in get_args(Message)},
+            commit_latency_ms={"p50": nearest_rank(latencies, 50),
+                               "p99": nearest_rank(latencies, 99)},
             batch_trace=list(ref_node.consenter.batch_trace),
         )
 

@@ -201,7 +201,7 @@ class TestSweep:
         assert header == [
             "byzantine", "strategy", "rep", "seed", "reordered_ratio",
             "alter_path_ratio", "consistency", "resisted", "uncommitted",
-            "non_quiescent",
+            "non_quiescent", "commit_latency_p50_ms", "commit_latency_p99_ms",
         ]
         # 2 byz values x 2 strategies x 2 reps
         assert len(lines) == 1 + 8

@@ -46,6 +46,14 @@ batch-trace pin moved with the log encoding, and a trace moved only where
 the run had fetched a log: the two ``sweep16`` traces and the ``anchor``
 tie-break traces 19 and 26. Every stop-and-wait trace held, and the stall
 pins were re-selected by their rule, since neither old seed stalled.
+
+When the timestamp baseline came to fix each command's stamp at its
+2f+1-th report and clamp an author's report to its latest, the timestamp
+traces moved where that changes the order: ``sweep16_timestamp`` at the
+default window (its result pin's ``reordered_ratio`` with it) and the
+``timestamp`` tie-break trace 30 at both windows. Every anchor and follow
+pin and every batch pin held. The result pins gained ``commit_latency_ms``
+in the same change.
 """
 
 import hashlib
@@ -156,7 +164,7 @@ PINS = {
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "eab809d73ea0e71b3de63b407c4c7409aef6f93d851dbdc85bd4a513cf8b4f9c",
+        "69fbb1c2527ada2f9f6a9c5bd73e7e2495f725e3ace4996752b92cf9979dc2f2",
     ),
     "sweep16_anchor": (
         SWEEP16.format(strategy="anchor"),
@@ -238,8 +246,9 @@ RESULT_PINS = {
         "consistency": True, "events_processed": 22987, "leader_faults": 0,
         "rebroadcasts": 0, "rejects": NO_REJECTS, "late_votes": 1325,
         "messages": {"pre_order": 6160, "vote": 6160, "order": 5775, "fetch_log": 0},
+        "commit_latency_ms": {"p50": 5840, "p99": 8440},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
-        "reordered_ratio": 0.027564102564102563, "schema_version": 1,
+        "reordered_ratio": 0.029487179487179487, "schema_version": 1,
         "sim_time_ms": 10996, "total_proposed": 80, "uncommitted": 0,
         "trace_sha256": PINS["sweep16_timestamp"][1],
         "scenario": SCENARIO_ECHO["sweep16_timestamp"],
@@ -249,6 +258,7 @@ RESULT_PINS = {
         "consistency": True, "events_processed": 26355, "leader_faults": 0,
         "rebroadcasts": 0, "rejects": NO_REJECTS, "late_votes": 2255,
         "messages": {"pre_order": 7216, "vote": 7216, "order": 6765, "fetch_log": 0},
+        "commit_latency_ms": {"p50": 6675, "p99": 8710},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
         "sim_time_ms": 10646, "total_proposed": 80, "uncommitted": 0,
@@ -263,6 +273,7 @@ STOP_AND_WAIT_RESULT_PINS = {
         "consistency": True, "events_processed": 82271, "leader_faults": 0,
         "rebroadcasts": 0, "rejects": NO_REJECTS, "late_votes": 4400,
         "messages": {"pre_order": 20480, "vote": 20480, "order": 19200, "fetch_log": 0},
+        "commit_latency_ms": {"p50": 76780, "p99": 133280},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.01730769230769231, "schema_version": 1,
         "sim_time_ms": 139342, "total_proposed": 80, "uncommitted": 0,
@@ -274,6 +285,7 @@ STOP_AND_WAIT_RESULT_PINS = {
         "consistency": True, "events_processed": 82220, "leader_faults": 0,
         "rebroadcasts": 0, "rejects": NO_REJECTS, "late_votes": 6400,
         "messages": {"pre_order": 20480, "vote": 20480, "order": 19200, "fetch_log": 0},
+        "commit_latency_ms": {"p50": 89530, "p99": 131735},
         "non_quiescent": False, "prefix_consistent": True, "reference_node": 0,
         "reordered_ratio": 0.0, "schema_version": 1,
         "sim_time_ms": 140578, "total_proposed": 80, "uncommitted": 0,
@@ -299,7 +311,7 @@ TIE_BREAK_PINS = {
         "b4626890a8ab962214455ba1c0f88a84c1abbd77be113fa8548da9e2388f15dd",
     ),
     ("timestamp", 30): (
-        "a7d405ec0bb819684a7879542e8cb9d0cf487d21baceba764c25307e7e3efba3",
+        "7d53cc43c51eab0f083d294aac873c61f008ff8dbde15249d34d25b1f6f88ecc",
         "b4626890a8ab962214455ba1c0f88a84c1abbd77be113fa8548da9e2388f15dd",
     ),
 }
@@ -318,7 +330,7 @@ STOP_AND_WAIT_TIE_BREAK_PINS = {
         "63eb59c79d971357458aab16e16358c20e15f20dd4313c61ee3696743474e098",
     ),
     ("timestamp", 30): (
-        "10b1420746215250e92832bdeea8647f3f6a0552ac888d6c142a0792c8e17a22",
+        "c2fcfe0f6b99510b6ef27bfa1af8439753e922137f0524a244ed257fcf709537",
         "63eb59c79d971357458aab16e16358c20e15f20dd4313c61ee3696743474e098",
     ),
 }

@@ -524,7 +524,7 @@ class TestOrder:
 
     def test_share_over_other_digest_refused(self, pool, auth):
         """A share counts toward the log whose digest it signs; one over a
-        digest no outstanding log has counts toward none."""
+        digest that no own log has counts toward none and is refused."""
         pool.enqueue_command(cmd(1))
         pre = pre_order(pool, 0)
         digest = pre.log.cur_digest
@@ -532,7 +532,8 @@ class TestOrder:
             assert pool.handle_vote(VoteMessage(auth.partial_sign(voter, digest)), voter, 0) is None
         other = cmd(9).digest
         assert pool.handle_vote(VoteMessage(auth.partial_sign(2, other)), 2, 0) is None
-        assert pool.late_votes == 1
+        assert pool.late_votes == 0
+        assert pool.rejects[INVALID_PARTIAL] == 1
         assert len(pool.outstanding[digest].shares) == 2
         order = pool.handle_vote(VoteMessage(auth.partial_sign(2, digest)), 2, 0)
         assert order is not None

@@ -1,6 +1,7 @@
 """End-to-end simulation properties: FIFO links, determinism, fault handling."""
 
 import dataclasses
+import json
 import random
 from collections import Counter
 
@@ -718,6 +719,20 @@ class TestTimestampStrategy:
         reference = digests[0]
         assert all(t == reference for t in digests.values())
 
+    def test_commits_online_with_a_silent_node(self):
+        # The silent node's watermark stays 0 and uses up the one author the
+        # rule may leave behind; the others' watermarks still pass each stamp.
+        sim = Simulation(small(strategy="timestamp", latency=(1, 300),
+                               byzantine={3: NodeBehavior(silent=True)}))
+        result = sim.run()
+        assert result.uncommitted == 0
+        assert result.consistency
+        times = sim.nodes[result.reference_node].commit_times
+        assert len(times) == 30
+        online = [t for t in times if t < result.sim_time_ms]
+        assert len(online) >= 20
+        assert result.commit_latency_ms["p50"] < result.sim_time_ms // 2
+
 
 class TestPeerRetrieval:
     """Gap recovery: a node missing a certified log pulls it from peers, one
@@ -778,7 +793,40 @@ class TestPeerRetrieval:
         assert [e.digest for e in target.executor.committed_order] == [secret.digest]
 
 
+    def test_missing_command_body_awaited_before_commit_timestamp(self):
+        sim = Simulation(small(strategy="timestamp", commands_per_proposer=0))
+        secret = Command.create(0, 1, b"late body")
+        later = Command.create(0, 2, b"stored body")
+        chains = {author: self._chain(sim, author, [secret, later]) for author in (0, 1, 3)}
+        target = sim.nodes[2]
+        target.mempool.command_store[later.digest] = later
+        for chain in chains.values():
+            for log in chain:
+                assert target.mempool.handle_order(log)
+        target.on_batch(0, tuple(chains[j][1] if j in chains else None for j in range(4)))
+        # Secret, fixed at 10, is below every watermark but node 2's: it
+        # waits for its body, and the node is not idle meanwhile.
+        assert target.executor.blocked_on == {secret.digest}
+        assert not target.executor.idle
+        assert target.executor.committed_order == []
+        target.on_command(secret)
+        assert not target.executor.blocked_on
+        assert [e.digest for e in target.executor.committed_order] == [secret.digest]
+        assert target.commit_times == [sim.now]
+
+
 class TestResultShape:
+    def test_commit_latency_is_propose_to_commit(self):
+        sim = Simulation(small(commands_per_proposer=12, propose_interval=30))
+        result = sim.run()
+        times = sim.nodes[result.reference_node].commit_times
+        latencies = sorted(at - 30 * (entry.proposer_seq - 1)
+                           for entry, at in zip(result.reference_trace, times))
+        assert len(latencies) == 12 and latencies[0] > 0
+        assert times[-1] <= result.sim_time_ms
+        assert result.commit_latency_ms == {"p50": latencies[5], "p99": latencies[11]}
+        assert json.loads(result.to_json())["commit_latency_ms"] == result.commit_latency_ms
+
     def test_json_contains_schema_and_metrics(self):
         import json
 
