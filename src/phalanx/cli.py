@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=STRATEGIES,
                        help="override ordering strategy")
     p_run.add_argument("--dump-batches", action="store_true",
-                       help="also write the delivered batch stream as hex lines")
+                       help="also write the committed batch stream as hex lines "
+                            "(each batch carries only the heads that moved)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep Byzantine counts")

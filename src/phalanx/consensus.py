@@ -1,33 +1,30 @@
 """Consensus layer: order-batch generation and deterministic expansion.
 
-The leader snapshots its mempool's latest certified log per node into an
-order-batch, once some head moved since the last batch it cut, and submits
-it to a total-order broadcast. Every node expands
-the delivered batch stream into a common FIFO queue of log sets: for each
-batch entry that advances an author's committed frontier, the node pulls
-the intervening logs from its mempool (fetching any gap from peers),
-bumps its frontier vector, and appends the collected logs sorted by
-(seq, author).
+Once some author's head (its latest certified log in the leader's mempool)
+moved since the last batch the leader cut, the leader cuts an order-batch
+carrying each moved head in its author's slot and None in every other slot,
+and submits it to a total-order broadcast. Every node expands the delivered
+batch stream, in index order, into a common FIFO queue of log sets: for each
+slot that advances an author's committed frontier, the node pulls the
+intervening logs from its mempool (fetching any gap from peers), bumps its
+frontier vector, and appends the collected logs sorted by (seq, author). A
+head only moves up, so on every node the moving slots of the leader's
+batches are exactly the filled ones. A slot at or below the frontier, such
+as an unchanged head in a full snapshot, adds nothing.
 
-A delivered batch is checked against its reference, the last batch the
-node expanded. A slot that is the very object at the same position of the
-reference passed the position and certificate checks then, and after that
-expansion its seq is at or below the author's committed frontier, which
-never falls: it can neither advance nor leave a gap, so it is skipped. The
-leader snapshots unchanged heads as the same objects, so most slots of a
-batch are skipped this way. Every other slot is checked before any of the
-batch is used: its author position, then ``Mempool.is_certified``, unless it
-equals the log the node already stores at that (author, seq) (see
-``Mempool.is_certified`` for why). Only the slots that move an author's
-frontier are stored with ``Mempool.store_certified`` (a fresh slot is thus
-verified once), gap-checked and expanded. A refused batch never becomes the
-reference.
+Each filled slot must sit at its author's position and enter the store
+through ``Mempool.handle_order``, the node's one door for a received
+certified log: a copy equal to the stored log passes unchecked, any other
+copy is verified and stored, and a fork of the stored chain is refused. A
+refused slot makes the batch invalid, a leader fault; the slots stored
+before it stay stored, as their order messages would have left them. Only
+a faulty leader sends such a batch.
 
 A batch whose committed range has a gap stalls: it stays at the head of the
 buffer, and the consenter remembers the missing (author, seq) pairs. When
 the last of them lands, the batch is committed again from the top. The
-stalled attempt stored its moving slots, so the retry does not verify them
-again; it repeats the gap check's log lookups.
+stalled attempt stored its slots, so the retry verifies nothing again; it
+repeats the range walk's log lookups.
 
 A harness sequencer stands in for the total-order broadcast: it assigns
 consecutive batch indices and every node consumes them in index order.
@@ -40,7 +37,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .mempool import Mempool
-from .types import PartialOrderLog, ProtocolInvariantError
+from .types import PartialOrderLog
 from .wire import encode_log
 
 OrderBatch = tuple[Optional[PartialOrderLog], ...]
@@ -101,11 +98,9 @@ class Consenter:
         self.batch_trace: list[str] = []
         self._buffer: dict[int, OrderBatch] = {}
         self._next_index = 0
-        # The last expanded batch: its slots were checked and are committed.
-        self._expanded: OrderBatch = (None,) * self.n
         # Logs the batch at the head of the buffer waits on.
         self._missing: set[tuple[int, int]] = set()
-        # The last batch this node cut as leader.
+        # The heads as of the last batch this node cut as leader.
         self._cut: OrderBatch = (None,) * self.n
 
     # ------------------------------------------------------------------
@@ -117,11 +112,13 @@ class Consenter:
         return any(head is not cut for head, cut in zip(self.mempool.latest, self._cut))
 
     def make_order_batch(self) -> Optional[OrderBatch]:
-        """Snapshot the mempool's latest-log vector if :meth:`has_batch`."""
+        """The heads that moved since the last batch this node cut, None in
+        every other slot; None if no head moved (:meth:`has_batch`)."""
         if not self.has_batch():
             return None
-        self._cut = tuple(self.mempool.latest)
-        return self._cut
+        latest, cut = self.mempool.latest, self._cut
+        self._cut = tuple(latest)
+        return tuple(None if head is old else head for head, old in zip(latest, cut))
 
     # ------------------------------------------------------------------
     # delivery side
@@ -158,65 +155,46 @@ class Consenter:
         return []
 
     def commit_order_batch(self, batch: OrderBatch) -> LogSet:
-        """Verify, gap-check, and expand one batch into a sorted log set.
+        """Store, gap-check and expand one batch into a sorted log set.
 
-        Raises BatchInvalid on certificate failure or when the mempool refuses
-        a fresh frontier slot, and MissingLogs when the mempool lacks part of
-        a committed range.
+        Raises BatchInvalid when a slot sits at another author's position or
+        ``Mempool.handle_order`` refuses it, and MissingLogs when the mempool
+        lacks part of a committed range.
         """
         if len(batch) != self.n:
             raise BatchInvalid(f"batch has {len(batch)} slots, expected {self.n}")
-        stored = self.mempool.log_store
+        mempool = self.mempool
         committed = self.committed_seq
-        expanded = self._expanded
         moving: list[int] = []  # slots that move an author's frontier
-        fresh: set[int] = set()  # slots not already in the log store
         for j, slot in enumerate(batch):
-            if slot is expanded[j] or slot is None:
-                continue  # checked when the last expanded batch carried it
+            if slot is None:
+                continue
             if slot.node_id != j:
                 raise BatchInvalid(f"slot {j} authored by {slot.node_id}")
-            known = stored.get((j, slot.seq))
-            if known is not slot and known != slot:
-                if not self.mempool.is_certified(slot):
-                    raise BatchInvalid(f"slot {j} fails certificate verification")
-                fresh.add(j)
+            if not mempool.handle_order(slot):
+                raise BatchInvalid(f"slot {j} fails verification or forks the stored chain")
             if slot.seq > committed[j]:
                 moving.append(j)
+        collected: list[PartialOrderLog] = []
         missing: list[tuple[int, int]] = []
         for j in moving:
-            slot = batch[j]
-            if j in fresh and not self.mempool.store_certified(slot):
-                # A certified slot that forks the stored chain: possible only
-                # beyond f faults, and expansion could not find it.
-                raise BatchInvalid(f"slot {j} forks the stored chain")
-            for seq in range(committed[j] + 1, slot.seq):
-                if self.mempool.fetch_log(j, seq) is None:
+            for seq in range(committed[j] + 1, batch[j].seq + 1):
+                log = mempool.fetch_log(j, seq)
+                if log is None:
                     missing.append((j, seq))
+                else:
+                    collected.append(log)
         if missing:
             raise MissingLogs(missing)
-        log_set = self._expand(batch, moving)
-        self._expanded = batch
+        for j in moving:
+            committed[j] = batch[j].seq
+        if len(moving) > 1:  # one author's logs are already in seq order
+            collected.sort(key=lambda log: (log.seq, log.node_id))
+        log_set = tuple(collected)
         self.log_sets.append(log_set)
         if self.record_batches:
             self.batch_trace.append(encode_order_batch(batch).hex())
         return log_set
-
-    def _expand(self, batch: OrderBatch, moving: list[int]) -> LogSet:
-        collected: list[PartialOrderLog] = []
-        for j in moving:
-            top = batch[j].seq
-            for seq in range(self.committed_seq[j] + 1, top + 1):
-                log = self.mempool.fetch_log(j, seq)
-                if log is None:
-                    raise ProtocolInvariantError(
-                        f"log ({j}, {seq}) missing after the gap check passed"
-                    )
-                collected.append(log)
-            self.committed_seq[j] = top
-        if len(moving) > 1:  # one author's logs are already in seq order
-            collected.sort(key=lambda log: (log.seq, log.node_id))
-        return tuple(collected)
 
     @property
     def blocked(self) -> bool:

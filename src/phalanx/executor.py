@@ -91,11 +91,18 @@ class CommandUnavailable(Exception):
 @dataclass(slots=True)
 class CommandInfo:
     """Aggregated per-command view: the stamp each author's log gave it, by
-    author, the k-th command (k from 0) of a log stamped ``timestamp + k``."""
+    author, the k-th command (k from 0) of a log stamped ``timestamp + k``,
+    and its reliable-order index entry (see the module docstring).
+
+    ``bit`` is the command's bit and ``levels[k]`` the open commands that at
+    least k+1 authors logged before it; both are cleared when it commits.
+    """
 
     digest: Digest
     stamps: dict[int, int] = field(default_factory=dict)
     _sorted: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    bit: int = field(default=0, repr=False, compare=False)
+    levels: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     @property
     def support(self) -> int:
@@ -120,38 +127,6 @@ class CommandInfo:
     def drop_cache(self) -> None:
         """Free the sorted timestamps once committed; rebuilt if asked again."""
         self._sorted = None
-
-
-@dataclass(slots=True)
-class IndexedInfo(CommandInfo):
-    """A command with its reliable-order index entry (see the module docstring).
-
-    ``bit`` is the command's bit and ``levels[k]`` the open commands that at
-    least k+1 authors logged before it; both are cleared when it commits.
-    """
-
-    bit: int = field(default=0, repr=False, compare=False)
-    levels: Optional[list[int]] = field(default=None, repr=False, compare=False)
-
-
-def record_command(infos: dict[Digest, IndexedInfo], author: int, stamp: int,
-                   digest: Digest) -> Optional[IndexedInfo]:
-    """File ``author``'s stamp under the command's entry, created on first
-    sight; None, filing nothing, if the author logged the command before.
-
-    An honest author logs a command once (``Mempool.enqueue_command`` drops
-    a repeated digest), but a faulty one can get it certified twice, in one
-    log or at two seqs. Every node ingests the same stream, so every node
-    keeps the same first stamp and skips the same later ones; the timestamp
-    baseline (``tsorder.py``) skips repeats by the same rule.
-    """
-    info = infos.get(digest)
-    if info is None:
-        info = infos[digest] = IndexedInfo(digest)
-    elif author in info.stamps:
-        return None
-    info.add_stamp(author, stamp)
-    return info
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +158,7 @@ class Executor:
         self.quorum = 2 * f + 1
         self._resolve = resolve_command
         self.committed_digests: set[Digest] = set()
-        self.command_infos: dict[Digest, IndexedInfo] = {}
+        self.command_infos: dict[Digest, CommandInfo] = {}
         # Per author, the digests of its logged open commands, in log order.
         self.author_queues: list[deque[Digest]] = [deque() for _ in range(n)]
         self.committed_order: list[TraceEntry] = []
@@ -194,11 +169,11 @@ class Executor:
         self.blocked_on: set[Digest] = set()
         # Commands not committed yet, and the subset whose trusted timestamp
         # is defined (support >= 2f+1).
-        self._open: dict[Digest, IndexedInfo] = {}
-        self._eligible: dict[Digest, IndexedInfo] = {}
+        self._open: dict[Digest, CommandInfo] = {}
+        self._eligible: dict[Digest, CommandInfo] = {}
         # Reliable-order index (module docstring): bit position -> open
         # command, the mask of open bits, and each author's logged mask.
-        self._by_index: dict[int, IndexedInfo] = {}
+        self._by_index: dict[int, CommandInfo] = {}
         self._next_index = 0
         self._open_bits = 0
         self._author_bits = [0] * n
@@ -213,7 +188,7 @@ class Executor:
         self._watch_alter = False
         self._anchor_key: Optional[tuple[int, Digest]] = None
         self._anchor_bit = 0
-        self._pick: Optional[IndexedInfo] = None
+        self._pick: Optional[CommandInfo] = None
 
     # ------------------------------------------------------------------
     # ingestion
@@ -228,9 +203,19 @@ class Executor:
             author = log.node_id
             queue = self.author_queues[author]
             for stamp, digest in log.stamped():
-                info = record_command(infos, author, stamp, digest)
-                if info is None or digest in committed:
-                    continue  # a repeat, or a queue entry that would only be popped
+                # A faulty author can get a command certified twice, in one
+                # log or at two seqs (an honest one logs it once:
+                # ``Mempool.enqueue_command`` drops a repeated digest). Every
+                # node keeps the first stamp and skips the repeats, as the
+                # timestamp baseline (``tsorder.py``) does.
+                info = infos.get(digest)
+                if info is None:
+                    info = infos[digest] = CommandInfo(digest)
+                elif author in info.stamps:
+                    continue
+                info.add_stamp(author, stamp)
+                if digest in committed:
+                    continue  # a queue entry that would only be popped
                 new_front = not queue
                 queue.append(digest)
                 levels = info.levels
@@ -261,7 +246,7 @@ class Executor:
         if wake:
             self._settled = False
 
-    def _wakes(self, info: IndexedInfo, new: bool, new_front: bool) -> bool:
+    def _wakes(self, info: CommandInfo, new: bool, new_front: bool) -> bool:
         """Whether a command just logged, open ``info``, can change the last empty selection."""
         if info.bit & self._deferring and info.support == self.quorum:
             self._deferring ^= info.bit
@@ -288,7 +273,7 @@ class Executor:
     # ------------------------------------------------------------------
     # selection machinery
 
-    def trusted_timestamp(self, info: IndexedInfo) -> Optional[int]:
+    def trusted_timestamp(self, info: CommandInfo) -> Optional[int]:
         """The (f+1)-th smallest reported timestamp, defined at 2f+1 support."""
         return info.trusted_timestamp(self.f)
 
@@ -314,7 +299,7 @@ class Executor:
             return False
         return bool(b.levels[self.f] & a.bit)
 
-    def _select(self) -> tuple[list[IndexedInfo], str, tuple[Digest, ...]]:
+    def _select(self) -> tuple[list[CommandInfo], str, tuple[Digest, ...]]:
         fronts = self.front_vector()
         counts: dict[Digest, int] = {}
         for front in fronts:
@@ -330,11 +315,11 @@ class Executor:
         anchors = (members[0].digest,) if members else ()
         return self._front_set_check(members), ALTER_PATH, anchors
 
-    def _alter_path(self) -> list[IndexedInfo]:
+    def _alter_path(self) -> list[CommandInfo]:
         self._watch_alter = True
         self._direct_bits = 0
         self._pick = None
-        anchor: Optional[IndexedInfo] = None
+        anchor: Optional[CommandInfo] = None
         key: Optional[tuple[int, Digest]] = None
         for digest, info in self._eligible.items():
             candidate = (self.trusted_timestamp(info), digest)
@@ -356,7 +341,7 @@ class Executor:
                 preds |= info.levels[top]
         # So does the lowest-digest under-supported one (the support check
         # below then defers).
-        pick: Optional[IndexedInfo] = None
+        pick: Optional[CommandInfo] = None
         for digest, info in self._open.items():
             if (info.support < self.quorum and not info.levels[top] & after
                     and (pick is None or digest < pick.digest)):
@@ -381,7 +366,7 @@ class Executor:
             fresh = preds & open_bits & ~member_bits
         return members
 
-    def _front_set_check(self, members: list[IndexedInfo]) -> list[IndexedInfo]:
+    def _front_set_check(self, members: list[CommandInfo]) -> list[CommandInfo]:
         kept = [info for info in members if info.support >= self.f + 1]
         deferring = 0
         for info in kept:
@@ -393,7 +378,7 @@ class Executor:
     # ------------------------------------------------------------------
     # commitment
 
-    def commit_anchor_set(self, members: list[IndexedInfo], path: str,
+    def commit_anchor_set(self, members: list[CommandInfo], path: str,
                           anchors: tuple[Digest, ...]) -> list[Command]:
         ordered = sorted(
             members, key=lambda info: (self.trusted_timestamp(info), info.digest)
@@ -433,7 +418,7 @@ class Executor:
             self.alter_sets += 1
         return resolved
 
-    def _release(self, info: IndexedInfo) -> None:
+    def _release(self, info: CommandInfo) -> None:
         """Drop a committed command's index entry and clear its bit."""
         del self._open[info.digest]
         self._eligible.pop(info.digest, None)

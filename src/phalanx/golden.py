@@ -16,9 +16,12 @@ receives its scripted commands through ``on_command`` and ticks once; with
 ``tick_ms = 3`` that tick pre-orders the node's whole phase as one log,
 whose commands read as stamped ``stamp, stamp + 1, ...``. The port then
 delivers the pre-orders, votes, certified logs and the batch the leader's
-tick cut, until nothing is queued. After its last tick each replica receives every body it never
-logged from the proposer; a strategy waiting on one commits once it lands.
-The leader's batch slot seqs and the committed sequences are asserted.
+tick cut, until nothing is queued. After its last tick each replica
+receives every body it never logged from the proposer; a strategy waiting
+on one commits once it lands. The leader's batch slot seqs and the
+committed sequences are asserted; a batch fills only the slots whose head
+moved since the leader's last batch, so the handoff's third batch reads
+``[-,-,2,1]``.
 """
 
 from __future__ import annotations
@@ -137,8 +140,8 @@ def run_anchor_handoff() -> GoldenOutcome:
         {},
     ])
     details: list[str] = []
-    passed = _check(details, seqs == [[1, 1, None, None], [2, 2, 1, None], [2, 2, 2, 1]],
-                    "leader's batches carry slot seqs [1,1,-,-] [2,2,1,-] [2,2,2,1]")
+    passed = _check(details, seqs == [[1, 1, None, None], [2, 2, 1, None], [None, None, 2, 1]],
+                    "leader's batches carry slot seqs [1,1,-,-] [2,2,1,-] [-,-,2,1]")
     passed &= _check(details, after[1] == [], "no anchor after the first batch")
     passed &= _check(details, after[2] == [red.digest, yellow.digest],
                      "second batch commits red then yellow")

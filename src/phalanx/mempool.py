@@ -47,8 +47,13 @@ a second check. A log's digest is hashed when it is pre-ordered to this
 node, unless this node authored it; its certified copy reuses that check
 (:meth:`Mempool.is_certified`).
 
-It also stores every command and verified log for later retrieval by the
-consensus and executor layers.
+A certified log received from a peer, in an order message or in an
+order-batch slot, enters the store only through
+:meth:`Mempool.handle_order`: a copy equal to the stored log passes
+unchecked, any other copy is verified and stored, and a copy that forks
+the stored hash chain is refused. The store holds those logs and the own
+logs this node certified; it also keeps every command, for later
+retrieval by the consensus and executor layers.
 """
 
 from __future__ import annotations
@@ -304,18 +309,37 @@ class Mempool:
         return OrderMessage(completed)
 
     def handle_order(self, log: PartialOrderLog) -> bool:
-        """Validate and store a certified log; returns True if accepted.
+        """Validate and store a certified log, from an order message or an
+        order-batch slot; returns True if accepted.
 
         A log equal to the one stored at its (author, seq) is accepted
-        without a check, by the rule in :meth:`is_certified`'s docstring.
+        without a check, by the rule in :meth:`is_certified`'s docstring. Any
+        other log must pass :meth:`is_certified` (else ``invalid_cert``) and
+        must not fork the stored hash chain (else ``chain_break``).
         """
-        known = self.log_store.get((log.node_id, log.seq))
-        if known is not None and (known is log or known == log):
+        store = self.log_store
+        author, seq = log.node_id, log.seq
+        existing = store.get((author, seq))
+        if existing is not None and (existing is log or existing == log):
             return True
         if not self.is_certified(log):
             self.rejects[INVALID_CERT] += 1
             return False
-        return self.store_certified(log)
+        if existing is not None:
+            if existing.cur_digest != log.cur_digest:
+                self._flag_chain_break(existing, log)
+                return False
+            return True
+        prev = store.get((author, seq - 1))
+        if prev is not None and seq > 1 and log.prev_digest != prev.cur_digest:
+            self._flag_chain_break(prev, log)
+            return False
+        succ = store.get((author, seq + 1))
+        if succ is not None and succ.prev_digest != log.cur_digest:
+            self._flag_chain_break(log, succ)
+            return False
+        self._store_log(log)
+        return True
 
     def is_certified(self, log: PartialOrderLog) -> bool:
         """The one certified-log check: a certificate is present, covers this
@@ -352,26 +376,6 @@ class Mempool:
         ) and not log.verify_digest():
             return False
         return self.auth.verify_certificate(cert)
-
-    def store_certified(self, log: PartialOrderLog) -> bool:
-        """Store a log that passed :meth:`is_certified`, without verifying it
-        again; returns False if it forks the stored hash chain."""
-        existing = self.log_store.get((log.node_id, log.seq))
-        if existing is not None:
-            if existing.cur_digest != log.cur_digest:
-                self._flag_chain_break(existing, log)
-                return False
-            return True
-        prev = self.log_store.get((log.node_id, log.seq - 1))
-        if prev is not None and log.seq > 1 and log.prev_digest != prev.cur_digest:
-            self._flag_chain_break(prev, log)
-            return False
-        succ = self.log_store.get((log.node_id, log.seq + 1))
-        if succ is not None and succ.prev_digest != log.cur_digest:
-            self._flag_chain_break(log, succ)
-            return False
-        self._store_log(log)
-        return True
 
     def _store_log(self, log: PartialOrderLog) -> None:
         """Store a log and advance its author's certified head over the

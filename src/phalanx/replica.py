@@ -103,7 +103,7 @@ class Replica:
             self._drain()
 
     def tick(self, stamp: int) -> bool:
-        """Pre-order, re-broadcast or snapshot a batch; False if it did none."""
+        """Pre-order, re-broadcast or cut a batch; False if it did none."""
         mempool = self.mempool
         k = 0
         while k < self.tick_ms and mempool.inbound and mempool.has_room():

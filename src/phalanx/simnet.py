@@ -30,7 +30,7 @@ the mempool's pre-order window is full, the queue is empty or it has taken
 ``delta_o`` of them, and pre-orders them as one log (its k-th command, from
 0, reads as stamped ``stamp + k``, so stamps stay below the next tick's);
 if it takes none, it re-broadcasts the starved log that fell due first.
-On the leader it also snapshots an order-batch. One rule,
+On the leader it also cuts an order-batch of the heads that moved. One rule,
 :meth:`Simulation._next_tick`, decides when a node ticks: its first grid
 tick at or after a given one at which its tick can act. That is the given tick itself if commands are queued while the
 pre-order window has room, or if the node leads and some author's
@@ -88,7 +88,7 @@ import heapq
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, get_args
 
 from .authenticators import HmacAuthenticator
@@ -152,6 +152,9 @@ class ExperimentResult:
     messages: dict[str, int]
     # p50 and p99 of the reference node's propose-to-commit times, in ms.
     commit_latency_ms: dict[str, Optional[int]]
+    # The reference node's committed order-batches as hex lines
+    # (``consensus.encode_order_batch``), kept when ``record_batches`` is set;
+    # a slot holds a head only where it moved since the leader's last batch.
     batch_trace: list[str] = field(default_factory=list)
 
     @property
@@ -163,28 +166,13 @@ class ExperimentResult:
         return hashlib.sha256(joined.encode()).hexdigest()
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "scenario": self.scenario.to_dict(),
-            "reference_node": self.reference_node,
-            "reordered_ratio": self.reordered_ratio,
-            "alter_path_ratio": self.alter_path_ratio,
-            "consistency": self.consistency,
-            "prefix_consistent": self.prefix_consistent,
-            "uncommitted": self.uncommitted,
-            "committed": self.committed,
-            "total_proposed": self.total_proposed,
-            "non_quiescent": self.non_quiescent,
-            "leader_faults": self.leader_faults,
-            "sim_time_ms": self.sim_time_ms,
-            "events_processed": self.events_processed,
-            "rebroadcasts": self.rebroadcasts,
-            "rejects": self.rejects,
-            "late_votes": self.late_votes,
-            "messages": self.messages,
-            "commit_latency_ms": self.commit_latency_ms,
-            "trace_sha256": self.trace_sha256(),
-        }
+        """Every field but the traces, the scenario as its echo, the schema
+        version and the reference trace's sha256."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("traces", "batch_trace")}
+        out.update(schema_version=RESULT_SCHEMA_VERSION, scenario=self.scenario.to_dict(),
+                   trace_sha256=self.trace_sha256())
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"

@@ -176,7 +176,7 @@ class TimestampExecutor:
                     info = infos[digest] = unfixed[digest] = StampedInfo()
                     heappush(self._bounds, (floor, digest))
                 elif author in info.stamps:
-                    continue  # the author's repeat, skipped as in record_command
+                    continue  # the author's repeat, skipped as in Executor.ingest_log_set
                 reports = info.stamps
                 reports[author] = stamp
                 if len(reports) == quorum:

@@ -1,5 +1,6 @@
 """Order-batch generation and deterministic commit expansion."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,8 +13,11 @@ from phalanx import (
     Mempool,
     MissingLogs,
     PartialOrderLog,
-    ProtocolInvariantError,
 )
+from phalanx.golden import FifoPort
+from phalanx.mempool import INVALID_CERT
+from phalanx.scenario import ANCHOR
+from phalanx.wire import OrderMessage
 
 from prop_harness import certified_chain, certify_log
 
@@ -74,6 +78,56 @@ class TestMakeOrderBatch:
         pool.handle_order(logs[1])
         batch = consenter.make_order_batch()
         assert batch[1] is logs[1]
+
+    def test_batch_carries_only_the_heads_that_moved(self, setup, auth):
+        pool, consenter = setup
+        ones, twos = chain(auth, 1, 2), chain(auth, 2, 1)
+        pool.handle_order(ones[0])
+        pool.handle_order(twos[0])
+        assert consenter.make_order_batch() == (None, ones[0], twos[0], None)
+        pool.handle_order(ones[1])
+        assert consenter.has_batch()
+        assert consenter.make_order_batch() == (None, ones[1], None, None)
+        assert not consenter.has_batch() and consenter.make_order_batch() is None
+
+
+class TestSnapshotEquivalence:
+    """A consenter fed the leader's batches, which carry only the heads that
+    moved, and one fed full snapshots of the same heads expand one stream."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_delta_and_snapshot_streams_match(self, auth, seed):
+        rng = random.Random(seed)
+        chains = {author: chain(auth, author, 6) for author in (1, 2, 3)}
+        every = [log for logs in chains.values() for log in logs]
+        leader_pool = Mempool(0, auth)
+        leader = Consenter(0, leader_pool)
+        followers = []
+        for node_id in (1, 2):
+            pool = Mempool(node_id, auth)
+            for log in every:
+                assert pool.handle_order(log)
+            followers.append(Consenter(node_id, pool))
+        delta, snapshot = followers
+        heads = dict.fromkeys(chains, 0)
+        index = unchanged = 0
+        for _ in range(12):
+            for author in rng.sample(sorted(chains), rng.randint(0, 3)):
+                heads[author] = min(6, heads[author] + rng.randint(1, 2))
+                for log in chains[author][:heads[author]]:
+                    leader_pool.handle_order(log)
+            batch = leader.make_order_batch()
+            if batch is None:
+                continue
+            full = tuple(leader_pool.latest)
+            unchanged += sum(slot is None and head is not None for slot, head in zip(batch, full))
+            assert delta.on_delivered(index, batch) == []
+            assert snapshot.on_delivered(index, full) == []
+            index += 1
+        assert unchanged  # some batch left out a head that did not move
+        assert list(delta.log_sets) == list(snapshot.log_sets)
+        assert delta.committed_seq == snapshot.committed_seq == [0] + [heads[a] for a in (1, 2, 3)]
+        assert delta.leader_faults == snapshot.leader_faults == 0
 
 
 class TestCommit:
@@ -278,37 +332,47 @@ class TestStoredSlotSkip:
 
 
 class TestExpandedBatchSkip:
-    """A slot that is the last expanded batch's object at its position is not
-    checked again; every other slot is."""
+    """Every slot enters the store through ``Mempool.handle_order``: a slot
+    equal to the stored log, such as one already expanded, is not checked
+    again, and every other slot is verified there, once per node."""
 
     @pytest.fixture
-    def spied(self, setup, monkeypatch):
+    def spied(self, setup, auth, monkeypatch):
+        """The pool and consenter, and a call list: ("handle_order", log),
+        ("verify", log whose handle_order is running, or None) and
+        ("fetch_log", author, seq)."""
         pool, consenter = setup
-        calls = []
+        calls, running = [], []
+        handle_order, fetch_log = pool.handle_order, pool.fetch_log
+        verify = auth.verify_certificate
 
-        class LogStore(dict):
-            def get(self, key, default=None):
-                calls.append(("log_store.get", key))
-                return super().get(key, default)
+        def door(log):
+            calls.append(("handle_order", log))
+            running.append(log)
+            try:
+                return handle_order(log)
+            finally:
+                running.pop()
 
-        pool.log_store = LogStore()
-        for name in ("is_certified", "store_certified", "fetch_log"):
-            method = getattr(pool, name)
-            monkeypatch.setattr(pool, name, lambda *args, n=name, m=method:
-                                calls.append((n, *args)) or m(*args))
+        monkeypatch.setattr(pool, "handle_order", door)
+        monkeypatch.setattr(auth, "verify_certificate", lambda cert: calls.append(
+            ("verify", running[-1] if running else None)) or verify(cert))
+        monkeypatch.setattr(pool, "fetch_log", lambda author, seq: calls.append(
+            ("fetch_log", author, seq)) or fetch_log(author, seq))
         return pool, consenter, calls
 
-    def _checked(self, calls):
-        return [call for call in calls if call[0] in ("is_certified", "store_certified")]
+    def _verified(self, calls):
+        return [call[1] for call in calls if call[0] == "verify"]
 
     def test_redelivered_batch_checks_nothing(self, spied, auth):
         _pool, consenter, calls = spied
-        batch = (None, chain(auth, 1, 1)[0], chain(auth, 2, 1)[0], None)
+        ones, twos = chain(auth, 1, 1), chain(auth, 2, 1)
+        batch = (None, ones[0], twos[0], None)
         assert consenter.on_delivered(0, batch) == []
-        assert len(self._checked(calls)) == 4  # each slot verified and stored
+        assert self._verified(calls) == [ones[0], twos[0]]  # each inside its handle_order
         calls.clear()
         assert consenter.on_delivered(1, batch) == []
-        assert calls == []
+        assert calls == [("handle_order", ones[0]), ("handle_order", twos[0])]
         assert consenter.log_sets[1] == ()
         assert consenter.committed_seq == [0, 1, 1, 0]
 
@@ -321,35 +385,42 @@ class TestExpandedBatchSkip:
         forged = log.with_certificate(replace(cert, aggregate=flipped))
         calls.clear()
         assert consenter.on_delivered(1, (None, forged, None, None)) == []
-        assert self._checked(calls) == [("is_certified", forged)]
+        assert self._verified(calls) == [forged]
         assert consenter.leader_faults == 1
+        assert pool.rejects[INVALID_CERT] == 1
         assert len(consenter.log_sets) == 1
         assert pool.fetch_log(1, 1) is log
 
     def test_expanded_slot_moved_to_another_position_refused(self, spied, auth):
-        _pool, consenter, _calls = spied
+        _pool, consenter, calls = spied
         log = chain(auth, 1, 1)[0]
         consenter.on_delivered(0, (None, log, None, None))
+        calls.clear()
         assert consenter.on_delivered(1, (None, None, log, None)) == []
+        assert calls == []  # refused before it reaches the store
         assert consenter.leader_faults == 1
         assert consenter.committed_seq == [0, 1, 0, 0]
 
-    def test_refused_batch_never_becomes_the_reference(self, spied, auth):
-        _pool, consenter, calls = spied
+    def test_refused_batch_keeps_its_valid_slots_stored(self, spied, auth):
+        pool, consenter, calls = spied
         first = chain(auth, 1, 2)
         other = chain(auth, 2, 1)[0]
-        expanded = (None, first[0], other, None)
-        consenter.on_delivered(0, expanded)
+        consenter.on_delivered(0, (None, first[0], other, None))
+        # Author 2's stored log under another log's certificate.
         forged = other.with_certificate(first[1].certificate)
         refused = (None, first[1], forged, None)
+        calls.clear()
         consenter.on_delivered(1, refused)
-        # Compared with the refused batch, both slots would be skipped.
+        assert self._verified(calls) == [first[1]]
+        assert pool.fetch_log(1, 2) is first[1]  # stored, as its order message would be
+        assert pool.rejects[INVALID_CERT] == 1
+        assert consenter.committed_seq == [0, 1, 1, 0]
+        assert len(consenter.log_sets) == 1
+        calls.clear()
         consenter.on_delivered(2, refused)
         assert consenter.leader_faults == 2
-        calls.clear()
         consenter.on_delivered(3, (None, first[1], other, None))
-        assert self._checked(calls) == [
-            ("is_certified", first[1]), ("store_certified", first[1])]
+        assert self._verified(calls) == []
         assert consenter.log_sets[-1] == (first[1],)
         assert consenter.leader_faults == 2
 
@@ -357,31 +428,73 @@ class TestExpandedBatchSkip:
         pool, consenter, calls = spied
         ones, twos, threes = chain(auth, 1, 1), chain(auth, 2, 3), chain(auth, 3, 1)
         consenter.on_delivered(0, (None, ones[0], twos[0], None))
-        # Slot 1 is an equal copy, not the expanded object: checked, not advancing.
+        # Slot 1 is an equal copy of the stored log: accepted unchecked.
         stalled = (None, replace(ones[0]), twos[2], threes[0])
+        calls.clear()
         assert consenter.on_delivered(1, stalled) == [(2, 2)]
+        assert self._verified(calls) == [twos[2], threes[0]]
         assert consenter.committed_seq == [0, 1, 1, 0]
         pool.handle_order(twos[1])
         calls.clear()
         assert consenter.on_log_stored(2, 2) == []
-        # The retry repeats the gap check's lookup, then expands; its slots
-        # were stored by the stalled attempt, so none is checked again.
+        # The stalled attempt stored its slots, so the retry verifies nothing
+        # again; it repeats the range walk's lookups.
+        assert self._verified(calls) == []
         assert [call for call in calls if call[0] == "fetch_log"] == [
-            ("fetch_log", 2, 2), ("fetch_log", 2, 2), ("fetch_log", 2, 3), ("fetch_log", 3, 1)]
-        assert self._checked(calls) == []
+            ("fetch_log", 2, 2), ("fetch_log", 2, 3), ("fetch_log", 3, 1)]
         assert consenter.log_sets[-1] == (threes[0], twos[1], twos[2])
         assert consenter.committed_seq == [0, 1, 3, 1]
-        # The resumed batch is now the reference.
         calls.clear()
         consenter.on_delivered(2, stalled)
-        assert calls == []
+        assert self._verified(calls) == [] and consenter.log_sets[-1] == ()
+
+    def test_each_certificate_verified_once_per_node(self, monkeypatch):
+        # Four replicas: every certified log reaches each peer as an order
+        # message and again in the leader's batch, replica 3 getting the
+        # batch first, and only handle_order verifies it, once per node.
+        net = FifoPort(HmacAuthenticator(N, F, cluster_seed=b"one-door"), ANCHOR, tick_ms=2)
+        running, verified = [], []
+        handle_order = Mempool.handle_order
+        verify = net.replicas[0].mempool.auth.verify_certificate
+
+        def door(pool, log):
+            running.append(pool.node_id)
+            try:
+                return handle_order(pool, log)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(Mempool, "handle_order", door)
+        monkeypatch.setattr(net.replicas[0].mempool.auth, "verify_certificate", lambda cert: (
+            verified.append((running[-1] if running else None, cert.event_digest))
+            or verify(cert)))
+        for stamp in (10, 20):
+            for replica in net.replicas:
+                replica.on_command(command(replica.node_id, stamp))
+                replica.tick(stamp)
+            held = []
+            while net.queue:
+                src, dst, msg = net.queue.popleft()
+                if dst == 3 and isinstance(msg, OrderMessage):
+                    held.append((src, dst, msg))
+                else:
+                    net.deliver(src, dst, msg)
+            assert net.replicas[0].tick(stamp + 5)
+            net.queue.extend(held)  # behind the batch
+            net.run()
+        logs = {(log.node_id, log.cur_digest) for log in net.replicas[0].mempool.log_store.values()}
+        assert len(logs) == 8 and len(net.batches) == 2
+        assert sorted(verified) == sorted(
+            (node, digest) for node in range(N) for author, digest in logs if author != node)
+        assert [r.consenter.committed_seq for r in net.replicas] == [[2, 2, 2, 2]] * N
 
 
 class TestExpandInvariant:
     def test_rejected_frontier_slot_raises(self, setup, auth):
         # A certified slot that breaks the stored chain (possible only with
-        # more than f faults) is refused by the mempool, so the batch is
-        # invalid: expansion could not find the frontier log it was promised.
+        # more than f faults) is refused by the mempool's handle_order, so the
+        # batch is invalid: expansion could not find the frontier log it was
+        # promised.
         pool, consenter = setup
         first = chain(auth, 2, 1)[0]
         pool.handle_order(first)
@@ -405,8 +518,3 @@ class TestExpandInvariant:
         assert consenter.on_delivered(1, (None, good, None, None)) == []
         assert consenter.log_sets.popleft() == (good,)
 
-    def test_expand_raises_on_missing_promised_log(self, setup, auth):
-        _pool, consenter = setup
-        unstored = chain(auth, 1, 1)[0]
-        with pytest.raises(ProtocolInvariantError):
-            consenter._expand((None, unstored, None, None), [1])

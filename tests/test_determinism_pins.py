@@ -54,6 +54,13 @@ default window (its result pin's ``reordered_ratio`` with it) and the
 ``timestamp`` tie-break trace 30 at both windows. Every anchor and follow
 pin and every batch pin held. The result pins gained ``commit_latency_ms``
 in the same change.
+
+When the leader's order-batches came to carry only the heads that moved
+since its last batch, with None in every other slot, the batch-trace pins
+moved at both windows wherever some batch left a head unchanged: both
+``BATCH_PINS``, every tie-break batch and both stall batches. Every trace,
+every result pin, the zero-latency pins (none of their batches repeated an
+unchanged head) and the stall pins' events and stall sets held.
 """
 
 import hashlib
@@ -202,17 +209,17 @@ STOP_AND_WAIT_PINS = {
 BATCH_PINS = {
     "lan_smoke": (
         LAN_SMOKE,
-        "21528a6cd2ae42b1c8be906fac6514220fd1f9b318c36894be379133df188903",
+        "1b7bccd58acadddfc5577bed90f1d74dc14bfb6c974e53651866b8be3ea6898f",
     ),
     "sweep16_timestamp": (
         SWEEP16.format(strategy="timestamp"),
-        "bc007a07688d26a55e67dd5875fd6011ba1324ce5958543dc654b1c65e07cacc",
+        "0d0e846ddb1b339f8f717855836e68a51d4cfb99732db1abc3a7e42e9e5b9000",
     ),
 }
 
 STOP_AND_WAIT_BATCH_PINS = {
-    "lan_smoke": "dbc1f8f246ffc4f629bbbbf3379e4beeb7ed307e96e3442d45e7bf4693a4daa5",
-    "sweep16_timestamp": "1b76f8fd4cec456f466aa5b9bf2894e3507a22e2cce8b154b94b81c35acb9505",
+    "lan_smoke": "1530830654660480806b10020ac41066f5699f70103c7b8f544a28a89a0cd856",
+    "sweep16_timestamp": "3aed16b6534ebc1267b6725565834b4a68cefa67a826a63d27f924be9a67848e",
 }
 
 
@@ -300,38 +307,38 @@ STOP_AND_WAIT_RESULT_PINS = {
 TIE_BREAK_PINS = {
     ("anchor", 19): (
         "8a6e476d107efefc481baa05228e6ef7a8a40336be477a3ddfd0bf956e9a6078",
-        "290f2aab26ab8a356e458d7a063048773d5ecfe262edeaa2bb4a5701a2bbf3a5",
+        "7c1a52b60257feafbfeda1f8264f9de4be8b3bc4ccefed889eebeb8bd5bf3b6b",
     ),
     ("anchor", 26): (
         "8f0c538144bd964722b1e36805b71e730b157dd0c998e108b2a4f2667e22adce",
-        "a55d2134a8740f54e3714f6cf8f892385053be9bec84808651f70264cda43588",
+        "7b9ac11ee54c1f79417ef69d04041d3243a0cd370a828cac91362358c15df766",
     ),
     ("anchor", 30): (
         "0846afe8c51adab2f26991026a658c816cd43605d8b6149b6a64d1fc979820d0",
-        "b4626890a8ab962214455ba1c0f88a84c1abbd77be113fa8548da9e2388f15dd",
+        "6e8a151a83db250aa224f84d9c9256227a90df9f9187d758593b7553bdaf4589",
     ),
     ("timestamp", 30): (
         "7d53cc43c51eab0f083d294aac873c61f008ff8dbde15249d34d25b1f6f88ecc",
-        "b4626890a8ab962214455ba1c0f88a84c1abbd77be113fa8548da9e2388f15dd",
+        "6e8a151a83db250aa224f84d9c9256227a90df9f9187d758593b7553bdaf4589",
     ),
 }
 
 STOP_AND_WAIT_TIE_BREAK_PINS = {
     ("anchor", 19): (
         "0d563f357e888e93ebce72d7671371b6859d4a3fee8d30dc275058162221c73f",
-        "7baffc1e56ac18d8aa946a8aff78599ceb09332fe2af597bc051d4f08b82f2aa",
+        "aec8b743394a5fe9f7038b5465f175e422833f27db5fead1015ab5bfde9c0797",
     ),
     ("anchor", 26): (
         "3f66971ed11aa5b846eee924e69521bffa7c1e8957d6a784d39bb79b00f776b8",
-        "782f4d4c8413ba5d24e62838e01b351c960ef4bd4e1aead5d4a3f4018eda1150",
+        "2d97e442a25b37bf2f4bee428649772c785de8a95e0f4a0ba7cd004f0b9fb450",
     ),
     ("anchor", 30): (
         "f9549422b68d1325b066834d32944d38d72df8818f40cc14fcffc57b064931b1",
-        "63eb59c79d971357458aab16e16358c20e15f20dd4313c61ee3696743474e098",
+        "ed497fdc9bd7f69e34e5cbcd3281cf8f83a1bc7ce868ada5b2546654bc2a7726",
     ),
     ("timestamp", 30): (
         "c2fcfe0f6b99510b6ef27bfa1af8439753e922137f0524a244ed257fcf709537",
-        "63eb59c79d971357458aab16e16358c20e15f20dd4313c61ee3696743474e098",
+        "ed497fdc9bd7f69e34e5cbcd3281cf8f83a1bc7ce868ada5b2546654bc2a7726",
     ),
 }
 
@@ -492,12 +499,12 @@ STALL_SCENARIOS = {"wide": wide_scenario, "random": random_scenario}
 STALL_PINS = {
     ("wide", 7011): (
         "503840cb19fce935cb86f9035dc346ee15d28e721434eb5be2aa5c9a4645aa6c",
-        "b9e9728d4d68fc2f29c2fc9fce95b5a2007ac44ef37783f62d1c647cd96bade0",
+        "dedf2c9d35d873061cc7508d4f46b360a38af2955ffe2b55f75031a5e7f46959",
         7768, {8}, {8},
     ),
     ("random", 10070): (
         "e0b0574dc8ddb3a62e57c2d292b1bb5b1d81009b50d8a341423ec5e483690b3f",
-        "70b1e089983e266206912a703a7020ccb49c118114d77b44f04fc85b450f58d9",
+        "7c982e42474d0375d04102970a953e1427a22f370caa58e6273501d35c6bdbb1",
         468, {6}, {6},
     ),
 }

@@ -25,6 +25,9 @@ NODE_HANDLERS = ("on_tick", "on_message", "on_batch", "on_command")
 BEHAVIOUR_READERS = {"simnet.py", "scenario.py"}
 # All a replica may use of its port; when a node ticks is the port's call.
 PORT = {"send", "broadcast", "wake", "sequencer", "now"}
+# The mempool's certified-log check and store: a received certified log
+# enters the store only through Mempool.handle_order.
+STORE_INTERNALS = {"is_certified", "_store_log", "log_store"}
 RESEND_MS = 100
 
 
@@ -193,6 +196,17 @@ def test_only_the_simulator_reads_behaviour_flags():
             if isinstance(node, ast.Attribute) and node.attr in flags:
                 readers.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert readers == []
+
+
+def test_only_the_mempool_checks_and_stores_certified_logs():
+    touched = []
+    for path in sorted(Path(phalanx.__file__).parent.glob("*.py")):
+        if path.name == "mempool.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in STORE_INTERNALS:
+                touched.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert touched == []
 
 
 def test_replica_reads_only_the_port_contract():
