@@ -149,18 +149,21 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[dict]:
     return rows
 
 
+def _cell(value):
+    """A CSV cell: a bool as 0/1, a float with 6 decimals, else as is."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
+
+
 def write_sweep_csv(rows: list[dict], out_csv: Path) -> None:
     with open(out_csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row["byzantine"], row["strategy"], row["rep"], row["seed"],
-                f"{row['reordered_ratio']:.6f}", f"{row['alter_path_ratio']:.6f}",
-                int(row["consistency"]), int(row["resisted"]),
-                row["uncommitted"], int(row["non_quiescent"]),
-                row["commit_latency_p50_ms"], row["commit_latency_p99_ms"],
-            ])
+            writer.writerow([_cell(row[column]) for column in CSV_COLUMNS])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

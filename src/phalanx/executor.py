@@ -167,12 +167,11 @@ class Executor:
         self.alter_sets = 0
         self.pending_sets: deque[LogSet] = deque()
         self.blocked_on: set[Digest] = set()
-        # Commands not committed yet, and the subset whose trusted timestamp
-        # is defined (support >= 2f+1).
-        self._open: dict[Digest, CommandInfo] = {}
+        # Open commands whose trusted timestamp is defined (support >= 2f+1).
         self._eligible: dict[Digest, CommandInfo] = {}
         # Reliable-order index (module docstring): bit position -> open
-        # command, the mask of open bits, and each author's logged mask.
+        # command (every logged command not committed yet, in logging
+        # order), the mask of open bits, and each author's logged mask.
         self._by_index: dict[int, CommandInfo] = {}
         self._next_index = 0
         self._open_bits = 0
@@ -225,7 +224,6 @@ class Executor:
                     self._by_index[self._next_index] = info
                     self._next_index += 1
                     self._open_bits |= bit
-                    self._open[digest] = info
                     levels = info.levels = [0] * (top + 1)
                 else:
                     bit = info.bit
@@ -291,11 +289,12 @@ class Executor:
         """True iff at least f+1 nodes logged both open commands with `first` earlier.
 
         Read from the index, which holds open commands only: a command that
-        has committed, or was never logged, precedes and follows nothing.
+        has committed (its bit is cleared), or was never logged, precedes and
+        follows nothing.
         """
-        a = self._open.get(first)
-        b = self._open.get(second)
-        if a is None or b is None:
+        a = self.command_infos.get(first)
+        b = self.command_infos.get(second)
+        if a is None or b is None or not b.bit:
             return False
         return bool(b.levels[self.f] & a.bit)
 
@@ -342,9 +341,9 @@ class Executor:
         # So does the lowest-digest under-supported one (the support check
         # below then defers).
         pick: Optional[CommandInfo] = None
-        for digest, info in self._open.items():
+        for info in self._by_index.values():
             if (info.support < self.quorum and not info.levels[top] & after
-                    and (pick is None or digest < pick.digest)):
+                    and (pick is None or info.digest < pick.digest)):
                 pick = info
         self._pick = pick
         if pick is not None:
@@ -420,7 +419,6 @@ class Executor:
 
     def _release(self, info: CommandInfo) -> None:
         """Drop a committed command's index entry and clear its bit."""
-        del self._open[info.digest]
         self._eligible.pop(info.digest, None)
         bit = info.bit
         del self._by_index[bit.bit_length() - 1]

@@ -44,7 +44,7 @@ partial-order logs through three steps:
 Each node checks each vote share and each log digest once. A share is
 verified when its vote arrives and combined into the certificate without
 a second check. A log's digest is hashed when it is pre-ordered to this
-node, unless this node authored it; its certified copy reuses that check
+node, its own logs included; its certified copy reuses that check
 (:meth:`Mempool.is_certified`).
 
 A certified log received from a peer, in an order message or in an
@@ -232,9 +232,7 @@ class Mempool:
         if log.node_id != sender:
             self.rejects[REJECT_BAD_AUTHOR] += 1
             return None
-        # This node's own outstanding log was hashed when it was created.
-        own = sender == self.node_id and self.outstanding.get(log.cur_digest)
-        if (not own or own.log is not log) and not log.verify_digest():
+        if not log.verify_digest():
             self.rejects[REJECT_BAD_DIGEST] += 1
             return None
         head = self.latest[sender]

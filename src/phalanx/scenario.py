@@ -78,6 +78,8 @@ class NodeBehavior:
             part = part.strip().lower()
             name, colon, arg = part.partition(":")
             kind = _BEHAVIOR_KINDS.get(name)
+            if name in values:
+                raise ScenarioError(f"repeated behavior {name!r} in {spec!r}")
             if kind is bool and not colon:
                 values[name] = True
             elif kind is int and colon:

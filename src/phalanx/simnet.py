@@ -38,9 +38,10 @@ certified head moved since the last order-batch it cut
 (:meth:`~phalanx.consensus.Consenter.has_batch`: the batch just cut counts,
 though the leader's consenter only expands it after the tick); otherwise
 the first grid tick at or after the earliest
-re-broadcast due time among its logs awaiting votes, ``sent + timeout -
-skew`` for the log last sent earliest, where ``timeout`` is the mempool's
-re-broadcast timeout, ``max(resend_ms, SRTT + 4 * RTTVAR)`` of the node's
+re-broadcast due time among its logs awaiting votes: the time at which the
+node's clock (:meth:`_Node.clock_at`) reads ``sent + timeout`` for the log
+last sent earliest, where ``timeout`` is the mempool's re-broadcast
+timeout, ``max(resend_ms, SRTT + 4 * RTTVAR)`` of the node's
 measured vote round trips, one timed log per round trip; otherwise none,
 and the node sleeps with no timer. The rule is applied from the next grid
 point after each tick, and from the first grid tick after the current time
@@ -49,7 +50,7 @@ log certifies, and, on the leader, when a log is stored. Those are the
 only events that can move the rule's answer earlier. A wake puts the
 rule's answer in place of the queued tick, earlier, later or none, so a
 tick queued for a log's re-broadcast is dropped when that log certifies
-first. A silent node never ticks.
+first. A silent node never has a tick to run.
 
 Events are ordered by time. At one time every tick runs first, in node-id
 order (a tick's heap key is ``node_id - n``), then every other event, by
@@ -69,11 +70,15 @@ grid tick of any node when that holds before the first event; otherwise,
 cut short, at the last grid tick of any node at or before ``max_sim_ms``.
 
 Byzantine behaviors live here and in :mod:`~phalanx.scenario` only, never
-in the replica. They reorder a node's inbound queue, skew its reported log
-timestamps, or silence it entirely. :class:`_Node` applies the skewed stamp
-on each tick and to the clock that times its vote round trips, and the
-queue behaviour before a tick takes each command for its log; a silent
-node is a :class:`_SilentNode`. A ``shuffle`` node makes one uniform draw
+in the replica, and only the nodes read them: the scheduler asks a node's
+clock when a re-broadcast falls due. They reorder a node's inbound queue,
+skew its clock, or crash it. A node's clock is one function,
+:meth:`_Node.clock_at`, read by each tick for its stamp, by the vote
+round-trip samples and, through its inverse :meth:`_Node.time_at`, by the
+scheduler; ``skew`` shifts it. The queue behaviour runs before a tick
+takes each command for its log. A ``silent`` node is a crash fault, a
+:class:`_SilentNode`: it drops whatever it is handed, so it receives and
+sends nothing. A ``shuffle`` node makes one uniform draw
 over its queue before each command taken while the window has room and
 two or more commands are queued, and takes the drawn command; the rest
 keep their arrival order. A ``reverse`` node moves its newest queued
@@ -104,15 +109,13 @@ from .metrics import (
 from .replica import Replica
 from .scenario import Scenario
 from .types import Command
-from .wire import Message, PreOrderMessage
+from .wire import Message
 
 RESULT_SCHEMA_VERSION = 1
 
 # A time no run reaches: the next tick of a node asleep with no timer, and
 # the first tick of a proposer, which has none.
 _NO_TICK = 1 << 62
-# The next tick of a silent node, which no wake moves.
-_SILENT = -1
 
 # Event kinds (dispatch tags inside the loop).
 _EV_TICK = 0
@@ -188,7 +191,7 @@ def _build_command(scenario: Scenario, proposer_id: int, seq: int) -> Command:
 
 class _Node(Replica):
     """A replica on the simulated network with its node's Byzantine
-    behaviour: a queue behaviour and a skewed stamp on each tick."""
+    behaviour: a queue behaviour and a skewed clock."""
 
     def __init__(self, node_id: int, scenario: Scenario, sim: "Simulation"):
         super().__init__(
@@ -201,16 +204,22 @@ class _Node(Replica):
         self._shuffle_rng = random.Random(f"phalanx:{scenario.seed}:byz:{node_id}")
 
     def on_tick(self, now: int) -> bool:
-        """Tick at the skewed stamp; the queue behaviour runs before the
+        """Tick at the clock's stamp; the queue behaviour runs before the
         tick takes each command."""
-        return self.tick(self._stamp(now))
+        return self.tick(self.clock_at(now))
 
     def clock(self) -> int:
-        return self._stamp(self.net.now)
+        return self.clock_at(self.net.now)
 
-    def _stamp(self, now: int) -> int:
+    def clock_at(self, now: int) -> int:
+        """The node's clock at simulated time ``now``: skewed, never below 0."""
         stamp = now + self.behavior.skew
         return stamp if stamp > 0 else 0
+
+    def time_at(self, stamp: int) -> int:
+        """The simulated time at which the clock reads ``stamp``: the inverse
+        of :meth:`clock_at` wherever the clock is above 0."""
+        return stamp - self.behavior.skew
 
     def before_pre_order(self) -> None:
         queue = self.mempool.inbound
@@ -232,15 +241,17 @@ class _Node(Replica):
 
 
 class _SilentNode(_Node):
-    """A silent node: it drops every pre-order it receives, so it never
-    votes, and counts as idle, so no run waits on it. It is never ticked."""
+    """A crashed node: it drops every command, message and batch handed to
+    it, so it sends and stores nothing, is never woken and stays idle."""
+
+    def on_command(self, cmd: Command) -> None:
+        pass
 
     def on_message(self, msg, sender: int) -> None:
-        if not isinstance(msg, PreOrderMessage):
-            super().on_message(msg, sender)
+        pass
 
-    def idle(self) -> bool:
-        return True
+    def on_batch(self, index: int, batch: OrderBatch) -> None:
+        pass
 
 
 class Simulation:
@@ -287,9 +298,7 @@ class Simulation:
         self._delta = delta
         # Each node's first grid tick and next queued tick.
         self._first_tick = [(i * delta) // scenario.n + delta for i in range(scenario.n)]
-        self._tick_at = [
-            _SILENT if node.behavior.silent else _NO_TICK for node in self.nodes
-        ]
+        self._tick_at = [_NO_TICK] * scenario.n
 
     # -- scheduling -------------------------------------------------------
 
@@ -332,11 +341,8 @@ class Simulation:
     def wake(self, node_id: int) -> None:
         """Queue ``node_id``'s first tick that can act, from its next grid
         tick on, in place of the one queued: earlier, later or none."""
-        at = self._tick_at[node_id]
-        if at == _SILENT:
-            return
         when = self._next_tick(node_id, self._next_grid_tick(node_id))
-        if when != at:
+        if when != self._tick_at[node_id]:
             self._schedule_tick(node_id, when)
 
     def _schedule_tick(self, node_id: int, when: int) -> None:
@@ -360,7 +366,7 @@ class Simulation:
         first = mempool.first_due()
         if first is None:
             return _NO_TICK
-        due = first.sent + mempool.resend_timeout() - node.behavior.skew
+        due = node.time_at(first.sent + mempool.resend_timeout())
         if due <= grid:
             return grid
         return due + (grid - due) % self._delta

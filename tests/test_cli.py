@@ -107,6 +107,7 @@ class TestRun:
         ("resend_ms = -1", "resend_ms must be >= 0 ms"),
         ("max_sim_ms = -1", "max_sim_ms must be >= 0 ms"),
         ("latency = 3-7", "bad latency spec"),
+        ("byzantine = 1:skew:-40+skew:10", "repeated behavior 'skew'"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.txt"

@@ -198,6 +198,21 @@ def test_only_the_simulator_reads_behaviour_flags():
     assert readers == []
 
 
+def test_scheduler_reads_no_behaviour():
+    # The simulator's nodes read their behaviour; the scheduler reads it only
+    # to build them.
+    flags = {"behavior"} | {field.name for field in dataclasses.fields(NodeBehavior)}
+    tree = ast.parse(Path(simnet.__file__).read_text())
+    (simulation,) = [node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "Simulation"]
+    readers = [f"{method.name}:{node.lineno} .{node.attr}"
+               for method in simulation.body
+               if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+               for node in ast.walk(method)
+               if isinstance(node, ast.Attribute) and node.attr in flags]
+    assert readers == []
+
+
 def test_only_the_mempool_checks_and_stores_certified_logs():
     touched = []
     for path in sorted(Path(phalanx.__file__).parent.glob("*.py")):

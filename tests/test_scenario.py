@@ -114,6 +114,14 @@ class TestBehaviorParsing:
         with pytest.raises(ScenarioError):
             NodeBehavior.parse("skew:soon")
 
+    @pytest.mark.parametrize("spec, name", [
+        ("skew:-40+skew:10", "skew"),
+        ("shuffle+skew:3+shuffle", "shuffle"),
+    ])
+    def test_repeated_token_rejected(self, spec, name):
+        with pytest.raises(ScenarioError, match=f"repeated behavior '{name}'"):
+            NodeBehavior.parse(spec)
+
 
 class TestScenarioInvariants:
     def test_seed_controls_everything(self):

@@ -10,8 +10,10 @@ import pytest
 import phalanx.mempool
 from phalanx import Command, NodeBehavior, Scenario, Simulation, run, simnet
 from phalanx.replica import Replica
+from phalanx.scenario import parse_scenario_text
 from phalanx.wire import OrderMessage, PreOrderMessage, VoteMessage
 from prop_harness import certified_chain, check_invariants, random_scenario, wide_scenario
+from test_determinism_pins import REVERSE_SILENT7
 
 
 def small(**kw):
@@ -407,6 +409,74 @@ class TestByzantineBehaviors:
                                       3: NodeBehavior(silent=True)}))
         assert result.non_quiescent
         assert result.uncommitted == 5
+
+
+class _PortSpy:
+    """A node's port that records each part but ``now`` the node reads."""
+
+    def __init__(self, sim, read: list):
+        self._sim, self._read = sim, read
+
+    def __getattr__(self, name):
+        if name != "now":
+            self._read.append(name)
+        return getattr(self._sim, name)
+
+
+def silent_handoffs(scenario) -> list[str]:
+    """What the scenario's silent nodes ask of the simulator in one run:
+    ``send``, ``broadcast``, ``wake`` or ``sequencer``."""
+    sim = Simulation(scenario)
+    read: list[str] = []
+    for node_id, behavior in scenario.byzantine.items():
+        if behavior.silent:
+            sim.nodes[node_id].net = _PortSpy(sim, read)
+    sim.run()
+    return read
+
+
+class TestCrashFault:
+    """A silent node receives and sends nothing: a crash fault."""
+
+    @pytest.mark.parametrize("generator, seeds", [
+        (random_scenario, range(9000, 9200)),
+        (random_scenario, range(10000, 10100)),
+        (wide_scenario, range(9000, 9200)),
+        (wide_scenario, range(7000, 7100)),
+    ], ids=["random-9000", "random-10000", "wide-9000", "wide-7000"])
+    def test_silent_nodes_hand_the_simulator_nothing(self, generator, seeds):
+        # Silent nodes once answered fetches (wide 9085, 9137, 9152, 9198,
+        # 7065) and broadcast fetch requests (wide 9175).
+        handed = {}
+        for seed in seeds:
+            scenario = generator(random.Random(seed))
+            if any(behavior.silent for behavior in scenario.byzantine.values()):
+                read = silent_handoffs(scenario)
+                if read:
+                    handed[seed] = sorted(set(read))
+        assert handed == {}
+
+    def test_reverse_silent7_silent_node_hands_nothing(self):
+        assert silent_handoffs(parse_scenario_text(REVERSE_SILENT7)) == []
+
+    def test_silent_node_stores_nothing(self):
+        sim = Simulation(small(commands_per_proposer=10,
+                               byzantine={3: NodeBehavior(silent=True)}))
+        result = sim.run()
+        silent = sim.nodes[3]
+        assert result.committed == 10 and silent.idle()
+        assert not silent.mempool.command_store and not silent.mempool.log_store
+        assert not silent.consenter.pending_batches and not silent.executor.command_infos
+
+    @pytest.mark.parametrize("skew", [-120, -7, 0, 7, 120])
+    def test_time_at_inverts_clock_at(self, skew):
+        behaviors = {3: NodeBehavior(skew=skew)} if skew else {}
+        node = Simulation(small(byzantine=behaviors)).nodes[3]
+        for now in range(400):
+            stamp = node.clock_at(now)
+            assert stamp == max(now + skew, 0)
+            if stamp > 0:
+                assert node.time_at(stamp) == now
 
 
 class TestTickScheduling:
