@@ -23,6 +23,14 @@ Commit proceeds by anchor sets:
 Members of an accepted set are committed in ascending trusted-timestamp
 order (ties broken by digest), which keeps every replica's output equal.
 
+**Queue fronts.** After every commit, each author queue's head is open,
+and a tally counts the heads by digest, with the digests at least f+1
+heads agree on. Ingest counts a log's command when it lands in an empty
+queue. A commit pops only the queues its command heads, then every entry
+behind that committed earlier, and counts each new head; the committed
+digest leaves the tally. Nothing else moves it, so the normal path reads
+its candidates from the tally without scanning the queues.
+
 **Reliable-order index.** ``a`` reliably precedes ``b`` when at least f+1
 authors logged both with ``a`` earlier. The executor answers this for
 open (uncommitted) commands from bit masks. Every open command gets a
@@ -54,8 +62,8 @@ ingest only by a log that can turn that empty result into a set:
   - a log that orders a direct member (the anchor's eligible members and
     its under-supported pick) after the anchor, unless the pick is
     another member and still defers the set;
-  - a log that becomes a new queue front, after which f+1 fronts agree
-    on its command;
+  - a log that lands in an empty queue, after which the tally has f+1
+    fronts agreeing on its command;
   - a new command that could become the under-supported pick;
   - a log for an eligible command whose (trusted timestamp, digest) now
     beats the anchor's, or any eligible command when there is no anchor.
@@ -104,25 +112,15 @@ class CommandInfo:
     bit: int = field(default=0, repr=False, compare=False)
     levels: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
-    @property
-    def support(self) -> int:
-        return len(self.stamps)
-
     def timestamps(self) -> list[int]:
-        """Reported timestamps in ascending order (cached; do not mutate)."""
-        if self._sorted is None:
-            self._sorted = sorted(self.stamps.values())
-        return self._sorted
+        """Reported timestamps in ascending order (cached; do not mutate).
 
-    def trusted_timestamp(self, f: int) -> Optional[int]:
-        """The (f+1)-th smallest reported timestamp, defined at 2f+1 support."""
-        if len(self.stamps) < 2 * f + 1:
-            return None
-        return self.timestamps()[f]
-
-    def add_stamp(self, author: int, stamp: int) -> None:
-        self.stamps[author] = stamp
-        self._sorted = None
+        Stamps are only ever added, so a cache as long as ``stamps`` is current.
+        """
+        cached = self._sorted
+        if cached is None or len(cached) != len(self.stamps):
+            cached = self._sorted = sorted(self.stamps.values())
+        return cached
 
     def drop_cache(self) -> None:
         """Free the sorted timestamps once committed; rebuilt if asked again."""
@@ -176,13 +174,16 @@ class Executor:
         self._next_index = 0
         self._open_bits = 0
         self._author_bits = [0] * n
+        # The queue-front tally (module docstring): how many queues each open
+        # command heads, and the commands at least f+1 of them head.
+        self._front_counts: dict[Digest, int] = {}
+        self._agreed: set[Digest] = set()
         # True while the last selection came back empty and no log that can
         # change it was ingested since. What that selection depended on: the
-        # members that deferred it, and on the alter path the queue fronts
-        # (counted per command), the direct members, the anchor and the pick.
+        # members that deferred it, and on the alter path the direct
+        # members, the anchor and the pick.
         self._settled = False
         self._deferring = 0
-        self._front_counts: dict[Digest, int] = {}
         self._direct_bits = 0
         self._watch_alter = False
         self._anchor_key: Optional[tuple[int, Digest]] = None
@@ -195,8 +196,10 @@ class Executor:
     def ingest_log_set(self, log_set: LogSet) -> None:
         wake = not self._settled
         top = self.f
+        quorum = self.quorum
         committed = self.committed_digests
         infos = self.command_infos
+        counts = self._front_counts
         author_bits = self._author_bits
         for log in log_set:
             author = log.node_id
@@ -212,10 +215,15 @@ class Executor:
                     info = infos[digest] = CommandInfo(digest)
                 elif author in info.stamps:
                     continue
-                info.add_stamp(author, stamp)
+                info.stamps[author] = stamp
                 if digest in committed:
                     continue  # a queue entry that would only be popped
-                new_front = not queue
+                agreed_front = False
+                if not queue:  # a new head
+                    fronts = counts[digest] = counts.get(digest, 0) + 1
+                    agreed_front = fronts > top
+                    if agreed_front:
+                        self._agreed.add(digest)
                 queue.append(digest)
                 levels = info.levels
                 new = levels is None
@@ -237,33 +245,31 @@ class Executor:
                         if not carry:
                             break
                 author_bits[author] = before | bit
-                if info.support >= self.quorum:
+                if len(info.stamps) >= quorum:
                     self._eligible[digest] = info
                 if not wake:
-                    wake = self._wakes(info, new, new_front)
+                    wake = self._wakes(info, new, agreed_front)
         if wake:
             self._settled = False
 
-    def _wakes(self, info: CommandInfo, new: bool, new_front: bool) -> bool:
+    def _wakes(self, info: CommandInfo, new: bool, agreed_front: bool) -> bool:
         """Whether a command just logged, open ``info``, can change the last empty selection."""
-        if info.bit & self._deferring and info.support == self.quorum:
+        support = len(info.stamps)
+        if info.bit & self._deferring and support == self.quorum:
             self._deferring ^= info.bit
             if not self._deferring:
                 return True
         if not self._watch_alter:
             return False
-        if new_front:
-            counts = self._front_counts
-            fronts = counts[info.digest] = counts.get(info.digest, 0) + 1
-            if fronts > self.f:
-                return True
+        if agreed_front:
+            return True
         top = info.levels[self.f]
         pick = self._pick
         if (info.bit & self._direct_bits and top & self._anchor_bit
                 and (pick is None or pick is info or not pick.bit & self._deferring)):
             return True
         key = self._anchor_key
-        if info.support >= self.quorum:
+        if support >= self.quorum:
             return key is None or (self.trusted_timestamp(info), info.digest) < key
         return (new and key is not None and not top & self._anchor_bit
                 and (pick is None or info.digest < pick.digest))
@@ -273,17 +279,13 @@ class Executor:
 
     def trusted_timestamp(self, info: CommandInfo) -> Optional[int]:
         """The (f+1)-th smallest reported timestamp, defined at 2f+1 support."""
-        return info.trusted_timestamp(self.f)
+        if len(info.stamps) < self.quorum:
+            return None
+        return info.timestamps()[self.f]
 
     def front_vector(self) -> list[Optional[Digest]]:
-        """Pop committed fronts off every author queue and report the rest."""
-        fronts: list[Optional[Digest]] = [None] * self.n
-        for j, queue in enumerate(self.author_queues):
-            while queue and queue[0] in self.committed_digests:
-                queue.popleft()
-            if queue:
-                fronts[j] = queue[0]
-        return fronts
+        """Each author queue's head, an open command, or None if it is empty."""
+        return [queue[0] if queue else None for queue in self.author_queues]
 
     def reliable_precedes(self, first: Digest, second: Digest) -> bool:
         """True iff at least f+1 nodes logged both open commands with `first` earlier.
@@ -299,17 +301,14 @@ class Executor:
         return bool(b.levels[self.f] & a.bit)
 
     def _select(self) -> tuple[list[CommandInfo], str, tuple[Digest, ...]]:
-        fronts = self.front_vector()
-        counts: dict[Digest, int] = {}
-        for front in fronts:
-            if front is not None:
-                counts[front] = counts.get(front, 0) + 1
-        self._front_counts = counts
-        agreed = sorted(d for d, c in counts.items() if c >= self.f + 1)
+        # The tally already holds the fronts; this call marks one selection
+        # for the tests and perfbench, which count selections by it.
+        self.front_vector()
+        agreed = tuple(self._agreed)
         if agreed:
-            candidates = [self.command_infos[d] for d in agreed]
             self._watch_alter = False
-            return self._front_set_check(candidates), NORMAL_PATH, tuple(agreed)
+            infos = self.command_infos
+            return self._front_set_check([infos[d] for d in agreed]), NORMAL_PATH, agreed
         members = self._alter_path()
         anchors = (members[0].digest,) if members else ()
         return self._front_set_check(members), ALTER_PATH, anchors
@@ -342,7 +341,7 @@ class Executor:
         # below then defers).
         pick: Optional[CommandInfo] = None
         for info in self._by_index.values():
-            if (info.support < self.quorum and not info.levels[top] & after
+            if (len(info.stamps) < self.quorum and not info.levels[top] & after
                     and (pick is None or info.digest < pick.digest)):
                 pick = info
         self._pick = pick
@@ -366,11 +365,14 @@ class Executor:
         return members
 
     def _front_set_check(self, members: list[CommandInfo]) -> list[CommandInfo]:
-        kept = [info for info in members if info.support >= self.f + 1]
+        kept = []
         deferring = 0
-        for info in kept:
-            if info.support < self.quorum:
-                deferring |= info.bit
+        for info in members:
+            support = len(info.stamps)
+            if support > self.f:
+                kept.append(info)
+                if support < self.quorum:
+                    deferring |= info.bit
         self._deferring = deferring
         return [] if deferring else kept
 
@@ -379,55 +381,66 @@ class Executor:
 
     def commit_anchor_set(self, members: list[CommandInfo], path: str,
                           anchors: tuple[Digest, ...]) -> list[Command]:
-        ordered = sorted(
-            members, key=lambda info: (self.trusted_timestamp(info), info.digest)
-        )
-        resolved: list[Command] = []
-        missing: list[Digest] = []
-        for info in ordered:
+        """Commit a set whose members all have 2f+1 support, in ascending
+        (trusted timestamp, digest) order.
+
+        Each member's index entry and bit are dropped, and it is popped off
+        every queue it heads (module docstring).
+        """
+        f = self.f
+        keyed = []
+        missing = []
+        for info in members:
             cmd = self._resolve(info.digest)
             if cmd is None:
                 missing.append(info.digest)
-            else:
-                resolved.append(cmd)
+            keyed.append((sorted(info.stamps.values())[f], info.digest, cmd, info))
         if missing:
             raise CommandUnavailable(missing)
+        if len(keyed) > 1:
+            keyed.sort()  # digests are unique, so no two keys tie
         self._settled = False
-        for info, cmd in zip(ordered, resolved):
-            if info.digest in self.committed_digests:
-                raise ProtocolInvariantError(
-                    f"command {info.digest.hex()[:8]} committed twice"
-                )
-            tag = path if info.digest in anchors else "-"
-            self.committed_order.append(
-                TraceEntry(
-                    index=len(self.committed_order),
-                    proposer_id=cmd.proposer_id,
-                    proposer_seq=cmd.seq,
-                    digest=info.digest,
-                    trusted_timestamp=self.trusted_timestamp(info),
-                    path_tag=tag,
-                )
-            )
+        committed = self.committed_digests
+        order = self.committed_order
+        counts = self._front_counts
+        agreed = self._agreed
+        queues = self.author_queues
+        author_bits = self._author_bits
+        resolved = []
+        for stamp, digest, cmd, info in keyed:
+            resolved.append(cmd)
+            if digest in committed:
+                raise ProtocolInvariantError(f"command {digest.hex()[:8]} committed twice")
+            order.append(TraceEntry(len(order), cmd.proposer_id, cmd.seq, digest, stamp,
+                                    path if digest in anchors else "-"))
+            committed.add(digest)
+            self._eligible.pop(digest, None)
+            bit = info.bit
+            del self._by_index[bit.bit_length() - 1]
+            self._open_bits ^= bit
+            counts.pop(digest, None)
+            agreed.discard(digest)
+            # Every author that logged it did so while it was open, so holds
+            # its bit and queues it once.
+            for author in info.stamps:
+                author_bits[author] ^= bit
+                queue = queues[author]
+                if queue[0] == digest:
+                    queue.popleft()
+                    while queue and queue[0] in committed:
+                        queue.popleft()
+                    if queue:
+                        head = queue[0]
+                        fronts = counts[head] = counts.get(head, 0) + 1
+                        if fronts > f:
+                            agreed.add(head)
+            info.bit = 0
+            info.levels = None
             info.drop_cache()
-            self.committed_digests.add(info.digest)
-            self._release(info)
         self.anchor_sets += 1
         if path == ALTER_PATH:
             self.alter_sets += 1
         return resolved
-
-    def _release(self, info: CommandInfo) -> None:
-        """Drop a committed command's index entry and clear its bit."""
-        self._eligible.pop(info.digest, None)
-        bit = info.bit
-        del self._by_index[bit.bit_length() - 1]
-        # Every author that logged it did so while it was open, so holds its bit.
-        self._open_bits ^= bit
-        for author in info.stamps:
-            self._author_bits[author] ^= bit
-        info.bit = 0
-        info.levels = None
 
     # ------------------------------------------------------------------
     # pipeline driver

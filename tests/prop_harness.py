@@ -176,7 +176,7 @@ def check_invariants(scenario: Scenario) -> list[str]:
         failures.append(f"{result.uncommitted} commands uncommitted at quiescence")
 
     for entry in result.reference_trace:
-        support = executor.command_infos[entry.digest].support
+        support = len(executor.command_infos[entry.digest].stamps)
         if support < quorum:
             failures.append(
                 f"committed {entry.digest.hex()[:8]} with support {support} < {quorum}"

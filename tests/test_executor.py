@@ -78,7 +78,7 @@ class TestIngest:
         log = PartialOrderLog.create(1, 1, 5, (CMD_A.digest,), EMPTY_DIGEST)
         executor.ingest_log_set((log,))
         info = executor.command_infos[CMD_A.digest]
-        assert info.support == 1
+        assert len(info.stamps) == 1
         assert list(executor.author_queues[1]) == [CMD_A.digest]
 
     def test_timestamp_multiset_tracks_support(self):
@@ -90,7 +90,7 @@ class TestIngest:
         executor.ingest_log_set(log_set_of(*logs))
         info = executor.command_infos[CMD_A.digest]
         assert info.timestamps() == [3, 7, 7]
-        assert info.support == 3
+        assert len(info.stamps) == 3
 
     def test_cached_timestamps_follow_later_logs(self):
         executor = make_executor([CMD_A])
@@ -135,12 +135,16 @@ def test_author_certified_twice_for_one_command_commits_it_once(strategy):
 
 class TestFrontVector:
     def test_committed_fronts_are_popped(self):
-        chains = build_chains({0: [(CMD_A, 1), (CMD_B, 2)]})
-        executor = make_executor([CMD_A, CMD_B])
-        executor.ingest_log_set(log_set_of(*chains[0]))
-        executor.committed_digests.add(CMD_A.digest)
+        # A commit pops the queues it heads, then every committed entry behind.
+        chains = build_chains({i: [(CMD_A, 1), (CMD_B, 2), (CMD_C, 3)] for i in range(3)})
+        executor = make_executor([CMD_A, CMD_B, CMD_C])
+        executor.ingest_log_set(log_set_of(*[log for c in chains.values() for log in c]))
+        infos = executor.command_infos
+        executor.commit_anchor_set([infos[CMD_B.digest]], NORMAL_PATH, ())
+        assert executor.front_vector()[0] == CMD_A.digest  # B is behind the front
+        executor.commit_anchor_set([infos[CMD_A.digest]], NORMAL_PATH, ())
         fronts = executor.front_vector()
-        assert fronts[0] == CMD_B.digest
+        assert fronts[0] == CMD_C.digest
         assert len(executor.author_queues[0]) == 1
 
     def test_empty_queues_report_absent(self):
@@ -389,7 +393,7 @@ class TestDrainDeterminism:
             executor.feed(log_set)
         executor.drain()
         for entry in executor.committed_order:
-            assert executor.command_infos[entry.digest].support >= 2 * F + 1
+            assert len(executor.command_infos[entry.digest].stamps) >= 2 * F + 1
 
     def test_unblock_resumes_commit(self):
         commands = [CMD_A, CMD_B, CMD_C]

@@ -1,23 +1,28 @@
 """The executor against a brute-force reference model.
 
-``ReferenceExecutor`` runs selection again after every log set, answers
+``ReferenceExecutor`` runs selection again after every log set, reads the
+queue fronts as each author's first uncommitted logged command, answers
 ``reliable_precedes`` by scanning every author's command positions, and
 closes each alter-path set by rescanning every open command against every
-member until nothing changes. It uses neither the bit-parallel index nor the
-re-selection rules, so on the same log-set stream it must commit the
-same trace as ``Executor``. The streams are random sets of one to three
-logs, which keep the rules apart, and the streams that simulated
-reference nodes received. A re-selection rule that misses a log which
-could un-defer a set shows up here as a different trace.
+member until nothing changes. It uses neither the queue-front tally, the
+bit-parallel index nor the re-selection rules, so on the same log-set
+stream it must commit the same trace as ``Executor``. The streams are
+random sets of one to three logs, which keep the rules apart, burst-shaped
+streams with one shuffling author, and the streams that simulated reference
+nodes received. A re-selection rule that misses a log which could un-defer
+a set, or a tally that miscounts a front, shows up here as a different
+trace.
 """
 
 import hashlib
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
 from phalanx import Command, EMPTY_DIGEST, NodeBehavior, PartialOrderLog, Scenario, Simulation
-from phalanx.executor import Executor
+from phalanx.executor import ALTER_PATH, Executor, NORMAL_PATH
 
 from prop_harness import wide_scenario
 
@@ -35,6 +40,26 @@ class ReferenceExecutor(Executor):
             for _, digest in log.stamped():
                 position.setdefault(digest, len(position))
 
+    def front_vector(self):
+        fronts = []
+        for position in self.positions:
+            open_digests = (d for d in position if d not in self.committed_digests)
+            fronts.append(next(open_digests, None))
+        return fronts
+
+    def _select(self):
+        counts = Counter(d for d in self.front_vector() if d is not None)
+        agreed = tuple(sorted(d for d, c in counts.items() if c > self.f))
+        if agreed:
+            members, path, anchors = [self.command_infos[d] for d in agreed], NORMAL_PATH, agreed
+        else:
+            members = self._alter_path()
+            path, anchors = ALTER_PATH, (members[0].digest,) if members else ()
+        kept = [info for info in members if len(info.stamps) > self.f]
+        if any(len(info.stamps) < self.quorum for info in kept):
+            return [], path, anchors
+        return kept, path, anchors
+
     def reliable_precedes(self, first, second):
         if first not in self.command_infos or second not in self.command_infos:
             return False
@@ -50,7 +75,7 @@ class ReferenceExecutor(Executor):
             d: info for d, info in self.command_infos.items()
             if d not in self.committed_digests
         }
-        eligible = {d: info for d, info in open_infos.items() if info.support >= self.quorum}
+        eligible = {d: info for d, info in open_infos.items() if len(info.stamps) >= self.quorum}
         if not eligible:
             return []
         anchor = min(eligible.values(), key=lambda i: (self.trusted_timestamp(i), i.digest))
@@ -149,23 +174,68 @@ def random_stream(rng: random.Random, n: int, commands: list[Command]):
     return sets
 
 
-@pytest.mark.parametrize("chunk", range(25))
-def test_random_log_streams_match_reference(chunk):
+def random_streams(chunk):
+    """Fifty random streams: (label, n, f, commands, log sets) each."""
     for index in range(50 * chunk, 50 * chunk + 50):
         rng = random.Random(index)
         n = rng.choice([4, 7, 10])
-        f = (n - 1) // 3
         commands = [Command.create(0, i, b"%d" % index) for i in range(1, rng.randint(5, 30))]
+        yield f"stream {index}", n, (n - 1) // 3, commands, random_stream(rng, n, commands)
+
+
+def burst_streams():
+    """Burst-shaped streams on n = 4, f = 1, each of 240 commands.
+
+    Authors 0-2 log one FIFO order; author 3 shuffles what it holds before
+    every log. A log carries up to 24 commands, so f+1 FIFO fronts agree
+    on a run of commands per log set, heads advance many times per set,
+    and commands commit from the middle of the shuffler's queue.
+    """
+    for index in range(4):
+        rng = random.Random(f"burst:{index}")
+        commands = [Command.create(0, i, b"burst %d" % index) for i in range(1, 241)]
+        chains = []
+        for author in range(4):
+            pending, prev, chain, clock = list(commands), EMPTY_DIGEST, [], 0
+            while pending:
+                if author == 3:
+                    window = pending[:48]
+                    rng.shuffle(window)
+                    pending[:48] = window
+                size = rng.randint(1, 24)
+                digests = tuple(cmd.digest for cmd in pending[:size])
+                pending = pending[size:]
+                clock += rng.randint(1, 30)
+                log = PartialOrderLog.create(author, len(chain) + 1, clock, digests, prev)
+                chain.append(log)
+                prev = log.cur_digest
+            chains.append(chain)
+        sets = []
+        while any(chains):
+            active = [author for author in range(4) if chains[author]]
+            picked = rng.sample(active, rng.randint(1, len(active)))
+            sets.append(tuple(chains[author].pop(0) for author in sorted(picked)))
+        yield f"burst {index}", 4, 1, commands, sets
+
+
+STREAMS = {str(chunk): partial(random_streams, chunk) for chunk in range(25)}
+STREAMS["burst"] = burst_streams
+
+
+@pytest.mark.parametrize("streams", STREAMS.values(), ids=STREAMS.keys())
+def test_random_log_streams_match_reference(streams):
+    for label, n, f, commands, log_sets in streams():
         bodies = {cmd.digest: cmd for cmd in commands}
         executor = Executor(n, f, bodies.get)
         reference = ReferenceExecutor(n, f, bodies.get)
-        for log_set in random_stream(rng, n, commands):
+        for log_set in log_sets:
             for strategy in (executor, reference):
                 strategy.feed(log_set)
                 strategy.drain()
         assert [e.line() for e in executor.committed_order] == [
             e.line() for e in reference.committed_order
-        ], f"stream {index}"
+        ], label
+        assert len(executor.committed_order) > 0, label
 
 
 @pytest.mark.parametrize("index", range(40))
