@@ -33,16 +33,35 @@ its candidates from the tally without scanning the queues.
 
 **Reliable-order index.** ``a`` reliably precedes ``b`` when at least f+1
 authors logged both with ``a`` earlier. The executor answers this for
-open (uncommitted) commands from bit masks. Every open command gets a
-bit; each author keeps the mask of open commands it has logged so far;
-each open command keeps f+1 masks, where ``levels[k]`` holds the open
-commands that at least k+1 authors logged before it. Each author's logs
-arrive in seq order, so when author j logs c, j's mask is exactly the
-open commands j logged before c, and f+1 AND/OR operations move each of
-them up one level. ``levels[f]`` is then c's set of reliable
-predecessors. A commit clears the command's bit from the author masks and
-drops its levels; stale bits of committed commands left in other levels
-are masked off with the set of open bits. No successor map is kept.
+open (uncommitted) commands from bit masks. A filed command has a bit;
+each author keeps the mask of filed open commands it has logged so far;
+each filed command keeps f+1 masks, where ``levels[k]`` holds the open
+commands that at least k+1 authors logged before it. Filing an author's
+entry for c ORs that author's mask into c's levels as a saturating count,
+f+1 AND/OR operations that move each bit up one level, then adds c's bit
+to the mask. ``levels[f]`` is then c's set of reliable predecessors. A
+commit clears the command's bit from the author masks and drops its
+levels; stale bits of committed commands left in other levels are masked
+off with the set of open bits. No successor map is kept.
+
+Entries are filed lazily. Ingest only queues an entry and counts it as
+unfiled for its author; the unfiled entries are the back of that author's
+queue. Everything is filed, author by author in queue order, before the
+index is read: when the alter path has found an anchor, and when
+:meth:`Executor.reliable_precedes` is asked. While the last selection was
+an anchored alter path, ingest files each entry at once, because the
+re-selection rules below then read the new command's levels. A normal
+path reads no index, so where f+1 fronts keep agreeing no command is ever
+filed and no bit is spent. When entries are filed cannot change the
+trace. On open commands the levels are saturating per-author counts, one
+per bit position, so filing authors in any order, at any later time,
+gives the same bits; each author's own entries are filed in its logged
+order, so its mask still holds exactly the open commands it logged
+earlier. A command that committed before its entry was filed is skipped,
+which changes only its own bit position, masked off as above. And bit
+positions never reach the output: a set commits sorted by (trusted
+timestamp, digest), and the anchor and the pick are strict minima over
+unique keys.
 
 The alter path's closure ORs the top levels of the set's members until
 no new open bit appears. That is not the strongly-connected-component
@@ -68,8 +87,10 @@ ingest only by a log that can turn that empty result into a set:
   - a log for an eligible command whose (trusted timestamp, digest) now
     beats the anchor's, or any eligible command when there is no anchor.
 
-Without a commit, levels, supports, eligibility and queue fronts only
-grow and trusted timestamps only fall. So until one of these logs
+Without a commit, supports, eligibility and queue fronts only grow,
+trusted timestamps only fall, and the reliable-order relation, whether
+filed yet or not, only gains pairs (filing late gives the same levels as
+filing at once). So until one of these logs
 arrives, the last set can only gain members and keeps a deferring one: a
 member leaves only when the anchor, the pick or a direct member's place
 changes, and a normal-path set never loses a candidate.
@@ -78,8 +99,9 @@ changes, and a normal-path set never loses a candidate.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .consensus import LogSet
 from .types import Command, Digest, ProtocolInvariantError
@@ -103,7 +125,9 @@ class CommandInfo:
     and its reliable-order index entry (see the module docstring).
 
     ``bit`` is the command's bit and ``levels[k]`` the open commands that at
-    least k+1 authors logged before it; both are cleared when it commits.
+    least k+1 of the authors filed so far logged before it. Both are set when
+    the first of its entries is filed, which may be never: the index is filed
+    only before it is read. Both are cleared when it commits.
     """
 
     digest: Digest
@@ -127,8 +151,7 @@ class CommandInfo:
         self._sorted = None
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One committed command in the final order."""
 
     index: int
@@ -167,13 +190,15 @@ class Executor:
         self.blocked_on: set[Digest] = set()
         # Open commands whose trusted timestamp is defined (support >= 2f+1).
         self._eligible: dict[Digest, CommandInfo] = {}
-        # Reliable-order index (module docstring): bit position -> open
-        # command (every logged command not committed yet, in logging
-        # order), the mask of open bits, and each author's logged mask.
+        # Reliable-order index (module docstring): bit position -> filed
+        # open command, in filing order, the mask of open bits, each
+        # author's filed mask, and per author how many entries at the back
+        # of its queue are not filed yet.
         self._by_index: dict[int, CommandInfo] = {}
         self._next_index = 0
         self._open_bits = 0
         self._author_bits = [0] * n
+        self._unfiled = [0] * n
         # The queue-front tally (module docstring): how many queues each open
         # command heads, and the commands at least f+1 of them head.
         self._front_counts: dict[Digest, int] = {}
@@ -183,7 +208,7 @@ class Executor:
         # members that deferred it, and on the alter path the direct
         # members, the anchor and the pick.
         self._settled = False
-        self._deferring = 0
+        self._deferring: set[Digest] = set()
         self._direct_bits = 0
         self._watch_alter = False
         self._anchor_key: Optional[tuple[int, Digest]] = None
@@ -200,7 +225,11 @@ class Executor:
         committed = self.committed_digests
         infos = self.command_infos
         counts = self._front_counts
-        author_bits = self._author_bits
+        unfiled = self._unfiled
+        # The re-selection rules read a new entry's levels only while the
+        # last selection was an anchored alter path; then the index is
+        # fully filed, and each entry is filed as it comes.
+        file_now = self._watch_alter and self._anchor_key is not None
         for log in log_set:
             author = log.node_id
             queue = self.author_queues[author]
@@ -211,7 +240,8 @@ class Executor:
                 # node keeps the first stamp and skips the repeats, as the
                 # timestamp baseline (``tsorder.py``) does.
                 info = infos.get(digest)
-                if info is None:
+                new = info is None
+                if new:
                     info = infos[digest] = CommandInfo(digest)
                 elif author in info.stamps:
                     continue
@@ -225,26 +255,10 @@ class Executor:
                     if agreed_front:
                         self._agreed.add(digest)
                 queue.append(digest)
-                levels = info.levels
-                new = levels is None
-                if new:
-                    bit = info.bit = 1 << self._next_index
-                    self._by_index[self._next_index] = info
-                    self._next_index += 1
-                    self._open_bits |= bit
-                    levels = info.levels = [0] * (top + 1)
+                if file_now:
+                    self._file_entry(author, info)
                 else:
-                    bit = info.bit
-                before = author_bits[author]
-                if before:
-                    carry = before  # this author's predecessors, one level up
-                    for k in range(top + 1):
-                        level = levels[k]
-                        levels[k] = level | carry
-                        carry = level & before
-                        if not carry:
-                            break
-                author_bits[author] = before | bit
+                    unfiled[author] += 1
                 if len(info.stamps) >= quorum:
                     self._eligible[digest] = info
                 if not wake:
@@ -255,24 +269,67 @@ class Executor:
     def _wakes(self, info: CommandInfo, new: bool, agreed_front: bool) -> bool:
         """Whether a command just logged, open ``info``, can change the last empty selection."""
         support = len(info.stamps)
-        if info.bit & self._deferring and support == self.quorum:
-            self._deferring ^= info.bit
-            if not self._deferring:
+        deferring = self._deferring
+        if support == self.quorum and info.digest in deferring:
+            deferring.discard(info.digest)
+            if not deferring:
                 return True
         if not self._watch_alter:
             return False
         if agreed_front:
             return True
+        key = self._anchor_key
+        if key is None:
+            return support >= self.quorum
+        # Anchored: ingest has filed ``info``.
         top = info.levels[self.f]
         pick = self._pick
         if (info.bit & self._direct_bits and top & self._anchor_bit
-                and (pick is None or pick is info or not pick.bit & self._deferring)):
+                and (pick is None or pick is info or pick.digest not in deferring)):
             return True
-        key = self._anchor_key
         if support >= self.quorum:
-            return key is None or (self.trusted_timestamp(info), info.digest) < key
-        return (new and key is not None and not top & self._anchor_bit
+            return (self.trusted_timestamp(info), info.digest) < key
+        return (new and not top & self._anchor_bit
                 and (pick is None or info.digest < pick.digest))
+
+    # ------------------------------------------------------------------
+    # reliable-order index
+
+    def _file(self) -> None:
+        """File every unfiled entry, each author's in its logged order."""
+        unfiled = self._unfiled
+        committed = self.committed_digests
+        infos = self.command_infos
+        for author, count in enumerate(unfiled):
+            if count:
+                backlog = list(islice(reversed(self.author_queues[author]), count))
+                for digest in reversed(backlog):
+                    if digest not in committed:
+                        self._file_entry(author, infos[digest])
+                unfiled[author] = 0
+
+    def _file_entry(self, author: int, info: CommandInfo) -> None:
+        """File ``author``'s entry for open ``info``: its filed predecessors
+        move up one level, and ``info`` joins the author's mask."""
+        levels = info.levels
+        if levels is None:
+            bit = info.bit = 1 << self._next_index
+            self._by_index[self._next_index] = info
+            self._next_index += 1
+            self._open_bits |= bit
+            levels = info.levels = [0] * (self.f + 1)
+        else:
+            bit = info.bit
+        before = self._author_bits[author]
+        if before:
+            carry = before  # this author's predecessors, one level up
+            for k in range(self.f + 1):
+                level = levels[k]
+                levels[k] = level | carry
+                carry = level & before
+                if not carry:
+                    break
+        self._author_bits[author] = before | bit
 
     # ------------------------------------------------------------------
     # selection machinery
@@ -292,8 +349,9 @@ class Executor:
 
         Read from the index, which holds open commands only: a command that
         has committed (its bit is cleared), or was never logged, precedes and
-        follows nothing.
+        follows nothing. Files the index first.
         """
+        self._file()
         a = self.command_infos.get(first)
         b = self.command_infos.get(second)
         if a is None or b is None or not b.bit:
@@ -326,6 +384,7 @@ class Executor:
         self._anchor_key = key
         if anchor is None:
             return []
+        self._file()
         top = self.f
         after = self._anchor_bit = anchor.bit
         members = [anchor]
@@ -366,14 +425,14 @@ class Executor:
 
     def _front_set_check(self, members: list[CommandInfo]) -> list[CommandInfo]:
         kept = []
-        deferring = 0
+        deferring = self._deferring
+        deferring.clear()
         for info in members:
             support = len(info.stamps)
             if support > self.f:
                 kept.append(info)
                 if support < self.quorum:
-                    deferring |= info.bit
-        self._deferring = deferring
+                    deferring.add(info.digest)
         return [] if deferring else kept
 
     # ------------------------------------------------------------------
@@ -384,8 +443,8 @@ class Executor:
         """Commit a set whose members all have 2f+1 support, in ascending
         (trusted timestamp, digest) order.
 
-        Each member's index entry and bit are dropped, and it is popped off
-        every queue it heads (module docstring).
+        Each member's index entry and bit, if filed, are dropped, and it is
+        popped off every queue it heads (module docstring).
         """
         f = self.f
         keyed = []
@@ -406,6 +465,7 @@ class Executor:
         agreed = self._agreed
         queues = self.author_queues
         author_bits = self._author_bits
+        unfiled = self._unfiled
         resolved = []
         for stamp, digest, cmd, info in keyed:
             resolved.append(cmd)
@@ -415,15 +475,21 @@ class Executor:
                                     path if digest in anchors else "-"))
             committed.add(digest)
             self._eligible.pop(digest, None)
-            bit = info.bit
-            del self._by_index[bit.bit_length() - 1]
-            self._open_bits ^= bit
             counts.pop(digest, None)
             agreed.discard(digest)
-            # Every author that logged it did so while it was open, so holds
-            # its bit and queues it once.
+            bit = info.bit
+            if bit:
+                del self._by_index[bit.bit_length() - 1]
+                self._open_bits ^= bit
+                # Only the authors whose entries are filed hold the bit.
+                clear = ~bit
+                for author in info.stamps:
+                    author_bits[author] &= clear
+                info.bit = 0
+                info.levels = None
+            # Every author that logged it did so while it was open, so
+            # queues it once.
             for author in info.stamps:
-                author_bits[author] ^= bit
                 queue = queues[author]
                 if queue[0] == digest:
                     queue.popleft()
@@ -434,8 +500,8 @@ class Executor:
                         fronts = counts[head] = counts.get(head, 0) + 1
                         if fronts > f:
                             agreed.add(head)
-            info.bit = 0
-            info.levels = None
+                    if unfiled[author] > len(queue):
+                        unfiled[author] = len(queue)
             info.drop_cache()
         self.anchor_sets += 1
         if path == ALTER_PATH:

@@ -1,7 +1,6 @@
 """CLI subcommands: run, sweep, diff-traces, golden."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -159,7 +158,7 @@ class TestRun:
         def diverging(scenario, **kwargs):
             result = real_run(scenario, **kwargs)
             trace = result.traces[0]
-            trace[0] = replace(trace[0], digest=b"\x00" * 32)
+            trace[0] = trace[0]._replace(digest=b"\x00" * 32)
             result.consistency = False
             result.prefix_consistent = traces_prefix_consistent(list(result.traces.values()))
             return result

@@ -207,6 +207,47 @@ class TestReliablePrecedes:
         assert executor.reliable_precedes(CMD_A.digest, CMD_B.digest)
 
 
+class TestLazyIndex:
+    """The reliable-order index is filed only when an anchored alter path or
+    ``reliable_precedes`` reads it."""
+
+    def test_normal_path_files_nothing_until_an_anchored_alter_path(self):
+        fifo = [Command.create(1, i, b"fifo %d" % i) for i in range(1, 6)]
+        x, y, z, w = (Command.create(2, i, b"cycle %d" % i) for i in range(1, 5))
+        # Authors 0-2 log the FIFO commands in one order and author 3 in
+        # reverse, so f+1 fronts agree on every command in turn (between
+        # commits only the unanchored alter path runs). Then 0-2 log X, Y, Z
+        # as a cycle with no two fronts agreeing, and W, under-supported and
+        # not reliably after any of them, defers the anchored alter set.
+        chains = build_chains({
+            0: [(cmd, i) for i, cmd in enumerate(fifo)] + [(x, 10), (y, 11), (z, 12), (w, 13)],
+            1: [(cmd, i) for i, cmd in enumerate(fifo)] + [(y, 10), (z, 11), (x, 12)],
+            2: [(cmd, i) for i, cmd in enumerate(fifo)] + [(z, 10), (x, 11), (y, 12)],
+            3: [(cmd, i) for i, cmd in enumerate(reversed(fifo))] + [(w, 10)],
+        })
+        executor = make_executor(fifo + [x, y, z, w])
+        for round_ in range(len(fifo)):
+            executor.feed(log_set_of(*[chains[a][round_] for a in range(N)]))
+        executor.drain()
+        assert [e.digest for e in executor.committed_order] == [c.digest for c in fifo]
+        assert executor.alter_sets == 0
+        assert executor._next_index == 0 and not executor._by_index
+
+        executor.feed(log_set_of(*[log for a in range(N) for log in chains[a][len(fifo):]]))
+        executor.drain()
+        assert len(executor.committed_order) == len(fifo)
+        assert executor._anchor_key is not None  # the last selection was anchored
+        opened = [x, y, z, w]
+        assert all(executor.command_infos[c.digest].bit for c in opened)
+        assert {info.digest for info in executor._by_index.values()} == {c.digest for c in opened}
+        assert executor._unfiled == [0] * N
+        expected = {(x, y), (y, z), (z, x)}
+        for first in opened:
+            for second in opened:
+                assert executor.reliable_precedes(first.digest, second.digest) == (
+                    (first, second) in expected), (opened.index(first), opened.index(second))
+
+
 class TestSelectAnchorSet:
     def test_front_agreement_selects_normal_path(self):
         chains = build_chains({
@@ -344,6 +385,8 @@ class TestCommitAnchorSet:
         executor = self._ready_executor()
         a = executor.command_infos[CMD_A.digest]
         b = executor.command_infos[CMD_B.digest]
+        # The index is filed only when read; asking files it.
+        assert executor.reliable_precedes(CMD_A.digest, CMD_B.digest)
         bit = a.bit
         assert b.levels[F] & bit  # A reliably precedes B
         executor.commit_anchor_set([a], NORMAL_PATH, (CMD_A.digest,))

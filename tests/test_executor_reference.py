@@ -9,7 +9,10 @@ bit-parallel index nor the re-selection rules, so on the same log-set
 stream it must commit the same trace as ``Executor``. The streams are
 random sets of one to three logs, which keep the rules apart, burst-shaped
 streams with one shuffling author, and the streams that simulated reference
-nodes received. A re-selection rule that misses a log which could un-defer
+nodes received. At a few drain boundaries of each random or burst stream,
+both must also answer ``reliable_precedes`` alike for every pair of open
+commands; those asks file the executor's lazy index at arbitrary points,
+which must not change its trace. A re-selection rule that misses a log which could un-defer
 a set, or a tally that miscounts a front, shows up here as a different
 trace.
 """
@@ -228,10 +231,23 @@ def test_random_log_streams_match_reference(streams):
         bodies = {cmd.digest: cmd for cmd in commands}
         executor = Executor(n, f, bodies.get)
         reference = ReferenceExecutor(n, f, bodies.get)
-        for log_set in log_sets:
+        # A few drain boundaries at which every pair of open commands is
+        # asked; each ask files the index at that point of the stream.
+        rng = random.Random(label)
+        asks = set(rng.sample(range(len(log_sets)), min(2, len(log_sets))))
+        for index, log_set in enumerate(log_sets):
             for strategy in (executor, reference):
                 strategy.feed(log_set)
                 strategy.drain()
+            if index in asks:
+                assert executor.committed_digests == reference.committed_digests, label
+                open_digests = [cmd.digest for cmd in commands
+                                if cmd.digest in executor.command_infos
+                                and cmd.digest not in executor.committed_digests]
+                for first in open_digests:
+                    for second in open_digests:
+                        assert executor.reliable_precedes(first, second) == (
+                            reference.reliable_precedes(first, second)), label
         assert [e.line() for e in executor.committed_order] == [
             e.line() for e in reference.committed_order
         ], label
