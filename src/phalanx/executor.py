@@ -44,24 +44,20 @@ commit clears the command's bit from the author masks and drops its
 levels; stale bits of committed commands left in other levels are masked
 off with the set of open bits. No successor map is kept.
 
-Entries are filed lazily. Ingest only queues an entry and counts it as
-unfiled for its author; the unfiled entries are the back of that author's
-queue. Everything is filed, author by author in queue order, before the
-index is read: when the alter path has found an anchor, and when
-:meth:`Executor.reliable_precedes` is asked. While the last selection was
-an anchored alter path, ingest files each entry at once, because the
-re-selection rules below then read the new command's levels. A normal
-path reads no index, so where f+1 fronts keep agreeing no command is ever
-filed and no bit is spent. When entries are filed cannot change the
-trace. On open commands the levels are saturating per-author counts, one
-per bit position, so filing authors in any order, at any later time,
-gives the same bits; each author's own entries are filed in its logged
-order, so its mask still holds exactly the open commands it logged
-earlier. A command that committed before its entry was filed is skipped,
-which changes only its own bit position, masked off as above. And bit
-positions never reach the output: a set commits sorted by (trusted
-timestamp, digest), and the anchor and the pick are strict minima over
-unique keys.
+The index is built once, on its first read: when the alter path has found
+an anchor, or when :meth:`Executor.reliable_precedes` is asked. The build
+files every open entry of each author's queue, in queue order; from then
+on ingest files each entry as it arrives. A normal path reads no index,
+so where f+1 fronts keep agreeing the index is never built and no bit is
+spent. When it is built cannot change the trace: on open commands it
+holds what filing every entry at ingest would. The levels are saturating
+per-author counts, one per bit position, so the order authors are filed
+in does not matter; each author's entries are filed in its logged order,
+so its mask holds exactly the open commands it logged earlier; and a
+command that committed before the build would have had its bit cleared
+by now. Bit positions never reach the output: a set commits sorted by
+(trusted timestamp, digest), and the anchor and the pick are strict
+minima over unique keys.
 
 The alter path's closure ORs the top levels of the set's members until
 no new open bit appears. That is not the strongly-connected-component
@@ -89,17 +85,15 @@ ingest only by a log that can turn that empty result into a set:
 
 Without a commit, supports, eligibility and queue fronts only grow,
 trusted timestamps only fall, and the reliable-order relation, whether
-filed yet or not, only gains pairs (filing late gives the same levels as
-filing at once). So until one of these logs
-arrives, the last set can only gain members and keeps a deferring one: a
-member leaves only when the anchor, the pick or a direct member's place
-changes, and a normal-path set never loses a candidate.
+built yet or not, only gains pairs. So until one of these logs arrives,
+the last set can only gain members and keeps a deferring one: a member
+leaves only when the anchor, the pick or a direct member's place changes,
+and a normal-path set never loses a candidate.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -126,8 +120,8 @@ class CommandInfo:
 
     ``bit`` is the command's bit and ``levels[k]`` the open commands that at
     least k+1 of the authors filed so far logged before it. Both are set when
-    the first of its entries is filed, which may be never: the index is filed
-    only before it is read. Both are cleared when it commits.
+    the first of its entries is filed, which is never if it commits before
+    the index is built. Both are cleared when it commits.
     """
 
     digest: Digest
@@ -190,15 +184,14 @@ class Executor:
         self.blocked_on: set[Digest] = set()
         # Open commands whose trusted timestamp is defined (support >= 2f+1).
         self._eligible: dict[Digest, CommandInfo] = {}
-        # Reliable-order index (module docstring): bit position -> filed
-        # open command, in filing order, the mask of open bits, each
-        # author's filed mask, and per author how many entries at the back
-        # of its queue are not filed yet.
+        # Reliable-order index (module docstring): whether it is built, bit
+        # position -> filed open command, in filing order, the mask of open
+        # bits, and each author's filed mask.
+        self._indexed = False
         self._by_index: dict[int, CommandInfo] = {}
         self._next_index = 0
         self._open_bits = 0
         self._author_bits = [0] * n
-        self._unfiled = [0] * n
         # The queue-front tally (module docstring): how many queues each open
         # command heads, and the commands at least f+1 of them head.
         self._front_counts: dict[Digest, int] = {}
@@ -225,11 +218,7 @@ class Executor:
         committed = self.committed_digests
         infos = self.command_infos
         counts = self._front_counts
-        unfiled = self._unfiled
-        # The re-selection rules read a new entry's levels only while the
-        # last selection was an anchored alter path; then the index is
-        # fully filed, and each entry is filed as it comes.
-        file_now = self._watch_alter and self._anchor_key is not None
+        indexed = self._indexed
         for log in log_set:
             author = log.node_id
             queue = self.author_queues[author]
@@ -255,10 +244,8 @@ class Executor:
                     if agreed_front:
                         self._agreed.add(digest)
                 queue.append(digest)
-                if file_now:
+                if indexed:
                     self._file_entry(author, info)
-                else:
-                    unfiled[author] += 1
                 if len(info.stamps) >= quorum:
                     self._eligible[digest] = info
                 if not wake:
@@ -281,32 +268,32 @@ class Executor:
         key = self._anchor_key
         if key is None:
             return support >= self.quorum
-        # Anchored: ingest has filed ``info``.
-        top = info.levels[self.f]
+        # Anchored: the index is built, and ingest has filed ``info``.
         pick = self._pick
-        if (info.bit & self._direct_bits and top & self._anchor_bit
+        if (info.bit & self._direct_bits and info.levels[self.f] & self._anchor_bit
                 and (pick is None or pick is info or pick.digest not in deferring)):
             return True
         if support >= self.quorum:
             return (self.trusted_timestamp(info), info.digest) < key
-        return (new and not top & self._anchor_bit
-                and (pick is None or info.digest < pick.digest))
+        # A new command has one author, so no reliable predecessor when f >= 1
+        # (with f = 0 it is eligible, above).
+        return new and (pick is None or info.digest < pick.digest)
 
     # ------------------------------------------------------------------
     # reliable-order index
 
     def _file(self) -> None:
-        """File every unfiled entry, each author's in its logged order."""
-        unfiled = self._unfiled
+        """Build the index, once: file every open entry, each author's in its
+        logged order. Ingest files every later entry."""
+        if self._indexed:
+            return
+        self._indexed = True
         committed = self.committed_digests
         infos = self.command_infos
-        for author, count in enumerate(unfiled):
-            if count:
-                backlog = list(islice(reversed(self.author_queues[author]), count))
-                for digest in reversed(backlog):
-                    if digest not in committed:
-                        self._file_entry(author, infos[digest])
-                unfiled[author] = 0
+        for author, queue in enumerate(self.author_queues):
+            for digest in queue:
+                if digest not in committed:
+                    self._file_entry(author, infos[digest])
 
     def _file_entry(self, author: int, info: CommandInfo) -> None:
         """File ``author``'s entry for open ``info``: its filed predecessors
@@ -349,7 +336,7 @@ class Executor:
 
         Read from the index, which holds open commands only: a command that
         has committed (its bit is cleared), or was never logged, precedes and
-        follows nothing. Files the index first.
+        follows nothing. Builds the index if it is not built yet.
         """
         self._file()
         a = self.command_infos.get(first)
@@ -443,8 +430,8 @@ class Executor:
         """Commit a set whose members all have 2f+1 support, in ascending
         (trusted timestamp, digest) order.
 
-        Each member's index entry and bit, if filed, are dropped, and it is
-        popped off every queue it heads (module docstring).
+        Each member's index entry and bit, if it has one, are dropped, and it
+        is popped off every queue it heads (module docstring).
         """
         f = self.f
         keyed = []
@@ -465,7 +452,6 @@ class Executor:
         agreed = self._agreed
         queues = self.author_queues
         author_bits = self._author_bits
-        unfiled = self._unfiled
         resolved = []
         for stamp, digest, cmd, info in keyed:
             resolved.append(cmd)
@@ -481,7 +467,6 @@ class Executor:
             if bit:
                 del self._by_index[bit.bit_length() - 1]
                 self._open_bits ^= bit
-                # Only the authors whose entries are filed hold the bit.
                 clear = ~bit
                 for author in info.stamps:
                     author_bits[author] &= clear
@@ -500,8 +485,6 @@ class Executor:
                         fronts = counts[head] = counts.get(head, 0) + 1
                         if fronts > f:
                             agreed.add(head)
-                    if unfiled[author] > len(queue):
-                        unfiled[author] = len(queue)
             info.drop_cache()
         self.anchor_sets += 1
         if path == ALTER_PATH:

@@ -109,9 +109,8 @@ class TimestampExecutor:
         self.latest = [0] * n
         # Fixed, uncommitted commands, a heap of (stamp, digest).
         self._fixed: list[tuple[int, Digest]] = []
-        # Seen, unfixed commands, and a heap of (lower bound on the bound,
-        # digest) over them; an entry of a command since fixed is stale.
-        self._unfixed: dict[Digest, StampedInfo] = {}
+        # A heap of (lower bound on the bound, digest) over the seen, unfixed
+        # commands; an entry of a command since fixed is stale.
         self._bounds: list[tuple[int, Digest]] = []
 
     def feed(self, log_set: LogSet) -> None:
@@ -129,8 +128,8 @@ class TimestampExecutor:
         fixed = self._fixed
         if not fixed:
             return
-        f, latest = self.f, self.latest
-        bounds, unfixed = self._bounds, self._unfixed
+        f, latest, infos = self.f, self.latest, self.command_infos
+        bounds = self._bounds
         # The commit rule of the module docstring, h at the top of ``fixed``.
         watermark = sorted(latest)[f]
         while fixed:
@@ -138,8 +137,8 @@ class TimestampExecutor:
             if stamp >= watermark:
                 return  # f+1 authors may still log a command at or below it
             while bounds and bounds[0][0] <= stamp:
-                info = unfixed.get(bounds[0][1])
-                if info is None:
+                info = infos[bounds[0][1]]
+                if info.fixed is not None:
                     heappop(bounds)  # fixed since
                     continue
                 v = latest.copy()
@@ -158,7 +157,6 @@ class TimestampExecutor:
 
     def ingest_log_set(self, log_set: LogSet) -> None:
         infos, latest, quorum, f = self.command_infos, self.latest, self.quorum, self.f
-        unfixed = self._unfixed
         # A new command's bound is at least today's (f+1)-th smallest L_j.
         floor = None
         for log in log_set:
@@ -173,7 +171,7 @@ class TimestampExecutor:
                 if info is None:
                     if floor is None:
                         floor = sorted(latest)[f]
-                    info = infos[digest] = unfixed[digest] = StampedInfo()
+                    info = infos[digest] = StampedInfo()
                     heappush(self._bounds, (floor, digest))
                 elif author in info.stamps:
                     continue  # the author's repeat, skipped as in Executor.ingest_log_set
@@ -181,7 +179,6 @@ class TimestampExecutor:
                 reports[author] = stamp
                 if len(reports) == quorum:
                     info.fixed = sorted(reports.values())[f]
-                    del unfixed[digest]
                     heappush(self._fixed, (info.fixed, digest))
             latest[author] = last
 

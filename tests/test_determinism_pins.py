@@ -5,8 +5,10 @@ change that claims to leave ordering untouched (a speed-up, a refactor)
 must reproduce every committed byte. Four scenarios are the benchmark
 workload templates, copied here so the suite does not depend on the
 benchmark package; a fifth covers the ``reverse`` and ``silent``
-behaviours, and two more the ``follow`` control, whose every honest node
-must commit the designated (lowest-id Byzantine) node's certified chain.
+behaviours, two more the ``follow`` control, whose every honest node
+must commit the designated (lowest-id Byzantine) node's certified chain,
+and one ``alter16`` with three shufflers, where anchor sets commit
+same-proposer pairs out of proposal order.
 
 ``trace_sha256`` does not cover certificates, so a wrong but
 self-consistent MAC would pass it. The reference node's encoded batch
@@ -15,7 +17,10 @@ too.
 
 Two reference scenarios also pin their whole ``result.json``, so a change
 that keeps the trace but moves a count (``events_processed``,
-``sim_time_ms``, ``leader_faults``...) fails too.
+``sim_time_ms``, ``leader_faults``...) fails too. The work pins hold the
+anchor executor's selections and reliable-order bits on two of them, so a
+change that keeps every trace but selects more often or builds the index
+where no input reads it fails as well.
 
 The tie-break pins hold runs whose order hangs on how a node's tick ranks
 against events at the same simulated time, and two run-end pins hold where a
@@ -72,6 +77,7 @@ import pytest
 import phalanx.mempool
 from phalanx import NodeBehavior, Scenario, Simulation, parse_scenario_text, run
 from phalanx.consensus import Consenter
+from phalanx.executor import Executor
 from prop_harness import random_scenario, wide_scenario
 
 BURST4 = """\
@@ -111,6 +117,12 @@ latency = 1..1200
 propose_interval = 5
 strategy = anchor
 seed = 9
+"""
+
+# ALTER16's four proposers with three shufflers that skew their stamps low:
+# the shape on which in-set order inverts same-proposer pairs.
+ALTER16_SHUFFLED = ALTER16 + """\
+byzantine = 13:shuffle+skew:-100, 14:shuffle+skew:-100, 15:shuffle+skew:-100
 """
 
 REVERSE_SILENT7 = """\
@@ -182,6 +194,11 @@ PINS = {
         ALTER16,
         "5eb45e53cc32c19bef171677dae5dc56dcc9f5a3e1e41e21b80302984dbc7c7a",
     ),
+    # reordered_ratio 0.0211: same-proposer pairs inverted inside anchor sets.
+    "alter16_shuffled": (
+        ALTER16_SHUFFLED,
+        "20d8698d336d2f4c8e6f2dd7312290d1c9c6c41ede8f59552e1fe71acf58087d",
+    ),
     "reverse_silent7": (
         REVERSE_SILENT7,
         "a13e1e94293447ea6a2e30fa7384c2e9926d944e6b1cafb868722b35e4661f90",
@@ -201,6 +218,7 @@ STOP_AND_WAIT_PINS = {
     "sweep16_timestamp": "77caae69f7cb020d55214981df07d9b49bcdefa71917f7cdd85b305dd7d17925",
     "sweep16_anchor": "409259a81d24755be59fe2af65e9ec1ef156170ee4e95bc15031e71750efe1ee",
     "alter16": "d79ff634d3b190c6f384c7f9ed323fd9263b80ead1b5fda6e6e9c80dd82fe8a6",
+    "alter16_shuffled": "3ef00b00287170153e28f8ea93ab5e27532a117e46f368b20eecc79920795788",
     "reverse_silent7": "ceab53bf253d1226beceed55a22ac70c84cc74aad3742b42d5edb8e9ffd263ea",
     "follow_reverse4": "0451a30b5c1aff23b47a11000875b2ced0216e48fccaf97cae88c929abda207e",
     "follow7": "6403e429a551ff2a1d1e0af768d4a709349790288f85dfafc8b78dd6c4c15815",
@@ -404,6 +422,25 @@ def test_result_json_pinned(name):
 def test_result_json_pinned_stop_and_wait(name, stop_and_wait):
     result = run(parse_scenario_text(PINS[name][0]))
     assert json.loads(result.to_json()) == STOP_AND_WAIT_RESULT_PINS[name]
+
+
+# (selections, reliable-order bits), summed over every node's executor. A
+# selection is one ``Executor.front_vector`` call; a bit is one command filed
+# into the index. ``burst4`` commits every set on the normal path and never
+# builds the index.
+WORK_PINS = {"alter16": (880, 1280), "burst4": (4172, 0)}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_PINS))
+def test_executor_work_pinned(name, monkeypatch):
+    selections = []
+    front_vector = Executor.front_vector
+    monkeypatch.setattr(Executor, "front_vector",
+                        lambda self: selections.append(1) or front_vector(self))
+    sim = Simulation(parse_scenario_text(PINS[name][0]))
+    assert sim.run().trace_sha256() == PINS[name][1]
+    bits = sum(node.executor._next_index for node in sim.nodes)
+    assert (len(selections), bits) == WORK_PINS[name]
 
 
 def test_idle_nodes_skip_their_ticks():

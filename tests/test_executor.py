@@ -208,44 +208,87 @@ class TestReliablePrecedes:
 
 
 class TestLazyIndex:
-    """The reliable-order index is filed only when an anchored alter path or
-    ``reliable_precedes`` reads it."""
+    """The reliable-order index is built only when an anchored alter path or
+    ``reliable_precedes`` first reads it; from then on ingest files each entry."""
 
-    def test_normal_path_files_nothing_until_an_anchored_alter_path(self):
-        fifo = [Command.create(1, i, b"fifo %d" % i) for i in range(1, 6)]
-        x, y, z, w = (Command.create(2, i, b"cycle %d" % i) for i in range(1, 5))
+    FIFO = [Command.create(1, i, b"fifo %d" % i) for i in range(1, 6)]
+    CYCLE = [Command.create(2, i, b"cycle %d" % i) for i in range(1, 5)]
+
+    def _log_sets(self):
+        """The FIFO logs one round per log set, then every cycle log in one."""
         # Authors 0-2 log the FIFO commands in one order and author 3 in
         # reverse, so f+1 fronts agree on every command in turn (between
         # commits only the unanchored alter path runs). Then 0-2 log X, Y, Z
         # as a cycle with no two fronts agreeing, and W, under-supported and
         # not reliably after any of them, defers the anchored alter set.
+        fifo = self.FIFO
+        x, y, z, w = self.CYCLE
         chains = build_chains({
             0: [(cmd, i) for i, cmd in enumerate(fifo)] + [(x, 10), (y, 11), (z, 12), (w, 13)],
             1: [(cmd, i) for i, cmd in enumerate(fifo)] + [(y, 10), (z, 11), (x, 12)],
             2: [(cmd, i) for i, cmd in enumerate(fifo)] + [(z, 10), (x, 11), (y, 12)],
             3: [(cmd, i) for i, cmd in enumerate(reversed(fifo))] + [(w, 10)],
         })
-        executor = make_executor(fifo + [x, y, z, w])
-        for round_ in range(len(fifo)):
-            executor.feed(log_set_of(*[chains[a][round_] for a in range(N)]))
+        rounds = len(fifo)
+        return [log_set_of(*[chains[a][r] for a in range(N)]) for r in range(rounds)] + [
+            log_set_of(*[log for a in range(N) for log in chains[a][rounds:]])]
+
+    def _check_cycle_order(self, executor):
+        x, y, z, _ = self.CYCLE
+        expected = {(x, y), (y, z), (z, x)}
+        for first in self.CYCLE:
+            for second in self.CYCLE:
+                assert executor.reliable_precedes(first.digest, second.digest) == (
+                    (first, second) in expected), (first.seq, second.seq)
+
+    def test_normal_path_files_nothing_until_an_anchored_alter_path(self):
+        fifo, opened = self.FIFO, self.CYCLE
+        *rounds, cycle = self._log_sets()
+        executor = make_executor(fifo + opened)
+        for log_set in rounds:
+            executor.feed(log_set)
         executor.drain()
         assert [e.digest for e in executor.committed_order] == [c.digest for c in fifo]
         assert executor.alter_sets == 0
         assert executor._next_index == 0 and not executor._by_index
 
-        executor.feed(log_set_of(*[log for a in range(N) for log in chains[a][len(fifo):]]))
+        executor.feed(cycle)
         executor.drain()
         assert len(executor.committed_order) == len(fifo)
         assert executor._anchor_key is not None  # the last selection was anchored
-        opened = [x, y, z, w]
         assert all(executor.command_infos[c.digest].bit for c in opened)
         assert {info.digest for info in executor._by_index.values()} == {c.digest for c in opened}
-        assert executor._unfiled == [0] * N
-        expected = {(x, y), (y, z), (z, x)}
-        for first in opened:
-            for second in opened:
-                assert executor.reliable_precedes(first.digest, second.digest) == (
-                    (first, second) in expected), (opened.index(first), opened.index(second))
+        self._check_cycle_order(executor)
+
+    def test_an_ask_builds_the_index_and_ingest_files_from_then_on(self):
+        fifo = self.FIFO
+        first, *rounds = self._log_sets()
+        asked = make_executor(fifo + self.CYCLE)
+        never = make_executor(fifo + self.CYCLE)
+        for executor in (asked, never):
+            executor.ingest_log_set(first)
+            executor.drain()
+        # FIFO 0 committed on the normal path; author 3's FIFO 4 is open.
+        assert not asked.reliable_precedes(fifo[0].digest, fifo[4].digest)
+        assert [info.digest for info in asked._by_index.values()] == [fifo[4].digest]
+        assert never._next_index == 0
+
+        for log_set in rounds:
+            for executor in (asked, never):
+                executor.ingest_log_set(log_set)
+            # Every entry the asked executor ingested is filed: each open
+            # command it has logged has a bit.
+            assert all(info.bit for digest, info in asked.command_infos.items()
+                       if digest not in asked.committed_digests)
+            for executor in (asked, never):
+                executor.drain()
+            assert asked.committed_order == never.committed_order
+        assert [e.digest for e in asked.committed_order] == [c.digest for c in fifo]
+        # Bits: FIFO 4 at the build, FIFO 1-3 at ingest, then the cycle's four.
+        assert asked._next_index == 4 + len(self.CYCLE)
+        assert never._next_index == len(self.CYCLE)
+        self._check_cycle_order(asked)
+        self._check_cycle_order(never)
 
 
 class TestSelectAnchorSet:

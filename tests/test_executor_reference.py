@@ -11,10 +11,11 @@ random sets of one to three logs, which keep the rules apart, burst-shaped
 streams with one shuffling author, and the streams that simulated reference
 nodes received. At a few drain boundaries of each random or burst stream,
 both must also answer ``reliable_precedes`` alike for every pair of open
-commands; those asks file the executor's lazy index at arbitrary points,
-which must not change its trace. A re-selection rule that misses a log which could un-defer
-a set, or a tally that miscounts a front, shows up here as a different
-trace.
+commands; the first such ask builds the executor's reliable-order index
+at an arbitrary point, after which ingest files every entry, and that must
+not change its trace. A re-selection rule that misses a log which could
+un-defer a set, or a tally that miscounts a front, shows up here as a
+different trace.
 """
 
 import hashlib
